@@ -50,13 +50,6 @@ func (d DatasetSpec) Scaled(factor int) DatasetSpec {
 	return s
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Generate builds the synthetic graph.
 func (d DatasetSpec) Generate() *Graph {
 	g := RMAT(d.Vertices, d.Edges, d.Seed)

@@ -8,7 +8,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed graph in CSR form.
@@ -37,6 +37,9 @@ func (g *Graph) Successors(v int) []int32 {
 // 0..n-1; edges keep duplicates (multi-edges occur in real crawls too)
 // but are sorted per source for locality.
 func FromEdgeList(n int, src, dst []int32) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: src/dst length mismatch %d/%d", len(src), len(dst))
 	}
@@ -57,8 +60,7 @@ func FromEdgeList(n int, src, dst []int32) (*Graph, error) {
 		cursor[s]++
 	}
 	for v := 0; v < n; v++ {
-		e := g.Edges[g.Offsets[v]:g.Offsets[v+1]]
-		sort.Slice(e, func(i, j int) bool { return e[i] < e[j] })
+		slices.Sort(g.Edges[g.Offsets[v]:g.Offsets[v+1]])
 	}
 	return g, nil
 }
@@ -86,38 +88,76 @@ func (g *Graph) Symmetrize() *Graph {
 	return sym
 }
 
+// The Graph500 R-MAT quadrant probabilities; d = 1-a-b-c = 0.05.
+const rmatA, rmatB, rmatC = 0.57, 0.19, 0.19
+
+// RMAT draws each quadrant from a 63-bit Int63 value x exactly as
+// rand.Rand.Float64 would turn it into f = float64(x)/(1<<63) and compare
+// f with a, a+b and a+b+c. Since f is monotone in x, each comparison
+// f < p is the integer test x < threshold(p), so the generator skips the
+// float conversion and the three-way branch yet stays bit-identical to
+// the float formulation (DESIGN.md §3; pinned by TestRMATGolden).
+var (
+	rmatTA   = threshold(rmatA)
+	rmatTAB  = threshold(rmatA + rmatB)
+	rmatTABC = threshold(rmatA + rmatB + rmatC)
+	// Float64 redraws when f rounds up to 1, i.e. when x >= rmatTOne.
+	rmatTOne = threshold(1)
+)
+
+// below is Float64's comparison of the draw x against p.
+func below(x uint64, p float64) bool { return float64(x)/(1<<63) < p }
+
+// threshold returns the least x in [0, 1<<63] with !below(x, p), found
+// by binary search on the float predicate itself: x < threshold(p) holds
+// exactly when below(x, p) does.
+func threshold(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if below(mid, p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// atLeast is 1 if x >= t and 0 otherwise, without a branch. It needs
+// 0 < t <= 1<<63 and x < 1<<63: t-1-x then wraps past 1<<63 exactly
+// when x >= t.
+func atLeast(x, t uint64) int { return int((t - 1 - x) >> 63) }
+
 // RMAT generates a power-law graph with the Graph500 R-MAT parameters
 // (a=0.57, b=0.19, c=0.19, d=0.05), the standard synthetic stand-in for
 // social-network graphs. n is rounded up to a power of two internally
 // for quadrant recursion, then vertices are taken modulo n so the
-// requested count is exact. Deterministic for a given seed.
+// requested count is exact. Deterministic for a given seed: each level
+// of each edge consumes one rand.Rand.Float64 draw from
+// rand.NewSource(seed), and the output is pinned bit for bit.
 func RMAT(n, edges int, seed int64) *Graph {
 	if n <= 0 || edges < 0 {
 		panic("graph: bad RMAT parameters")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.NewSource(seed)
 	levels := 0
 	for 1<<levels < n {
 		levels++
 	}
 	src := make([]int32, edges)
 	dst := make([]int32, edges)
-	const a, b, c = 0.57, 0.19, 0.19
-	for i := 0; i < edges; i++ {
+	for i := range src {
 		var s, d int
 		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: nothing set
-			case r < a+b:
-				d |= 1 << l
-			case r < a+b+c:
-				s |= 1 << l
-			default:
-				s |= 1 << l
-				d |= 1 << l
+			x := uint64(rng.Int63())
+			for x >= rmatTOne {
+				x = uint64(rng.Int63())
 			}
+			// Quadrants a, b, c, d set bits (s,d) = 00, 01, 10, 11.
+			sb := atLeast(x, rmatTAB)
+			s |= sb << l
+			d |= (atLeast(x, rmatTA) ^ sb ^ atLeast(x, rmatTABC)) << l
 		}
 		src[i] = int32(s % n)
 		dst[i] = int32(d % n)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 )
@@ -31,6 +32,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var src, dst []int32
+	// The vertex count is the header's, grown to cover every edge id
+	// wherever the header sits.
 	n := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -40,7 +43,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if strings.HasPrefix(line, "#") {
 			var v, e int
 			if _, err := fmt.Sscanf(line, "# vertices %d edges %d", &v, &e); err == nil {
-				n = v
+				if v < 0 || v > math.MaxInt32 {
+					return nil, fmt.Errorf("graph: header vertex count %d out of range [0,%d]", v, math.MaxInt32)
+				}
+				n = max(n, v)
 			}
 			continue
 		}
@@ -50,12 +56,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		src = append(src, s)
 		dst = append(dst, d)
-		if int(s) >= n {
-			n = int(s) + 1
-		}
-		if int(d) >= n {
-			n = int(d) + 1
-		}
+		n = max(n, int(s)+1, int(d)+1)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -69,8 +70,11 @@ func (g *Graph) SaveFile(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return g.WriteEdgeList(f)
+	if err := g.WriteEdgeList(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func LoadFile(path string) (*Graph, error) {

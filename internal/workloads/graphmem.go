@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync" //peilint:allow partsafe generation-time graph cache shared across harness cells; immutable after construction, never touched by event handlers
 
@@ -26,8 +27,9 @@ func LayoutGraph(st *memlayout.Store, g *graph.Graph) *GraphMem {
 		n = 1
 	}
 	gm.edgeBase = st.Alloc(n*4, 64)
+	mem := st.Bytes(gm.edgeBase, 4*len(g.Edges))
 	for i, w := range g.Edges {
-		st.WriteU32(gm.edgeBase+uint64(i*4), uint32(w))
+		binary.LittleEndian.PutUint32(mem[4*i:], uint32(w))
 	}
 	return gm
 }
