@@ -35,9 +35,10 @@ func measurePEIAllocs(t *testing.T, mode pim.Mode) float64 {
 		m.K.Run()
 	}
 	// Warm every pool, ring bucket, and map bucket with the same access
-	// pattern the measurement uses. The scheduler ring has 4096 per-cycle
-	// buckets whose slices grow lazily, so the warmup must walk the ring
-	// many times before the steady state is truly allocation-free.
+	// pattern the measurement uses. The kernel's calendar ring has 1<<7
+	// per-cycle buckets whose slices grow lazily, so the warmup must walk
+	// the ring many times before the steady state is truly
+	// allocation-free.
 	for i := 0; i < 4096; i++ {
 		round()
 	}

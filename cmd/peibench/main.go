@@ -45,8 +45,6 @@ func main() {
 		only      = flag.String("workloads", "", "comma-separated workload subset (default all)")
 		out       = flag.String("out", "", "write tables to this file as well as stdout")
 		parallel  = flag.Int("parallel", 0, "concurrent simulation cells (0 = GOMAXPROCS)")
-		kernel    = flag.String("kernel", "seq", "event kernel: seq|pdes (tables are byte-identical either way)")
-		kworkers  = flag.Int("kernelworkers", 0, "pdes epoch workers per simulation (0 = GOMAXPROCS)")
 		snapDir   = flag.String("snapshot-dir", "", "checkpoint store for warm starts: cells resume from stored phase boundaries and write new ones (empty = disabled)")
 		list      = flag.Bool("list", false, "list experiment names and exit")
 		verbose   = flag.Bool("v", false, "log per-run progress")
@@ -105,8 +103,6 @@ func main() {
 	opts.OpBudget = *budget
 	opts.Pairs = *pairs
 	opts.Parallelism = *parallel
-	opts.Kernel = *kernel
-	opts.KernelWorkers = *kworkers
 	opts.SnapshotDir = *snapDir
 	if *full {
 		opts.Cfg = pei.BaselineConfig()
@@ -159,7 +155,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *exp, *scale, *budget, *kernel, *kworkers, *snapDir, elapsed, &before, report); err != nil {
+		if err := writeBenchJSON(*benchJSON, *exp, *scale, *budget, *snapDir, elapsed, &before, report); err != nil {
 			fmt.Fprintln(os.Stderr, "peibench:", err)
 			os.Exit(1)
 		}
@@ -171,16 +167,13 @@ func main() {
 // entry with the whole run's wall time and heap traffic, in the same
 // ns_op / bytes_op / allocs_op units `go test -benchmem` reports.
 type benchSnapshot struct {
-	Description   string          `json:"description"`
-	Experiment    string          `json:"experiment"`
-	Scale         int             `json:"scale"`
-	Budget        int64           `json:"budget"`
-	Kernel        string          `json:"kernel"`
-	KernelWorkers int             `json:"kernel_workers"`
-	GoVersion     string          `json:"go_version"`
-	Headline      benchHeadline   `json:"headline"`
-	Snapshots     *benchSnapshots `json:"snapshots,omitempty"`
-	PDES          *benchPDES      `json:"pdes,omitempty"`
+	Description string          `json:"description"`
+	Experiment  string          `json:"experiment"`
+	Scale       int             `json:"scale"`
+	Budget      int64           `json:"budget"`
+	GoVersion   string          `json:"go_version"`
+	Headline    benchHeadline   `json:"headline"`
+	Snapshots   *benchSnapshots `json:"snapshots,omitempty"`
 }
 
 type benchHeadline struct {
@@ -199,32 +192,19 @@ type benchSnapshots struct {
 	CyclesSkipped   int64 `json:"cycles_skipped"`
 }
 
-// benchPDES is the parallel-kernel protocol section, present only when
-// the run executed epochs under -kernel pdes: how much protocol work
-// the conservative kernel did, summed over every simulation in the run.
-type benchPDES struct {
-	Epochs          int64 `json:"epochs"`
-	SoloSprints     int64 `json:"solo_sprints"`
-	PartsSkipped    int64 `json:"parts_skipped"`
-	MailSlotsMerged int64 `json:"mail_slots_merged"`
-	MailPostsMerged int64 `json:"mail_posts_merged"`
-}
-
 // writeBenchJSON records the run as a single-iteration benchmark: the
 // heap counters are deltas across Reproduce, so the snapshot is
 // comparable between commits at identical flags.
-func writeBenchJSON(path, exp string, scale int, budget int64, kernel string, kworkers int, snapDir string, elapsed time.Duration, before *runtime.MemStats, report pei.SnapshotReport) error {
+func writeBenchJSON(path, exp string, scale int, budget int64, snapDir string, elapsed time.Duration, before *runtime.MemStats, report pei.SnapshotReport) error {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	snap := benchSnapshot{
 		Description: "peibench single-run snapshot: wall time and heap traffic of one Reproduce call " +
 			"(units match `go test -benchmem`; compare only at identical -exp/-scale/-budget flags)",
-		Experiment:    exp,
-		Scale:         scale,
-		Budget:        budget,
-		Kernel:        kernel,
-		KernelWorkers: kworkers,
-		GoVersion:     runtime.Version(),
+		Experiment: exp,
+		Scale:      scale,
+		Budget:     budget,
+		GoVersion:  runtime.Version(),
 		Headline: benchHeadline{
 			NsOp:     elapsed.Nanoseconds(),
 			BytesOp:  after.TotalAlloc - before.TotalAlloc,
@@ -238,15 +218,6 @@ func writeBenchJSON(path, exp string, scale int, budget int64, kernel string, kw
 			BytesWritten:    report.Store.BytesWritten,
 			CyclesSimulated: report.CyclesSimulated,
 			CyclesSkipped:   report.CyclesSkipped,
-		}
-	}
-	if report.PDES.Epochs > 0 {
-		snap.PDES = &benchPDES{
-			Epochs:          report.PDES.Epochs,
-			SoloSprints:     report.PDES.SoloSprints,
-			PartsSkipped:    report.PDES.PartsSkipped,
-			MailSlotsMerged: report.PDES.MailSlotsMerged,
-			MailPostsMerged: report.PDES.MailPostsMerged,
 		}
 	}
 	buf, err := json.MarshalIndent(&snap, "", "  ")

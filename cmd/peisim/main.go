@@ -34,8 +34,6 @@ func main() {
 		verify   = flag.Bool("verify", false, "verify functional results (requires -budget 0)")
 		stats    = flag.Bool("stats", false, "dump all counters")
 		balanced = flag.Bool("balanced", false, "enable balanced dispatch (§7.4)")
-		kernel   = flag.String("kernel", "seq", "event kernel: seq|pdes (results are byte-identical either way)")
-		kworkers = flag.Int("kernelworkers", 0, "pdes epoch workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -70,8 +68,7 @@ func main() {
 	defer stop()
 
 	params := pei.WorkloadParams{Threads: nThreads, Size: size, Scale: *scale, OpBudget: *budget}
-	res, err := pei.RunWorkloadContext(ctx, cfg, mode, *workload, params, *verify,
-		pei.WithKernel(*kernel, *kworkers))
+	res, err := pei.RunWorkloadContext(ctx, cfg, mode, *workload, params, *verify)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			// Distinct exit code for interruption (128+SIGINT), like

@@ -17,7 +17,7 @@ import (
 // coherence: BackInvalidate (writer PEIs) and BackWriteback (reader
 // PEIs).
 type Hierarchy struct {
-	k     sim.Scheduler
+	k     *sim.Kernel
 	cfg   *config.Config
 	chain *hmc.Chain
 	reg   *stats.Registry
@@ -193,7 +193,7 @@ func (h *l3DirtyNotice) OnEvent(arg sim.EventArg) {
 }
 
 // NewHierarchy builds the hierarchy for cfg over the given memory chain.
-func NewHierarchy(k sim.Scheduler, cfg *config.Config, chain *hmc.Chain, reg *stats.Registry) *Hierarchy {
+func NewHierarchy(k *sim.Kernel, cfg *config.Config, chain *hmc.Chain, reg *stats.Registry) *Hierarchy {
 	h := &Hierarchy{k: k, cfg: cfg, chain: chain, reg: reg}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, New(cfg.L1.Sets(), cfg.L1.Ways))

@@ -11,7 +11,7 @@
 // The package is deliberately decoupled from the simulator: it may not
 // import internal/sim or internal/machine (enforced by the clustersafe
 // peilint analyzer) — serving topology knows about digests and HTTP,
-// never about events or partitions.
+// never about events or machines.
 package cluster
 
 import (

@@ -67,7 +67,7 @@ type PEIPort interface {
 type Core struct {
 	ID int
 
-	k          sim.Scheduler
+	k          *sim.Kernel
 	issueWidth int
 	window     int
 	maxOps     int64
@@ -100,7 +100,7 @@ type Core struct {
 }
 
 // NewCore creates a core. maxOps of zero means unlimited.
-func NewCore(id int, k sim.Scheduler, issueWidth, window int, maxOps int64, mem MemPort, pmu PEIPort) *Core {
+func NewCore(id int, k *sim.Kernel, issueWidth, window int, maxOps int64, mem MemPort, pmu PEIPort) *Core {
 	if issueWidth <= 0 || window <= 0 {
 		panic("cpu: bad core parameters")
 	}

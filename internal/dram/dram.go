@@ -54,7 +54,7 @@ type bank struct {
 
 // Controller is a per-vault FR-FCFS DRAM controller.
 type Controller struct {
-	k     sim.Scheduler
+	k     *sim.Kernel
 	t     Timing
 	banks []bank
 	queue []*request
@@ -72,7 +72,7 @@ type Controller struct {
 
 // NewController creates a controller with the given bank count. Counter
 // names are prefixed (e.g. "dram.") in the shared registry.
-func NewController(k sim.Scheduler, banks int, t Timing, reg *stats.Registry, prefix string) *Controller {
+func NewController(k *sim.Kernel, banks int, t Timing, reg *stats.Registry, prefix string) *Controller {
 	return &Controller{
 		k:            k,
 		t:            t,

@@ -303,21 +303,11 @@ func (r *Runner) runPair(ctx context.Context, w1 string, s1 workloads.Size, w2 s
 	if err != nil {
 		return machine.Result{}, err
 	}
-	km, err := machine.ParseKernelMode(r.Opts.Kernel)
+	m, err := machine.New(cfg, mode)
 	if err != nil {
 		return machine.Result{}, err
 	}
-	m, err := machine.New(cfg, mode, machine.WithKernel(km, r.Opts.KernelWorkers))
-	if err != nil {
-		return machine.Result{}, err
-	}
-	streams := append(a.Streams(m), b.Streams(m)...)
-	res, err := m.RunContext(ctx, streams)
-	if err == nil {
-		r.recordProto(m)
-	}
-	m.Release()
-	return res, err
+	return m.RunContext(ctx, append(a.Streams(m), b.Streams(m)...))
 }
 
 // Fig10 reproduces Figure 10: speedup of balanced dispatch (§7.4) on

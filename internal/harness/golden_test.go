@@ -30,35 +30,46 @@ func goldenOptions() Options {
 	return o
 }
 
-// TestFig6SmallGolden pins the rendered Figure 6 (small inputs) table.
-// The golden file was captured before the calendar-queue scheduler and
-// counter-handle refactor; simulated timing must stay byte-identical
+// TestFig6SmallGolden pins the rendered Figure 6 (small inputs) and
+// Figure 2 tables. The Figure 6 golden was captured before the
+// calendar-queue scheduler and counter-handle refactor; Figure 2
+// exercises the graph workloads' access patterns (and so different
+// PEI/response interleavings). Simulated timing must stay byte-identical
 // across internal scheduler changes. Regenerate deliberately with
 // `go test ./internal/harness -run Fig6SmallGolden -update` after a
 // change that is *supposed* to alter simulated behavior.
 func TestFig6SmallGolden(t *testing.T) {
-	r := NewRunner(goldenOptions())
-	tb, err := r.Fig6(context.Background(), workloads.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tb.Render(&buf)
+	for _, fig := range []struct {
+		golden string
+		run    func(*Runner) (*Table, error)
+	}{
+		{"fig6_small.golden", func(r *Runner) (*Table, error) { return r.Fig6(context.Background(), workloads.Small) }},
+		{"fig2_small.golden", func(r *Runner) (*Table, error) { return r.Fig2(context.Background()) }},
+	} {
+		t.Run(fig.golden, func(t *testing.T) {
+			tb, err := fig.run(NewRunner(goldenOptions()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			tb.Render(&buf)
 
-	golden := filepath.Join("testdata", "fig6_small.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("fig6 small table drifted from golden\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
+			golden := filepath.Join("testdata", fig.golden)
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s drifted\n--- got ---\n%s--- want ---\n%s", fig.golden, buf.Bytes(), want)
+			}
+		})
 	}
 }

@@ -65,14 +65,6 @@ type Options struct {
 	// from multiple goroutines concurrently; the callback must be
 	// goroutine-safe and fast (it runs on the simulation worker).
 	Progress func(Progress)
-	// Kernel selects the event-execution engine per cell: "" or "seq"
-	// for the sequential kernel, "pdes" for the conservative parallel
-	// kernel with KernelWorkers epoch workers. Tables are byte-identical
-	// either way (the cross-kernel golden test pins this); pdes helps
-	// when a few large cells dominate, seq when many small cells already
-	// saturate Parallelism.
-	Kernel        string
-	KernelWorkers int
 	// SnapshotDir, when non-empty, enables checkpoint/warm-start: cells
 	// run phased, every interior superstep boundary is serialized into a
 	// content-addressed blob store rooted here, and reruns of a cell
@@ -315,14 +307,6 @@ type Runner struct {
 	storeErr        error
 	cyclesSimulated atomic.Int64
 	cyclesSkipped   atomic.Int64
-
-	// PDES protocol ledger (SnapshotReport.PDES): engine counters folded
-	// in from every machine this runner completed under -kernel pdes.
-	pdesEpochs      atomic.Int64
-	pdesSprints     atomic.Int64
-	pdesSkipped     atomic.Int64
-	pdesSlotsMerged atomic.Int64
-	pdesPostsMerged atomic.Int64
 }
 
 // NewRunner creates a runner with normalized options.
@@ -409,12 +393,8 @@ func (r *Runner) runWorkload(ctx context.Context, name string, p workloads.Param
 	if mutate != nil {
 		mutate(cfg)
 	}
-	km, err := machine.ParseKernelMode(r.Opts.Kernel)
-	if err != nil {
-		return machine.Result{}, err
-	}
 	if r.snapshotsEnabled() {
-		res, simulated, err := r.runPhased(ctx, cfg, name, p, mode, km, false)
+		res, simulated, err := r.runPhased(ctx, cfg, name, p, mode, false)
 		if err == nil {
 			cycles = simulated
 		}
@@ -424,31 +404,15 @@ func (r *Runner) runWorkload(ctx context.Context, name string, p workloads.Param
 	if err != nil {
 		return machine.Result{}, err
 	}
-	m, err := machine.New(cfg, mode, machine.WithKernel(km, r.Opts.KernelWorkers))
+	m, err := machine.New(cfg, mode)
 	if err != nil {
 		return machine.Result{}, err
 	}
 	res, err := m.RunContext(ctx, w.Streams(m))
 	if err == nil {
 		cycles = int64(res.Cycles)
-		r.recordProto(m)
 	}
-	m.Release()
 	return res, err
-}
-
-// recordProto folds a finished machine's PDES protocol counters into the
-// runner's ledger (no-op under the sequential kernel).
-func (r *Runner) recordProto(m *machine.Machine) {
-	ps, ok := m.KernelProtoStats()
-	if !ok {
-		return
-	}
-	r.pdesEpochs.Add(int64(ps.Epochs))
-	r.pdesSprints.Add(int64(ps.SoloSprints))
-	r.pdesSkipped.Add(int64(ps.PartsSkipped))
-	r.pdesSlotsMerged.Add(int64(ps.MailSlotsMerged))
-	r.pdesPostsMerged.Add(int64(ps.MailPostsMerged))
 }
 
 // runGraphWorkload runs a graph workload on a specific named dataset.

@@ -22,15 +22,10 @@ import (
 // quiescent boundaries, each interior boundary is serialized into the
 // content-addressed blob store, and a later run of the same cell resumes
 // from the deepest stored boundary instead of simulating from cycle 0.
-// Blobs are kernel-agnostic, so a sweep under the sequential kernel warms
-// a PDES rerun and vice versa.
 
 // snapshotDigest content-addresses a cell: everything that determines
 // the simulated trajectory — final machine config, workload identity and
-// parameters, PEI mode — plus the snapshot format version. The kernel
-// and its worker count are deliberately excluded: they change how events
-// execute, not what state they produce (the cross-kernel golden test
-// pins this), so both kernels share one blob lineage.
+// parameters, PEI mode — plus the snapshot format version.
 func snapshotDigest(cfg *config.Config, name string, p workloads.Params, mode pim.Mode) string {
 	blob, err := json.Marshal(struct {
 		Version  uint32
@@ -57,22 +52,6 @@ type SnapshotReport struct {
 	// CyclesSkipped is the total cycles warm starts did not re-simulate
 	// (each resumed cell contributes its restore cycle).
 	CyclesSkipped int64
-	// PDES aggregates the parallel kernel's protocol counters across
-	// every simulation this runner completed (all zero under -kernel
-	// seq). Unlike the rest of the report it is populated whether or not
-	// snapshots are enabled.
-	PDES PDESReport
-}
-
-// PDESReport is the runner-wide sum of sim.ProtoStats: how much
-// protocol work (epochs, solo sprints, partition skips, mailbox merges)
-// the conservative-PDES kernel did across all simulations.
-type PDESReport struct {
-	Epochs          int64
-	SoloSprints     int64
-	PartsSkipped    int64
-	MailSlotsMerged int64
-	MailPostsMerged int64
 }
 
 // SnapshotReport returns the warm-start summary (zero value when
@@ -81,13 +60,6 @@ func (r *Runner) SnapshotReport() SnapshotReport {
 	rep := SnapshotReport{
 		CyclesSimulated: r.cyclesSimulated.Load(),
 		CyclesSkipped:   r.cyclesSkipped.Load(),
-		PDES: PDESReport{
-			Epochs:          r.pdesEpochs.Load(),
-			SoloSprints:     r.pdesSprints.Load(),
-			PartsSkipped:    r.pdesSkipped.Load(),
-			MailSlotsMerged: r.pdesSlotsMerged.Load(),
-			MailPostsMerged: r.pdesPostsMerged.Load(),
-		},
 	}
 	r.snapMu.Lock()
 	if r.store != nil {
@@ -125,18 +97,14 @@ func (r *Runner) snapStore() (*snap.Store, error) {
 func (r *Runner) RunPhasedWorkload(ctx context.Context, name string, p workloads.Params, mode pim.Mode, verify bool) (machine.Result, error) {
 	cfg := r.Opts.Cfg.Clone()
 	cfg.MaxOps = 0
-	km, err := machine.ParseKernelMode(r.Opts.Kernel)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	res, _, err := r.runPhased(ctx, cfg, name, p, mode, km, verify)
+	res, _, err := r.runPhased(ctx, cfg, name, p, mode, verify)
 	return res, err
 }
 
 // runPhased runs one cell in phases, resuming from the deepest stored
 // snapshot and writing a snapshot at every interior superstep boundary.
 // Warm results are bit-identical to a cold phased run of the same cell.
-func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string, p workloads.Params, mode pim.Mode, km machine.KernelMode, verify bool) (machine.Result, int64, error) {
+func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string, p workloads.Params, mode pim.Mode, verify bool) (machine.Result, int64, error) {
 	st, err := r.snapStore()
 	if err != nil {
 		return machine.Result{}, 0, err
@@ -148,7 +116,7 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		m, err := machine.New(cfg, mode, machine.WithKernel(km, r.Opts.KernelWorkers))
+		m, err := machine.New(cfg, mode)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -184,7 +152,7 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 		}
 	}
 
-	startCycle := int64(m.Now())
+	startCycle := int64(m.K.Now())
 	for ; phase < rounds; phase++ {
 		if phase+1 >= rounds {
 			pw.SetRoundLimit(0) // final phase runs to completion, tail included
@@ -204,7 +172,7 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 		if err := m.SnapshotTo(&buf, pw.SnapshotTo); err != nil {
 			return machine.Result{}, 0, err
 		}
-		if err := st.Put(digest, phase+1, int64(m.Now()), buf.Bytes()); err != nil {
+		if err := st.Put(digest, phase+1, int64(m.K.Now()), buf.Bytes()); err != nil {
 			return machine.Result{}, 0, err
 		}
 	}
@@ -212,7 +180,6 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 		return machine.Result{}, 0, err
 	}
 	res := m.Finish()
-	r.recordProto(m)
 	r.cyclesSimulated.Add(int64(res.Cycles) - startCycle)
 	r.cyclesSkipped.Add(startCycle)
 	if verify {
@@ -220,6 +187,5 @@ func (r *Runner) runPhased(ctx context.Context, cfg *config.Config, name string,
 			return res, 0, err
 		}
 	}
-	m.Release()
 	return res, int64(res.Cycles) - startCycle, nil
 }

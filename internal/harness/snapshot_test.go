@@ -3,7 +3,8 @@ package harness
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,16 +26,13 @@ func snapOptions(dir string) Options {
 }
 
 // runSnapCell runs one cell through a fresh runner with the given
-// snapshot dir ("" = unphased) and kernel selection.
-func runSnapCell(t *testing.T, dir, kernel string, workers int, cell Cell) (*Runner, interface{ IPC() float64 }) {
+// snapshot dir ("" = unphased).
+func runSnapCell(t *testing.T, dir string, cell Cell) (*Runner, interface{ IPC() float64 }) {
 	t.Helper()
-	o := snapOptions(dir)
-	o.Kernel = kernel
-	o.KernelWorkers = workers
-	r := NewRunner(o)
+	r := NewRunner(snapOptions(dir))
 	res, err := r.RunCell(context.Background(), cell)
 	if err != nil {
-		t.Fatalf("cell %v (dir=%q kernel=%q w=%d): %v", cell, dir, kernel, workers, err)
+		t.Fatalf("cell %v (dir=%q): %v", cell, dir, err)
 	}
 	return r, res
 }
@@ -77,15 +75,13 @@ func TestPhasedMatchesUnphased(t *testing.T) {
 	}
 }
 
-// TestResumeEquivalence is the tentpole acceptance test: restoring from
-// EVERY stored phase boundary must reproduce the cold run's result
-// exactly, under both kernels and multiple worker counts. Blobs are
-// written by the sequential kernel and consumed by PDES too, pinning
-// kernel-agnostic snapshots.
+// TestResumeEquivalence is the warm-start acceptance test: restoring
+// from EVERY stored phase boundary must reproduce the cold run's result
+// exactly.
 func TestResumeEquivalence(t *testing.T) {
 	cell := Cell{"pr", workloads.Small, pim.LocalityAware}
 	coldDir := t.TempDir()
-	coldRunner, coldRes := runSnapCell(t, coldDir, "seq", 0, cell)
+	coldRunner, coldRes := runSnapCell(t, coldDir, cell)
 	rep := coldRunner.SnapshotReport()
 	if rep.Store.Misses == 0 || rep.Store.Hits != 0 {
 		t.Fatalf("cold run should miss, not hit: %+v", rep.Store)
@@ -94,66 +90,53 @@ func TestResumeEquivalence(t *testing.T) {
 	if err != nil || len(blobs) == 0 {
 		t.Fatalf("cold run stored no snapshots (err=%v)", err)
 	}
-	kernels := []struct {
-		kernel  string
-		workers int
-	}{{"seq", 0}, {"pdes", 1}, {"pdes", 4}}
 	for _, blob := range blobs {
-		for _, k := range kernels {
-			name := fmt.Sprintf("%s/%s-w%d", filepath.Base(blob), k.kernel, k.workers)
-			t.Run(name, func(t *testing.T) {
-				// A dir holding exactly one boundary forces the resume
-				// to start from that phase.
-				dir := t.TempDir()
-				data, err := os.ReadFile(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, filepath.Base(blob)), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				warmRunner, warmRes := runSnapCell(t, dir, k.kernel, k.workers, cell)
-				if !reflect.DeepEqual(coldRes, warmRes) {
-					t.Fatalf("warm result diverged from cold\nwarm: %+v\ncold: %+v", warmRes, coldRes)
-				}
-				rep := warmRunner.SnapshotReport()
-				if rep.Store.Hits != 1 {
-					t.Fatalf("warm run should hit once: %+v", rep.Store)
-				}
-				if rep.CyclesSkipped == 0 {
-					t.Fatalf("warm run skipped no cycles: %+v", rep)
-				}
-			})
-		}
+		// The subtest keeps the "seq-w0" leaf its name has always had.
+		t.Run(filepath.Base(blob)+"/seq-w0", func(t *testing.T) {
+			// A dir holding exactly one boundary forces the resume
+			// to start from that phase.
+			dir := t.TempDir()
+			data, err := os.ReadFile(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(blob)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			warmRunner, warmRes := runSnapCell(t, dir, cell)
+			if !reflect.DeepEqual(coldRes, warmRes) {
+				t.Fatalf("warm result diverged from cold\nwarm: %+v\ncold: %+v", warmRes, coldRes)
+			}
+			rep := warmRunner.SnapshotReport()
+			if rep.Store.Hits != 1 {
+				t.Fatalf("warm run should hit once: %+v", rep.Store)
+			}
+			if rep.CyclesSkipped == 0 {
+				t.Fatalf("warm run skipped no cycles: %+v", rep)
+			}
+		})
 	}
 }
 
-// TestSnapshotBlobsKernelAgnostic pins the byte-level claim: the blob a
-// sequential run writes at a boundary is identical to the one its PDES
-// twin writes — digest, name, and contents.
-func TestSnapshotBlobsKernelAgnostic(t *testing.T) {
-	cell := Cell{"bfs", workloads.Small, pim.LocalityAware}
-	seqDir, pdesDir := t.TempDir(), t.TempDir()
-	runSnapCell(t, seqDir, "seq", 0, cell)
-	runSnapCell(t, pdesDir, "pdes", 4, cell)
-	seqBlobs, _ := filepath.Glob(filepath.Join(seqDir, "*.snap"))
-	pdesBlobs, _ := filepath.Glob(filepath.Join(pdesDir, "*.snap"))
-	if len(seqBlobs) == 0 || len(seqBlobs) != len(pdesBlobs) {
-		t.Fatalf("blob counts differ: seq=%d pdes=%d", len(seqBlobs), len(pdesBlobs))
+// TestSnapshotBlobPinned pins the first phase-boundary blob of one
+// cell: its content address and the SHA-256 of its bytes, both taken
+// from an earlier build. A change to the blob format or its content
+// address fails here, because stores written by earlier binaries must
+// keep hitting.
+func TestSnapshotBlobPinned(t *testing.T) {
+	const (
+		wantName = "a9dd9e2477d7cf3b76323bec7051f588-p1-c4345.snap"
+		wantSum  = "740acaf92205f358f403ab70fc72984f2a3acc458066124b3f3b0f9382531443"
+	)
+	dir := t.TempDir()
+	runSnapCell(t, dir, Cell{"bfs", workloads.Small, pim.LocalityAware})
+	data, err := os.ReadFile(filepath.Join(dir, wantName))
+	if err != nil {
+		blobs, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
+		t.Fatalf("phase-1 blob missing (%v); store holds %v", err, blobs)
 	}
-	for i, sb := range seqBlobs {
-		pb := pdesBlobs[i]
-		if filepath.Base(sb) != filepath.Base(pb) {
-			t.Fatalf("blob names differ: %s vs %s", filepath.Base(sb), filepath.Base(pb))
-		}
-		sd, err1 := os.ReadFile(sb)
-		pd, err2 := os.ReadFile(pb)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("read blobs: %v %v", err1, err2)
-		}
-		if !bytes.Equal(sd, pd) {
-			t.Fatalf("blob %s differs between kernels", filepath.Base(sb))
-		}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != wantSum {
+		t.Fatalf("blob %s sha256 = %x, want %s", wantName, sum, wantSum)
 	}
 }
 

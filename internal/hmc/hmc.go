@@ -17,14 +17,7 @@ import (
 )
 
 // Vault is one vertical DRAM partition plus its logic-die controller.
-// Under the PDES kernel each vault is its own partition: sched is the
-// partition's scheduler, reqSink carries host-to-vault link deliveries
-// in, and hostSink carries response-link posts back out. Under the
-// sequential kernel all three are the one global kernel.
 type Vault struct {
-	sched     sim.Scheduler
-	reqSink   sim.EventSink
-	hostSink  sim.EventSink
 	cTSVBytes stats.Handle
 	Ctrl      *dram.Controller
 	// TSV is the vertical link between the logic die and the DRAM dies;
@@ -41,10 +34,6 @@ type Vault struct {
 
 	free []*vaultTxn //peilint:allow snapcomplete pool of recycled block-transfer transactions: capacity, not state
 }
-
-// Scheduler returns the scheduler of the partition the vault lives in;
-// vault-side components (the vault PCUs) must schedule on it.
-func (v *Vault) Scheduler() sim.Scheduler { return v.sched }
 
 // vaultTxn threads one block transfer through its two timed legs (DRAM
 // access and TSV crossing). The vault owns the pool; the transaction is
@@ -151,18 +140,6 @@ type Config struct {
 	// DispatchWindowCyc is the halving period for the request/response
 	// pressure counters (0 disables tracking).
 	DispatchWindowCyc sim.Cycle
-
-	// Partition wiring for the PDES kernel; all nil in sequential runs,
-	// in which case every vault schedules on the chain's own kernel and
-	// "posts" are plain insertions into the one global queue. VaultSched
-	// and VaultSink give global vault v's partition scheduler and its
-	// host-to-vault mailbox; HostSink gives vault v's vault-to-host
-	// mailbox; VaultReg gives the per-partition stats shard vault-side
-	// counters write into (merged into the main registry after the run).
-	VaultSched func(vault int) sim.Scheduler
-	VaultSink  func(vault int) sim.EventSink
-	HostSink   func(vault int) sim.EventSink
-	VaultReg   func(vault int) *stats.Registry
 }
 
 // Chain is the host-side view of the daisy-chained memory system: one
@@ -174,10 +151,10 @@ type Config struct {
 // receiver-arbitrated: responses propagate to the host end first (cube
 // hops plus link latency, modeled vault-side) and serialize on arrival.
 // Same-cycle arrivals are ordered by the canonical (vault, response
-// sequence) key, which makes the response path deterministic under the
-// PDES kernel's epoch merges and identical under the sequential one.
+// sequence) key, so the response path does not depend on event-queue
+// tie order.
 type Chain struct {
-	k     sim.Scheduler
+	k     *sim.Kernel
 	cfg   Config
 	Req   *sim.Link
 	Cubes []*Cube
@@ -209,9 +186,8 @@ type Chain struct {
 	free []*Txn //peilint:allow snapcomplete pool of recycled link transactions (wire buffers ride along): capacity, not state
 }
 
-// NewChain builds the memory system described by cfg. k is the host
-// partition's scheduler (the one global kernel in sequential runs).
-func NewChain(k sim.Scheduler, cfg Config, reg *stats.Registry) *Chain {
+// NewChain builds the memory system described by cfg on kernel k.
+func NewChain(k *sim.Kernel, cfg Config, reg *stats.Registry) *Chain {
 	ch := &Chain{
 		k:           k,
 		cfg:         cfg,
@@ -224,34 +200,11 @@ func NewChain(k sim.Scheduler, cfg Config, reg *stats.Registry) *Chain {
 	for c := 0; c < cfg.Mapping.Cubes; c++ {
 		cube := &Cube{Index: c}
 		for v := 0; v < cfg.Mapping.VaultsPerCube; v++ {
-			idx := c*cfg.Mapping.VaultsPerCube + v
-			sched := sim.Scheduler(k)
-			if cfg.VaultSched != nil {
-				sched = cfg.VaultSched(idx)
-			}
-			// Off-chip link deliveries use the early lane so their
-			// order against same-cycle partition-local events is the
-			// same fixed rule under both kernels (DESIGN.md §12).
-			reqSink := sched.EarlySink()
-			if cfg.VaultSink != nil {
-				reqSink = cfg.VaultSink(idx)
-			}
-			hostSink := k.EarlySink()
-			if cfg.HostSink != nil {
-				hostSink = cfg.HostSink(idx)
-			}
-			vreg := reg
-			if cfg.VaultReg != nil {
-				vreg = cfg.VaultReg(idx)
-			}
 			vault := &Vault{
-				sched:     sched,
-				reqSink:   reqSink,
-				hostSink:  hostSink,
-				cTSVBytes: vreg.Counter("tsv.bytes"),
-				Ctrl:      dram.NewController(sched, cfg.Mapping.BanksPerVault, cfg.Timing, vreg, "dram."),
-				TSV:       sim.NewLink(sched, cfg.TSVBytesPerCycle, cfg.TSVLatency),
-				Index:     idx,
+				cTSVBytes: reg.Counter("tsv.bytes"),
+				Ctrl:      dram.NewController(k, cfg.Mapping.BanksPerVault, cfg.Timing, reg, "dram."),
+				TSV:       sim.NewLink(k, cfg.TSVBytesPerCycle, cfg.TSVLatency),
+				Index:     c*cfg.Mapping.VaultsPerCube + v,
 			}
 			cube.Vaults = append(cube.Vaults, vault)
 		}
@@ -376,7 +329,7 @@ const (
 func (t *Txn) OnEvent(arg sim.EventArg) {
 	switch arg.N {
 	case chainStageHopIn:
-		t.v.sched.ScheduleEvent(t.hop, t, sim.EventArg{N: chainStageAtVault})
+		t.ch.k.ScheduleEvent(t.hop, t, sim.EventArg{N: chainStageAtVault})
 	case chainStageAtVault:
 		err := DecodeInto(&t.pkt, t.wire)
 		if err != nil || t.pkt.Addr != t.addr || t.pkt.Cmd != t.cmd {
@@ -393,8 +346,10 @@ func (t *Txn) OnEvent(arg sim.EventArg) {
 			panic("hmc: request delivered with no visitor")
 		}
 	case chainStageHopOut:
-		v := t.v
-		v.hostSink.PostEvent(v.sched.Now()+t.ch.cfg.LinkLatency, t, sim.EventArg{N: chainStageResArrive})
+		// Off-chip link arrivals take the kernel's early lane, ahead of
+		// same-cycle host events (DESIGN.md §12).
+		k := t.ch.k
+		k.AtEventEarly(k.Now()+t.ch.cfg.LinkLatency, t, sim.EventArg{N: chainStageResArrive})
 	case chainStageResArrive:
 		t.ch.resArrive(t)
 	case chainStageBlockRead:
@@ -416,7 +371,7 @@ func (t *Txn) Respond(respBytes int, done sim.Cont) {
 	t.respDone = done
 	v.respSeq++
 	t.rkey = uint64(v.Index)<<32 | uint64(v.respSeq)
-	v.sched.ScheduleEvent(t.hop, t, sim.EventArg{N: chainStageHopOut})
+	t.ch.k.ScheduleEvent(t.hop, t, sim.EventArg{N: chainStageHopOut})
 }
 
 // resArrive joins a response packet to the current cycle's arbitration
@@ -450,8 +405,7 @@ func (ch *Chain) OnEvent(arg sim.EventArg) {
 // accounting traffic and pressure and delivering each completion when
 // its serialization slot ends. Propagation was already paid before
 // arrival, so no further latency is added. The canonical sort makes the
-// response path independent of event-queue tie order, which is what
-// keeps the sequential and PDES kernels bit-identical.
+// response path independent of event-queue tie order.
 func (ch *Chain) flushResponses() {
 	batch := ch.batch
 	for i := 1; i < len(batch); i++ {
@@ -539,7 +493,7 @@ func (ch *Chain) DeliverEvent(a uint64, cmd Command, subcmd uint8, payload []byt
 	ch.cReq += float64((reqBytes + sim.FlitBytes - 1) / sim.FlitBytes)
 	ch.cReqBytes.Add(int64(reqBytes))
 	ch.cReqPackets.Inc()
-	ch.Req.SendEventTo(v.reqSink, reqBytes, t, sim.EventArg{N: chainStageHopIn})
+	ch.Req.SendEventEarly(reqBytes, t, sim.EventArg{N: chainStageHopIn})
 }
 
 // visitFunc adapts the closure-based Deliver signature to VaultVisitor

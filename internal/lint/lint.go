@@ -1,9 +1,9 @@
-// Package lint is the project's static-analysis suite: eight analyzers
+// Package lint is the project's static-analysis suite: seven analyzers
 // that turn the simulator's determinism and hot-path invariants (byte-
 // identical tables at any parallelism, zero-allocation event kernel,
-// context-first public entry points, single-threaded partition code,
-// a simulator-free cluster control plane, complete snapshot pairs,
-// leak-free serving-layer resources) into machine-checked law, plus
+// context-first public entry points, a simulator-free cluster control
+// plane, complete snapshot pairs, leak-free serving-layer resources)
+// into machine-checked law, plus
 // the waiver directive that documents every deliberate exception.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
@@ -269,7 +269,7 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// Analyzers returns the full suite in a stable order: the eight
+// Analyzers returns the full suite in a stable order: the seven
 // invariant analyzers plus the waiver validator.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -277,7 +277,6 @@ func Analyzers() []*Analyzer {
 		StatsHandle,
 		CtxFirst,
 		HotAlloc,
-		PartSafe,
 		ClusterSafe,
 		SnapComplete,
 		LeakSafe,
@@ -295,5 +294,5 @@ const waiverAnalyzerName = "waiver"
 // omitted — and not referenced via Analyzers() to avoid an
 // initialization cycle back into the Waiver variable).
 func analyzerNames() []string {
-	return []string{SimDeterm.Name, StatsHandle.Name, CtxFirst.Name, HotAlloc.Name, PartSafe.Name, ClusterSafe.Name, SnapComplete.Name, LeakSafe.Name}
+	return []string{SimDeterm.Name, StatsHandle.Name, CtxFirst.Name, HotAlloc.Name, ClusterSafe.Name, SnapComplete.Name, LeakSafe.Name}
 }

@@ -13,7 +13,6 @@ func TestSimDeterm(t *testing.T)    { AnalyzerTest(t, SimDeterm, "simdeterm") }
 func TestStatsHandle(t *testing.T)  { AnalyzerTest(t, StatsHandle, "statshandle") }
 func TestCtxFirst(t *testing.T)     { AnalyzerTest(t, CtxFirst, "ctxfirst") }
 func TestHotAlloc(t *testing.T)     { AnalyzerTest(t, HotAlloc, "hotalloc") }
-func TestPartSafe(t *testing.T)     { AnalyzerTest(t, PartSafe, "partsafe") }
 func TestClusterSafe(t *testing.T)  { AnalyzerTest(t, ClusterSafe, "clustersafe") }
 func TestSnapComplete(t *testing.T) { AnalyzerTest(t, SnapComplete, "snapcomplete") }
 func TestLeakSafe(t *testing.T)     { AnalyzerTest(t, LeakSafe, "leaksafe") }
@@ -122,12 +121,6 @@ func TestAnalyzerScope(t *testing.T) {
 		{HotAlloc, "internal/pim", true},
 		{HotAlloc, "internal/cpu", false},
 		{HotAlloc, "internal/workloads", false},
-		{PartSafe, "internal/hmc", true},
-		{PartSafe, "internal/machine", true},
-		{PartSafe, "internal/workloads", true},
-		{PartSafe, "internal/sim", false},     // the sanctioned home for concurrency
-		{PartSafe, "internal/serve", false},   // concurrent by design, outside the simulator
-		{PartSafe, "internal/cluster", false}, // control plane, free to use channels/sync
 		{ClusterSafe, "internal/cluster", true},
 		{ClusterSafe, "internal/serve", false}, // serve legitimately imports the simulator
 		{ClusterSafe, "internal/sim", false},
@@ -136,7 +129,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{SnapComplete, "internal/graph", true},
 		{LeakSafe, "internal/serve", true},
 		{LeakSafe, "internal/cluster", true},
-		{LeakSafe, "internal/sim", false}, // no HTTP or goroutines inside the simulator (partsafe's job)
+		{LeakSafe, "internal/sim", false}, // no HTTP or goroutines inside the simulator
 		{Waiver, "internal/graph", true},  // waiver validates everywhere
 		{Waiver, "cmd/peilint", true},
 	}

@@ -8,7 +8,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"pimsim/internal/cache"
 	"pimsim/internal/config"
@@ -23,51 +22,6 @@ import (
 	"pimsim/internal/vm"
 )
 
-// KernelMode selects the event-execution engine: the sequential kernel
-// (the oracle) or the conservative-PDES parallel kernel. Both produce
-// bit-identical results; pdes trades per-epoch synchronization overhead
-// for multi-core wall clock on large cells.
-type KernelMode int
-
-const (
-	KernelSeq KernelMode = iota
-	KernelPDES
-)
-
-// ParseKernelMode parses a user-facing kernel name. The empty string
-// means sequential.
-func ParseKernelMode(s string) (KernelMode, error) {
-	switch s {
-	case "", "seq":
-		return KernelSeq, nil
-	case "pdes":
-		return KernelPDES, nil
-	}
-	return 0, fmt.Errorf("machine: unknown kernel %q (want seq or pdes)", s)
-}
-
-func (m KernelMode) String() string {
-	if m == KernelPDES {
-		return "pdes"
-	}
-	return "seq"
-}
-
-// Option configures machine construction.
-type Option func(*buildOptions)
-
-type buildOptions struct {
-	kernel  KernelMode
-	workers int
-}
-
-// WithKernel selects the execution engine and, for KernelPDES, the
-// worker goroutine count (0 or less means GOMAXPROCS; 1 runs the full
-// epoch protocol inline, which is the cheapest way to validate it).
-func WithKernel(km KernelMode, workers int) Option {
-	return func(o *buildOptions) { o.kernel = km; o.workers = workers }
-}
-
 // Machine is a fully wired simulated system.
 type Machine struct {
 	K     *sim.Kernel
@@ -79,17 +33,6 @@ type Machine struct {
 	PMU   *pim.PMU
 	Cores []*cpu.Core
 
-	// pdes is non-nil when the machine runs on the parallel kernel; K
-	// then aliases the host partition's calendar queue and shards holds
-	// the per-vault stats registries merged into Reg by collect.
-	pdes   *sim.PDES
-	shards []*stats.Registry
-
-	// proto holds the final PDES protocol counters after collect has
-	// recycled the ensemble; protoOK marks that this machine ran pdes.
-	proto   sim.ProtoStats
-	protoOK bool
-
 	// vml is the virtual-memory layer when EnableVM is set; retained so
 	// snapshots can reach the page table and TLBs.
 	vml *vmLayer
@@ -97,21 +40,12 @@ type Machine struct {
 
 // New builds a machine for cfg in the given mode. cfg is cloned; the
 // caller's copy is not retained.
-func New(cfg *config.Config, mode pim.Mode, opts ...Option) (*Machine, error) {
+func New(cfg *config.Config, mode pim.Mode) (*Machine, error) {
 	cfg = cfg.Clone()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var bo buildOptions
-	for _, o := range opts {
-		o(&bo)
-	}
-	var (
-		k      *sim.Kernel
-		sched  sim.Scheduler
-		pd     *sim.PDES
-		shards []*stats.Registry
-	)
+	k := sim.NewKernel()
 	reg := stats.NewRegistry()
 	hmcCfg := hmc.Config{
 		Mapping:           cfg.Mapping(),
@@ -124,45 +58,16 @@ func New(cfg *config.Config, mode pim.Mode, opts ...Option) (*Machine, error) {
 		PacketHeaderBytes: cfg.PacketHeaderBytes,
 		DispatchWindowCyc: cfg.DispatchWindowCyc,
 	}
-	if bo.kernel == KernelPDES {
-		// Partition 0 is the host (cores, caches, PMU, chain front-end);
-		// partition 1+v is vault v (its DRAM controller, TSV link, and
-		// vault PCU). The only cross-partition latencies are the off-chip
-		// link's, so the link latency is the lookahead window.
-		if cfg.LinkLatency < 1 {
-			return nil, fmt.Errorf("machine: pdes kernel needs LinkLatency >= 1 for lookahead (have %d)", cfg.LinkLatency)
-		}
-		nv := cfg.Mapping().VaultsTotal()
-		workers := bo.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		pd = sim.NewPDES(cfg.LinkLatency, 1+nv, workers)
-		host := pd.Part(0)
-		k = &host.Kernel
-		sched = host
-		shards = make([]*stats.Registry, nv)
-		for v := range shards {
-			shards[v] = stats.NewRegistry()
-		}
-		hmcCfg.VaultSched = func(v int) sim.Scheduler { return pd.Part(1 + v) }
-		hmcCfg.VaultSink = func(v int) sim.EventSink { return pd.Sink(0, 1+v) }
-		hmcCfg.HostSink = func(v int) sim.EventSink { return pd.Sink(1+v, 0) }
-		hmcCfg.VaultReg = func(v int) *stats.Registry { return shards[v] }
-	} else {
-		k = sim.NewKernel()
-		sched = k
-	}
-	chain := hmc.NewChain(sched, hmcCfg, reg)
-	hier := cache.NewHierarchy(sched, cfg, chain, reg)
+	chain := hmc.NewChain(k, hmcCfg, reg)
+	hier := cache.NewHierarchy(k, cfg, chain, reg)
 	store := memlayout.NewStore()
-	pmu := pim.NewPMU(sched, cfg, hier, chain, store, mode, reg)
-	m := &Machine{K: k, Cfg: cfg, Reg: reg, Chain: chain, Hier: hier, Store: store, PMU: pmu, pdes: pd, shards: shards}
+	pmu := pim.NewPMU(k, cfg, hier, chain, store, mode, reg)
+	m := &Machine{K: k, Cfg: cfg, Reg: reg, Chain: chain, Hier: hier, Store: store, PMU: pmu}
 	var mem cpu.MemPort = hier
 	var peiPort cpu.PEIPort = pmu
 	if cfg.EnableVM {
 		layer := &vmLayer{
-			k:       sched,
+			k:       k,
 			pt:      vm.NewPageTable(0),
 			missLat: sim.Cycle(cfg.TLBMissLatency),
 			hier:    hier,
@@ -175,14 +80,14 @@ func New(cfg *config.Config, mode pim.Mode, opts ...Option) (*Machine, error) {
 		m.vml = layer
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		m.Cores = append(m.Cores, cpu.NewCore(i, sched, cfg.IssueWidth, cfg.WindowSize, cfg.MaxOps, mem, peiPort))
+		m.Cores = append(m.Cores, cpu.NewCore(i, k, cfg.IssueWidth, cfg.WindowSize, cfg.MaxOps, mem, peiPort))
 	}
 	return m, nil
 }
 
 // MustNew is New for presets known to be valid.
-func MustNew(cfg *config.Config, mode pim.Mode, opts ...Option) *Machine {
-	m, err := New(cfg, mode, opts...)
+func MustNew(cfg *config.Config, mode pim.Mode) *Machine {
+	m, err := New(cfg, mode)
 	if err != nil {
 		panic(err)
 	}
@@ -254,8 +159,7 @@ func (m *Machine) RunContext(ctx context.Context, streams []cpu.Stream) (Result,
 }
 
 // Start arms stream i on core i (nil streams leave the core idle) in
-// core-index order, which fixes the bootstrap event order under both
-// kernels. Calling Start again re-arms the cores for another phase —
+// core-index order, which fixes the bootstrap event order. Calling Start again re-arms the cores for another phase —
 // with the same streams, a round-limited workload resumes exactly where
 // its driver stopped.
 func (m *Machine) Start(streams []cpu.Stream) error {
@@ -279,10 +183,6 @@ func (m *Machine) Start(streams []cpu.Stream) error {
 // Drive runs the event loop until no work remains (every core drained
 // and every queue empty) or ctx is cancelled.
 func (m *Machine) Drive(ctx context.Context) error {
-	if m.pdes != nil {
-		// The PDES engine checks ctx once per epoch itself.
-		return m.pdes.Run(ctx)
-	}
 	if ctx.Done() == nil {
 		m.K.Run()
 		return nil
@@ -291,7 +191,6 @@ func (m *Machine) Drive(ctx context.Context) error {
 	// microseconds of wall clock) against per-event select overhead.
 	const checkEvery = 8192
 	for m.K.Pending() > 0 {
-		//peilint:allow partsafe top-level cancellation driver between event batches; no partition exists on the sequential kernel
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -301,37 +200,6 @@ func (m *Machine) Drive(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// KernelProtoStats reports the parallel kernel's protocol counters
-// (epochs, solo sprints, partitions skipped, mailbox merges). ok is
-// false under the sequential kernel. The counters deliberately bypass
-// the stats registry: they describe engine work, not simulated
-// behavior, and Results must stay byte-identical across kernels.
-// It remains valid after Release, which banks the counters before
-// recycling the ensemble.
-func (m *Machine) KernelProtoStats() (sim.ProtoStats, bool) {
-	if m.pdes != nil {
-		return m.pdes.Proto(), true
-	}
-	return m.proto, m.protoOK
-}
-
-// Release hands the machine's parallel-kernel ensemble — whose warmed
-// calendar rings are the expensive part of building the next machine —
-// back to the sim recycle pool. Call it only when completely done with
-// the machine (after Finish and any post-run inspection): the kernel
-// references are severed, so no component may schedule or read clocks
-// afterwards. Safe to call multiple times and a no-op on the sequential
-// kernel or when events are still pending.
-func (m *Machine) Release() {
-	if m.pdes == nil {
-		return
-	}
-	m.proto, m.protoOK = m.pdes.Proto(), true
-	m.pdes.Recycle()
-	m.pdes = nil
-	m.K = nil
 }
 
 // CheckDone verifies every armed core retired its whole stream; a core
@@ -345,28 +213,12 @@ func (m *Machine) CheckDone(streams []cpu.Stream) error {
 	return nil
 }
 
-// Finish folds per-vault stat shards into the main registry and builds
-// the run's Result. It consumes the shards and must be called exactly
-// once, after the final Drive.
+// Finish builds the run's Result. It folds derived counters into the
+// registry and must be called exactly once, after the final Drive.
 func (m *Machine) Finish() Result {
-	return m.collect()
-}
-
-func (m *Machine) collect() Result {
-	// Fold the per-vault registry shards of a PDES run into the main
-	// registry first, so every probe below sees the whole system.
-	// Addition commutes, so shard order cannot affect the result.
-	for _, s := range m.shards {
-		m.Reg.AddAll(s)
-	}
-	m.shards = nil
-	cycles := m.K.Now()
-	if m.pdes != nil {
-		cycles = m.pdes.MaxNow()
-	}
 	r := Result{
 		Mode:         m.PMU.Mode,
-		Cycles:       cycles,
+		Cycles:       m.K.Now(),
 		PEIHost:      m.Reg.Get("pei.host"),
 		PEIMem:       m.Reg.Get("pei.mem"),
 		PEIs:         m.Reg.Get("pei.total"),

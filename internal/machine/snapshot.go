@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"pimsim/internal/sim"
 	"pimsim/internal/snap"
-	"pimsim/internal/stats"
 )
 
 // This file orchestrates whole-machine snapshots. A snapshot is only
@@ -14,31 +12,11 @@ import (
 // pool at rest — so what it captures is pure architectural state:
 // clocks, tag arrays, row buffers, counters, and functional memory.
 // Transaction pools are never serialized (a fresh pool is timing-
-// neutral), and the blob a sequential machine writes is byte-identical
-// to the one its PDES twin writes at the same boundary, because
-// Quiesce aligns all partition clocks first and every section is
-// kernel-agnostic.
+// neutral).
 
-// Now reports the machine's global clock: the kernel's cycle, or the
-// maximum across partitions under PDES.
-func (m *Machine) Now() sim.Cycle {
-	if m.pdes != nil {
-		return m.pdes.MaxNow()
-	}
-	return m.K.Now()
-}
-
-// Quiesce verifies the machine has fully drained and, under PDES,
-// aligns every partition's clock to the global maximum so the next
-// phase starts from one well-defined cycle under either kernel.
+// Quiesce verifies the machine has fully drained, so a snapshot can be
+// taken or the next phase started from one well-defined cycle.
 func (m *Machine) Quiesce() error {
-	if m.pdes != nil {
-		if !m.pdes.Quiesced() {
-			return fmt.Errorf("%w: %d events pending across partitions", snap.ErrNotQuiescent, m.pdes.Pending())
-		}
-		m.pdes.AdvanceAllTo(m.pdes.MaxNow())
-		return nil
-	}
 	if n := m.K.Pending(); n != 0 {
 		return fmt.Errorf("%w: %d events pending", snap.ErrNotQuiescent, n)
 	}
@@ -46,29 +24,16 @@ func (m *Machine) Quiesce() error {
 }
 
 // SnapshotTo serializes the machine to wr. The caller must have
-// Quiesce()d (SnapshotTo re-checks and fails otherwise). Counters are
-// written from a merged view of the main registry and the per-vault
-// shards, leaving both untouched so the run can continue past the
-// boundary — which is also what makes the stream kernel-agnostic: the
-// merged view is the same totals whichever side of the shard split a
-// counter lives on. extra, if non-nil, appends caller sections (e.g.
-// workload generator state) to the same stream.
+// Quiesce()d (SnapshotTo re-checks and fails otherwise); the run can
+// continue past the boundary. extra, if non-nil, appends caller sections
+// (e.g. workload generator state) to the same stream.
 func (m *Machine) SnapshotTo(wr io.Writer, extra func(*snap.Writer)) error {
 	if err := m.Quiesce(); err != nil {
 		return err
 	}
 	w := snap.NewWriter(wr)
-	if m.pdes != nil {
-		m.pdes.SnapshotTo(w)
-	} else {
-		m.K.SnapshotTo(w)
-	}
-	merged := stats.NewRegistry()
-	merged.AddAll(m.Reg)
-	for _, s := range m.shards {
-		merged.AddAll(s)
-	}
-	merged.SnapshotTo(w)
+	m.K.SnapshotTo(w)
+	m.Reg.SnapshotTo(w)
 	m.Store.SnapshotTo(w)
 	w.Int(len(m.Cores))
 	for _, c := range m.Cores {
@@ -90,11 +55,9 @@ func (m *Machine) SnapshotTo(wr io.Writer, extra func(*snap.Writer)) error {
 }
 
 // RestoreFrom loads a snapshot into a freshly built machine of the
-// identical configuration (same config, mode, and workload layout; the
-// kernel may differ — blobs are kernel-agnostic). Counter values land
-// in the main registry by name; PDES shards stay zeroed and accumulate
-// only post-resume deltas, which Finish folds back in, so final totals
-// match the cold run's exactly. extra mirrors SnapshotTo's.
+// identical configuration (same config, mode, and workload layout).
+// Counter values land in the registry by name, so final totals match
+// the cold run's exactly. extra mirrors SnapshotTo's.
 func (m *Machine) RestoreFrom(rd io.Reader, extra func(*snap.Reader)) error {
 	if err := m.Quiesce(); err != nil {
 		return fmt.Errorf("snap: restore target not idle: %w", err)
@@ -103,11 +66,7 @@ func (m *Machine) RestoreFrom(rd io.Reader, extra func(*snap.Reader)) error {
 	if err != nil {
 		return err
 	}
-	if m.pdes != nil {
-		m.pdes.RestoreFrom(r)
-	} else {
-		m.K.RestoreFrom(r)
-	}
+	m.K.RestoreFrom(r)
 	m.Reg.RestoreFrom(r)
 	m.Store.RestoreFrom(r)
 	cores := r.Int()

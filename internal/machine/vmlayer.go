@@ -13,7 +13,7 @@ import (
 // of the simulation is the translation *traffic*: one TLB access per PEI
 // and zero translation hardware below the PMU.
 type vmLayer struct {
-	k       sim.Scheduler
+	k       *sim.Kernel
 	pt      *vm.PageTable
 	tlbs    []*vm.TLB
 	missLat sim.Cycle

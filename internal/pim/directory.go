@@ -17,7 +17,7 @@ import (
 // writer waits for the first (the 1-bit writer counter). Waiters queue
 // FIFO.
 type Directory struct {
-	k        sim.Scheduler
+	k        *sim.Kernel
 	cBlocked stats.Handle
 
 	// latency is the directory access time added to every acquire.
@@ -127,7 +127,7 @@ func (e *dirEntry) popWaiter() dirWaiter {
 
 // NewDirectory creates a directory with the given entry count (rounded
 // up to a power of two) or an ideal one if entries <= 0 or ideal is set.
-func NewDirectory(k sim.Scheduler, entries int, latency sim.Cycle, ideal bool, reg *stats.Registry) *Directory {
+func NewDirectory(k *sim.Kernel, entries int, latency sim.Cycle, ideal bool, reg *stats.Registry) *Directory {
 	d := &Directory{k: k, cBlocked: reg.Counter("pmu.dir_blocked"), latency: latency, ideal: ideal}
 	if ideal {
 		d.idealLocks = make(map[uint64]*dirEntry)

@@ -11,7 +11,7 @@ import (
 // width. Host-side PCUs run at the CPU clock; memory-side PCUs at the
 // (slower) logic-die clock, expressed via clockDiv.
 type PCU struct {
-	k        sim.Scheduler
+	k        *sim.Kernel
 	entries  int
 	clockDiv sim.Cycle
 
@@ -34,7 +34,7 @@ type PCU struct {
 
 // NewPCU creates a PCU with the given operand buffer size, execution
 // width and clock divisor (1 = CPU clock, 2 = 2 GHz).
-func NewPCU(k sim.Scheduler, entries, width int, clockDiv sim.Cycle) *PCU {
+func NewPCU(k *sim.Kernel, entries, width int, clockDiv sim.Cycle) *PCU {
 	if entries <= 0 || width <= 0 || clockDiv <= 0 {
 		panic("pim: bad PCU parameters")
 	}

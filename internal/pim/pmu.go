@@ -47,7 +47,7 @@ func (m Mode) String() string {
 // (back-invalidation / back-writeback through the hierarchy), locality
 // profiling, and the dispatch decision.
 type PMU struct {
-	k     sim.Scheduler
+	k     *sim.Kernel
 	cfg   *config.Config
 	reg   *stats.Registry
 	hier  *cache.Hierarchy
@@ -190,7 +190,7 @@ func (p *PMU) putTxn(t *peiTxn) {
 
 // NewPMU wires the PMU into an existing hierarchy and chain. It installs
 // the locality monitor's L3 hook.
-func NewPMU(k sim.Scheduler, cfg *config.Config, hier *cache.Hierarchy, chain *hmc.Chain,
+func NewPMU(k *sim.Kernel, cfg *config.Config, hier *cache.Hierarchy, chain *hmc.Chain,
 	store *memlayout.Store, mode Mode, reg *stats.Registry) *PMU {
 
 	idealDir := cfg.IdealDirectory || mode == IdealHost
@@ -209,9 +209,7 @@ func NewPMU(k sim.Scheduler, cfg *config.Config, hier *cache.Hierarchy, chain *h
 		p.HostPCU = append(p.HostPCU, NewPCU(k, cfg.OperandBufferEntries, cfg.PCUExecWidth, 1))
 	}
 	for v := 0; v < cfg.Mapping().VaultsTotal(); v++ {
-		// A vault PCU lives on the logic die, i.e. in its vault's PDES
-		// partition; it must schedule on that partition's clock.
-		p.MemPCU = append(p.MemPCU, NewPCU(chain.VaultAt(v).Scheduler(), cfg.OperandBufferEntries, cfg.PCUExecWidth, cfg.MemPCUClockDiv))
+		p.MemPCU = append(p.MemPCU, NewPCU(k, cfg.OperandBufferEntries, cfg.PCUExecWidth, cfg.MemPCUClockDiv))
 	}
 	p.cTotal = reg.Counter("pei.total")
 	p.cHost = reg.Counter("pei.host")

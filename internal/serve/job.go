@@ -99,13 +99,18 @@ func (j *Job) view() jobView {
 }
 
 // setState transitions the job and appends a state event; terminal
-// transitions close done and the event stream. Returns false if the job
-// was already terminal.
-func (j *Job) setState(state JobState, now time.Time) bool {
+// transitions close done and the event stream. count, if non-nil, runs
+// exactly once per accepted transition, before any reader can observe
+// the new state, so a counter it bumps never lags the visible state.
+// Returns false if the job was already terminal.
+func (j *Job) setState(state JobState, now time.Time, count func()) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
 		return false
+	}
+	if count != nil {
+		count()
 	}
 	j.state = state
 	switch state {

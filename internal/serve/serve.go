@@ -298,9 +298,18 @@ func (s *Server) completeFromCache(job *Job, out []byte, now time.Time) {
 	job.output = out
 	job.cacheHit = true
 	job.mu.Unlock()
-	if job.setState(StateDone, now) {
-		s.met.add("jobs.completed", 1)
-	}
+	job.setState(StateDone, now, s.countTerminal(StateDone))
+}
+
+// countTerminal returns the setState hook that bumps the counter of a
+// terminal state: jobs.completed, jobs.cancelled or jobs.failed.
+func (s *Server) countTerminal(state JobState) func() {
+	name := map[JobState]string{
+		StateDone:      "jobs.completed",
+		StateCancelled: "jobs.cancelled",
+		StateFailed:    "jobs.failed",
+	}[state]
+	return func() { s.met.add(name, 1) }
 }
 
 func (s *Server) worker() {
@@ -350,7 +359,7 @@ func (s *Server) runOne(job *Job) {
 		}
 	}
 
-	if !job.setState(StateRunning, start) {
+	if !job.setState(StateRunning, start, nil) {
 		return
 	}
 	s.opts.Logf("job id=%s digest=%.12s state=running", job.ID, job.Digest)
@@ -414,15 +423,7 @@ func (s *Server) terminate(job *Job, state JobState, out []byte, err error) {
 			s.opts.Peers.ReportFill(job.Digest)
 		}
 	}
-	if job.setState(state, now) {
-		switch state {
-		case StateDone:
-			s.met.add("jobs.completed", 1)
-		case StateCancelled:
-			s.met.add("jobs.cancelled", 1)
-		case StateFailed:
-			s.met.add("jobs.failed", 1)
-		}
+	if job.setState(state, now, s.countTerminal(state)) {
 		s.opts.Logf("job id=%s digest=%.12s state=%s dur=%s",
 			job.ID, job.Digest, state, now.Sub(job.created).Round(time.Millisecond))
 	}
@@ -439,9 +440,7 @@ func (s *Server) terminate(job *Job, state JobState, out []byte, err error) {
 		f.mu.Lock()
 		f.errMsg = fmt.Sprintf("coalesced onto job %s, which ended %s", job.ID, state)
 		f.mu.Unlock()
-		if f.setState(StateFailed, now) {
-			s.met.add("jobs.failed", 1)
-		}
+		f.setState(StateFailed, now, s.countTerminal(StateFailed))
 	}
 }
 

@@ -30,34 +30,3 @@ func BenchmarkKernelScheduleStepFar(b *testing.B) {
 		k.Step()
 	}
 }
-
-// epochTicker keeps a partition active every epoch: each dispatch
-// reschedules itself one lookahead window ahead.
-type epochTicker struct {
-	s      Scheduler
-	period Cycle
-}
-
-func (e *epochTicker) OnEvent(arg EventArg) { e.s.ScheduleEvent(e.period, e, arg) }
-
-// BenchmarkPDESEpochOverhead pins the per-epoch protocol cost on the
-// machine's real shape (host + 32 vaults = 33 partitions): every
-// partition has exactly one event per window, so each iteration is one
-// full epoch — mailbox drain check, fused peek scan, active-set build,
-// and 33 single-event partition runs — with no cross-partition traffic.
-func BenchmarkPDESEpochOverhead(b *testing.B) {
-	const (
-		nparts = 33
-		window = 16
-	)
-	pd := NewPDES(window, nparts, 1)
-	for i := 0; i < nparts; i++ {
-		t := &epochTicker{s: pd.Part(i), period: window}
-		pd.Part(i).AtEvent(0, t, EventArg{})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pd.Epoch()
-	}
-}

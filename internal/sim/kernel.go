@@ -75,13 +75,11 @@ func Call(fn func()) Cont {
 // per-event allocation, O(1) amortized ordering.
 //
 // The ring is deliberately small. Its footprint is what the dispatch
-// loop walks continuously, and a PDES ensemble keeps nparts rings live
-// at once: at 1<<12 cycles (the original size) one ring was ≈230 KiB
-// and a 33-partition ensemble blew every cache level (≈7.6 MiB), which
-// measured as a double-digit slowdown on both kernels. 1<<7 covers the
-// cross-partition link latency and full DRAM bank timing chains;
-// rarer far-out events (refresh, phase boundaries) take the heap path,
-// whose cost is dwarfed by the locality win (BENCH_pdes2.json).
+// loop walks continuously: at 1<<12 cycles (the original size) one ring
+// was ≈230 KiB, and shrinking it to 1<<7 sped the simulator up ~25%
+// (DESIGN.md §8). 1<<7 covers the off-chip link latency and full DRAM
+// bank timing chains; rarer far-out events (refresh, phase boundaries)
+// take the heap path, whose cost is dwarfed by the locality win.
 const (
 	ringWindow = 1 << 7 // cycles of near future covered by the ring
 	ringMask   = ringWindow - 1
@@ -97,13 +95,11 @@ type event struct {
 }
 
 // bucket holds the events of one in-window cycle in two FIFO lanes:
-// the early lane carries cross-partition link deliveries (AtEventEarly)
-// and dispatches before the normal lane. The split makes the relative
-// order of a link arrival and a same-cycle local event a fixed rule —
-// arrivals first — instead of an artifact of queue insertion time,
-// which is the property that lets the PDES kernel (whose mailbox drains
-// insert arrivals at epoch barriers, not at send time) reproduce the
-// sequential kernel byte for byte.
+// the early lane carries off-chip link deliveries (AtEventEarly) and
+// dispatches before the normal lane. The split makes the relative order
+// of a link arrival and a same-cycle local event a fixed rule —
+// arrivals first — instead of an artifact of queue insertion time. The
+// golden tables were generated under this rule.
 type bucket struct {
 	early []event
 	ehead int
@@ -194,11 +190,11 @@ func (k *Kernel) AtEvent(cycle Cycle, h Handler, arg EventArg) {
 // AtEventEarly delivers arg to h at the given absolute cycle in the
 // bucket's early lane: it dispatches before every normal-lane event of
 // that cycle, regardless of when either was inserted. It exists for
-// cross-partition link deliveries only (see EarlySink and the PDES
-// mailbox drain) — the fixed arrivals-before-locals rule is what keeps
-// both kernels' same-cycle order identical. The cycle must be strictly
-// in the future: link serialization guarantees that, and an early
-// insert into the currently dispatching bucket would be unreachable.
+// off-chip link deliveries (see Link.SendEventEarly), whose
+// arrivals-before-locals rule the golden tables depend on. The cycle
+// must be strictly in the future: link serialization guarantees that,
+// and an early insert into the currently dispatching bucket would be
+// unreachable.
 func (k *Kernel) AtEventEarly(cycle Cycle, h Handler, arg EventArg) {
 	if cycle <= k.now && !(cycle == 0 && k.now == 0 && k.Executed == 0) {
 		panic(fmt.Sprintf("sim: early event not in the future (now %d, at %d)", k.now, cycle))
@@ -355,50 +351,6 @@ func (k *Kernel) RunUntil(limit Cycle) {
 	}
 	if k.now < limit {
 		k.now = limit
-	}
-}
-
-// RunUpTo dispatches events with cycle <= limit and leaves time at the
-// last dispatched event. Unlike RunUntil it never advances now into idle
-// time, so after a bounded run the clock still tracks the events
-// actually processed — the property a coordinating layer needs when the
-// clock feeds a global minimum (PDES.runPart keeps the same invariant,
-// but inlines its own loop because its limit shrinks mid-run and it
-// carries a dispatch budget; this fixed-limit form is for external
-// callers driving a lone Kernel).
-//
-// It returns the cycle of the earliest event still pending, or -1 if the
-// queue drained. The loop's exit paths have already computed it (the
-// over-limit ring scan or the far-heap head), so returning it is free
-// and saves the caller a re-peek.
-func (k *Kernel) RunUpTo(limit Cycle) Cycle {
-	for {
-		if k.ringCount == 0 {
-			if len(k.far) == 0 {
-				return -1
-			}
-			if k.far[0].when > limit {
-				return k.far[0].when
-			}
-			k.base = k.far[0].when
-			k.migrate()
-		}
-		c := k.nextRingCycle()
-		if c > limit {
-			return c
-		}
-		if c != k.base {
-			k.base = c
-			k.migrate()
-		}
-		k.dispatch(c)
-	}
-}
-
-// RunWhile dispatches events as long as cond returns true and events
-// remain. cond is checked before each event.
-func (k *Kernel) RunWhile(cond func() bool) {
-	for cond() && k.Step() {
 	}
 }
 

@@ -148,23 +148,15 @@ func TestKernelMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestKernelRunWhile(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	var tick func()
-	tick = func() { n++; k.Schedule(1, tick) }
-	k.Schedule(0, tick)
-	k.RunWhile(func() bool { return n < 50 })
-	if n != 50 {
-		t.Fatalf("n = %d, want 50", n)
-	}
-}
+// recorder appends each dispatched event's N to out.
+type recorder struct{ out *[]int64 }
+
+func (r *recorder) OnEvent(arg EventArg) { *r.out = append(*r.out, arg.N) }
 
 // TestKernelEarlyLane pins the arrivals-before-locals rule: an event
-// posted through AtEventEarly (or EarlySink) dispatches before every
-// normal-lane event of the same cycle, regardless of insertion order —
-// the property both kernels rely on to keep same-cycle ties between
-// link arrivals and local events identical.
+// posted through AtEventEarly dispatches before every normal-lane event
+// of the same cycle, regardless of insertion order — the rule that fixes
+// same-cycle ties between link arrivals and local events.
 func TestKernelEarlyLane(t *testing.T) {
 	k := NewKernel()
 	var got []int64
@@ -173,7 +165,7 @@ func TestKernelEarlyLane(t *testing.T) {
 	// last must still run first, FIFO within each lane.
 	k.AtEvent(5, r, EventArg{N: 10})
 	k.AtEvent(5, r, EventArg{N: 11})
-	k.EarlySink().PostEvent(5, r, EventArg{N: 1})
+	k.AtEventEarly(5, r, EventArg{N: 1})
 	k.AtEventEarly(5, r, EventArg{N: 2})
 	k.AtEvent(5, r, EventArg{N: 12})
 	k.Run()
@@ -216,8 +208,8 @@ func TestKernelEarlyLaneFarHeap(t *testing.T) {
 }
 
 // TestKernelEarlyPastPanics pins that the early lane rejects
-// non-future posts — cross-partition deliveries are always at least
-// one cycle out, so a same-cycle early insert is a wiring bug.
+// non-future posts — link deliveries are always at least one cycle
+// out, so a same-cycle early insert is a wiring bug.
 func TestKernelEarlyPastPanics(t *testing.T) {
 	k := NewKernel()
 	k.Schedule(3, func() {

@@ -11,7 +11,7 @@ import "math"
 // therefore captures both serialization delay and queueing delay, the two
 // effects the paper's bandwidth arguments rest on.
 type Link struct {
-	k Scheduler
+	k *Kernel
 
 	// BytesPerCycle is the link bandwidth expressed in the kernel's base
 	// clock. 80 GB/s at a 4 GHz base clock is 20 bytes/cycle.
@@ -34,9 +34,8 @@ type Link struct {
 // 16-byte flits).
 const FlitBytes = 16
 
-// NewLink creates a link scheduled on k, which must be the scheduler of
-// the partition that owns (sends on) the link.
-func NewLink(k Scheduler, bytesPerCycle float64, latency Cycle) *Link {
+// NewLink creates a link scheduled on k.
+func NewLink(k *Kernel, bytesPerCycle float64, latency Cycle) *Link {
 	if bytesPerCycle <= 0 {
 		panic("sim: link bandwidth must be positive")
 	}
@@ -58,16 +57,28 @@ func (l *Link) Send(bytes int, done func()) Cycle {
 // arg to h (if non-nil) when the payload arrives. It returns the cycle
 // at which delivery will occur.
 func (l *Link) SendEvent(bytes int, h Handler, arg EventArg) Cycle {
-	return l.SendEventTo(l.k, bytes, h, arg)
+	at := l.occupy(bytes)
+	if h != nil {
+		l.k.AtEvent(at, h, arg)
+	}
+	return at
 }
 
-// SendEventTo is SendEvent with an explicit delivery sink: serialization
-// and occupancy are accounted on the sender's clock, and the payload is
-// posted to sink at the delivery cycle. When the receiver lives in
-// another PDES partition the sink is that partition's mailbox; the link
-// latency then doubles as the synchronization lookahead, so delivery
-// always lands at least a full window past the sender's clock.
-func (l *Link) SendEventTo(sink EventSink, bytes int, h Handler, arg EventArg) Cycle {
+// SendEventEarly is SendEvent delivering into the kernel's early lane
+// (see Kernel.AtEventEarly): the arrival dispatches before every
+// normal-lane event of its cycle. The off-chip request link uses it.
+func (l *Link) SendEventEarly(bytes int, h Handler, arg EventArg) Cycle {
+	at := l.occupy(bytes)
+	if h != nil {
+		l.k.AtEventEarly(at, h, arg)
+	}
+	return at
+}
+
+// occupy accounts a transfer of bytes on the link — serialization
+// behind earlier transfers, then the propagation latency — and returns
+// its delivery cycle.
+func (l *Link) occupy(bytes int) Cycle {
 	if bytes <= 0 {
 		bytes = 1
 	}
@@ -81,11 +92,7 @@ func (l *Link) SendEventTo(sink EventSink, bytes int, h Handler, arg EventArg) C
 	l.Busy += occ
 	l.BytesTransferred += uint64(bytes)
 	l.FlitsTransferred += uint64((bytes + FlitBytes - 1) / FlitBytes)
-	at := end + l.Latency
-	if h != nil {
-		sink.PostEvent(at, h, arg)
-	}
-	return at
+	return end + l.Latency
 }
 
 // QueueDelay reports how long a transfer issued now would wait before

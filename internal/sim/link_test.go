@@ -112,3 +112,23 @@ func TestLinkBusyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLinkSendEventEarly pins that an early send is accounted like any
+// other transfer and delivers ahead of a same-cycle normal-lane event.
+func TestLinkSendEventEarly(t *testing.T) {
+	k := NewKernel()
+	l := NewLink(k, 16, 4)
+	var got []int64
+	r := &recorder{out: &got}
+	k.AtEvent(5, r, EventArg{N: 2})
+	if at := l.SendEventEarly(16, r, EventArg{N: 1}); at != 5 {
+		t.Fatalf("delivery at %d, want 5 (1 cycle occupancy + 4 latency)", at)
+	}
+	k.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("order = %v, want [1 2]", got)
+	}
+	if l.BytesTransferred != 16 || l.Busy != 1 {
+		t.Fatalf("accounting: bytes=%d busy=%d", l.BytesTransferred, l.Busy)
+	}
+}

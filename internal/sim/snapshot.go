@@ -7,9 +7,9 @@ import (
 )
 
 // This file implements the kernel-layer half of checkpoint snapshots.
-// Snapshots are only defined at quiescence — every calendar queue
-// empty, every PDES mailbox drained — so no pending event, ring bucket,
-// or far-heap entry is ever serialized. What the kernel contributes to
+// Snapshots are only defined at quiescence — the calendar queue empty —
+// so no pending event, ring bucket, or far-heap entry is ever
+// serialized. What the kernel contributes to
 // a snapshot is purely its clock and dispatch accounting; the seq
 // counter restarts at zero (it only breaks ties among pending far
 // events, of which a quiescent kernel has none) and base is re-anchored
@@ -17,10 +17,7 @@ import (
 // FIFO regardless of the ring's origin.
 
 // SnapshotTo serializes the kernel's clock state. It fails if events
-// are pending: snapshots are defined only at quiescence. The section
-// tag and payload are identical to (*PDES).SnapshotTo's — at a
-// quiesced, clock-aligned boundary both kernels' state reduces to the
-// same two words, which is what makes snapshot blobs kernel-agnostic.
+// are pending: snapshots are defined only at quiescence.
 func (k *Kernel) SnapshotTo(w *snap.Writer) {
 	w.Section("CLCK")
 	if n := k.Pending(); n != 0 {
@@ -44,21 +41,6 @@ func (k *Kernel) RestoreFrom(r *snap.Reader) {
 	k.seq = 0
 }
 
-// AdvanceTo moves an empty kernel's clock forward to cycle (a no-op if
-// already there or beyond). Machine.Quiesce uses it to align every
-// clock — the sequential kernel, or all PDES partitions — to the global
-// maximum at a phase boundary, making phase boundaries kernel-agnostic:
-// both kernels resume the next phase from the identical cycle.
-func (k *Kernel) AdvanceTo(cycle Cycle) {
-	if k.Pending() != 0 {
-		panic(fmt.Sprintf("sim: AdvanceTo with %d pending events", k.Pending()))
-	}
-	if cycle > k.now {
-		k.now = cycle
-		k.base = cycle
-	}
-}
-
 // SnapshotTo serializes the link's occupancy horizon and traffic
 // counters. nextFree is kept exactly (it may lag now at quiescence;
 // restoring it preserves QueueDelay arithmetic and the Busy invariant).
@@ -77,71 +59,4 @@ func (l *Link) RestoreFrom(r *snap.Reader) {
 	l.BytesTransferred = r.U64()
 	l.FlitsTransferred = r.U64()
 	l.Busy = r.I64()
-}
-
-// Quiesced reports whether the ensemble is fully drained: no partition
-// has pending events and every cross-partition mailbox is empty.
-func (pd *PDES) Quiesced() bool { return pd.Pending() == 0 }
-
-// AdvanceAllTo aligns every partition's clock to cycle (see
-// Kernel.AdvanceTo). Only legal at quiescence.
-func (pd *PDES) AdvanceAllTo(cycle Cycle) {
-	if !pd.Quiesced() {
-		panic("sim: AdvanceAllTo before quiescence")
-	}
-	for _, p := range pd.parts {
-		p.Kernel.AdvanceTo(cycle)
-	}
-}
-
-// SnapshotTo serializes ensemble-wide clock state in a kernel-agnostic
-// form: by the time a snapshot is taken the machine has Quiesce()d, so
-// all partition clocks are equal and only one cycle value plus the
-// total dispatch count is stored — the same two words the sequential
-// kernel stores. A blob written under either kernel restores under
-// either.
-func (pd *PDES) SnapshotTo(w *snap.Writer) {
-	w.Section("CLCK")
-	if !pd.Quiesced() {
-		w.Fail(fmt.Errorf("%w: pdes ensemble has pending events or undrained mail", snap.ErrNotQuiescent))
-		return
-	}
-	now := pd.MaxNow()
-	for _, p := range pd.parts {
-		if p.Now() != now {
-			w.Fail(fmt.Errorf("snap: partition %d clock %d not aligned to %d (Quiesce not called)", p.id, p.Now(), now))
-			return
-		}
-	}
-	w.I64(now)
-	w.U64(pd.Executed())
-}
-
-// RestoreFrom loads ensemble clock state: every partition's clock is
-// set to the stored cycle and the total dispatch count is assigned to
-// the host partition (Executed is ensemble-wide accounting; its
-// per-partition split is not semantically meaningful).
-func (pd *PDES) RestoreFrom(r *snap.Reader) {
-	r.Section("CLCK")
-	if !pd.Quiesced() {
-		r.Fail(fmt.Errorf("%w: restore target ensemble has pending events", snap.ErrNotQuiescent))
-		return
-	}
-	now := r.I64()
-	executed := r.U64()
-	if r.Err() != nil {
-		return
-	}
-	for _, p := range pd.parts {
-		p.Kernel.now = now
-		p.Kernel.base = now
-		p.Kernel.seq = 0
-		p.Kernel.Executed = 0
-	}
-	pd.parts[0].Kernel.Executed = executed
-	// The memoized next-event cycles predate the restore; force every
-	// partition to re-peek on the next epoch.
-	for i := range pd.stale {
-		pd.stale[i] = true
-	}
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // SnapshotTo serializes every counter as (name, value) pairs in sorted
-// name order — not interning order, which differs between the
-// sequential and PDES builds of the same machine (vault counters intern
-// into per-partition shards under PDES). Sorting is what keeps the byte
-// stream, and therefore the content-addressed blob, kernel-agnostic.
+// name order — not interning order, which depends on when each counter
+// was first touched (a restored machine appends names its snapshot
+// brought in). Sorting makes the byte stream, and therefore the
+// content-addressed blob, a function of the counter values alone.
 func (r *Registry) SnapshotTo(w *snap.Writer) {
 	w.Section("SREG")
 	sorted := make([]string, len(r.names))

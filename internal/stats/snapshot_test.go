@@ -73,12 +73,10 @@ func TestRegistrySnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshotKernelAgnosticBytes pins that two registries with
-// identical counters but different interning orders serialize to the
-// same bytes — the property that keeps snapshot blobs identical across
-// the sequential and PDES kernels, whose vault shards intern in
-// different orders.
-func TestRegistrySnapshotKernelAgnosticBytes(t *testing.T) {
+// TestRegistrySnapshotOrderIndependentBytes pins that two registries
+// with identical counters but different interning orders serialize to
+// the same bytes, so a blob depends on counter values alone.
+func TestRegistrySnapshotOrderIndependentBytes(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Add("x", 1)
 	a.Add("y", 2)

@@ -108,15 +108,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return m
 }
 
-// AddAll folds every counter of o into r, summing by name. The PDES
-// machine uses it to merge per-partition registry shards after a run;
-// addition commutes, so the merge order never affects the result.
-func (r *Registry) AddAll(o *Registry) {
-	for i, n := range o.names {
-		r.Add(n, o.vals[i])
-	}
-}
-
 // Reset zeroes every counter but keeps the names registered (and every
 // outstanding Handle valid).
 func (r *Registry) Reset() {

@@ -3,7 +3,7 @@ package workloads
 import (
 	"encoding/binary"
 	"fmt"
-	"sync" //peilint:allow partsafe generation-time graph cache shared across harness cells; immutable after construction, never touched by event handlers
+	"sync"
 
 	"pimsim/internal/graph"
 	"pimsim/internal/machine"

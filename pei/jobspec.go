@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"pimsim/internal/harness"
-	"pimsim/internal/machine"
 	"pimsim/internal/workloads"
 )
 
@@ -94,14 +93,6 @@ type JobSpec struct {
 	OpBudget  int64    `json:"budget,omitempty"`
 	Pairs     int      `json:"pairs,omitempty"`
 	Workloads []string `json:"workloads,omitempty"`
-
-	// Kernel selects the event-execution engine ("seq" or "pdes") and
-	// KernelWorkers the pdes epoch worker count. Both kernels produce
-	// byte-identical output, so — like Parallelism — these are execution
-	// knobs, not job identity: Digest excludes them, and a seq and a
-	// pdes submission of the same job share one cache entry.
-	Kernel        string `json:"kernel,omitempty"`
-	KernelWorkers int    `json:"kernel_workers,omitempty"`
 }
 
 // validExperiment reports whether name is runnable (registry names,
@@ -172,11 +163,6 @@ func (s JobSpec) Normalize() (JobSpec, *Config, error) {
 	}
 	if s.Scale <= 0 {
 		s.Scale = 64
-	}
-	if km, err := machine.ParseKernelMode(s.Kernel); err != nil {
-		return s, nil, err
-	} else if s.Kernel != "" {
-		s.Kernel = km.String()
 	}
 	switch s.Kind {
 	case JobExperiment:
@@ -262,10 +248,6 @@ func (s JobSpec) Digest() (string, error) {
 		return "", err
 	}
 	n.Overrides = nil // cfg carries their effect
-	// The kernel selection cannot change output (the cross-kernel golden
-	// test pins byte-identical tables), so it must not split the cache:
-	// a seq and a pdes submission of the same job coalesce to one entry.
-	n.Kernel, n.KernelWorkers = "", 0
 	sort.Strings(n.Workloads)
 	payload, err := json.Marshal(struct {
 		Spec   JobSpec `json:"spec"`
@@ -319,8 +301,6 @@ func RunJob(ctx context.Context, spec JobSpec, w io.Writer, opts RunJobOptions) 
 			Pairs:         spec.Pairs,
 			Parallelism:   opts.Parallelism,
 			Progress:      opts.Progress,
-			Kernel:        spec.Kernel,
-			KernelWorkers: spec.KernelWorkers,
 			SnapshotStore: opts.Snapshots,
 		}
 		return Reproduce(ctx, spec.Experiment, ro, w)
@@ -346,15 +326,11 @@ func RunJob(ctx context.Context, spec JobSpec, w io.Writer, opts RunJobOptions) 
 			// stored boundary.
 			r := harness.NewRunner(harness.Options{
 				Cfg:           cfg,
-				Kernel:        spec.Kernel,
-				KernelWorkers: spec.KernelWorkers,
 				SnapshotStore: opts.Snapshots,
 			})
 			res, err = r.RunPhasedWorkload(ctx, spec.Workload, params, mode, spec.Verify)
 		} else {
-			km, _ := machine.ParseKernelMode(spec.Kernel) // validated by Normalize
-			res, err = runWorkloadOn(ctx, cfg, mode, spec.Workload, params, spec.Verify,
-				machine.WithKernel(km, spec.KernelWorkers))
+			res, err = RunWorkloadContext(ctx, cfg, mode, spec.Workload, params, spec.Verify)
 		}
 		if opts.Progress != nil {
 			var cycles int64

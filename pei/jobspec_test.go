@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,7 +45,6 @@ func TestJobSpecNormalizeRejectsInvalid(t *testing.T) {
 		{Workload: "bfs", Verify: true, OpBudget: 100},
 		{Experiment: "fig6", Workloads: []string{"nope"}},
 		{Workload: "bfs", Overrides: json.RawMessage(`{"Cores": -3}`)},
-		{Workload: "bfs", Kernel: "warp-drive"},
 	}
 	for _, s := range bad {
 		if _, _, err := s.Normalize(); err == nil {
@@ -78,15 +78,6 @@ func TestJobSpecDigestStability(t *testing.T) {
 	if a != c {
 		t.Fatal("no-op overrides changed the digest")
 	}
-	// The execution engine cannot change results, so it is not part of
-	// job identity: kernel knobs must not split the cache.
-	k, err := pei.JobSpec{Workload: "bfs", Kernel: "pdes", KernelWorkers: 8}.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != k {
-		t.Fatal("kernel selection changed the digest")
-	}
 
 	for _, different := range []pei.JobSpec{
 		{Workload: "bfs", Mode: "pim"},
@@ -104,6 +95,82 @@ func TestJobSpecDigestStability(t *testing.T) {
 			t.Errorf("spec %+v should digest differently", different)
 		}
 	}
+}
+
+// TestJobSpecIgnoresKernelKeys pins compatibility with clients written
+// when jobs could pick an event kernel: a body still carrying "kernel"
+// and "kernel_workers" decodes, normalizes and digests exactly like one
+// without them, to the digest such jobs always had.
+func TestJobSpecIgnoresKernelKeys(t *testing.T) {
+	const want = "272d932249cfc0c5192111961e0650e2b9f46f1bdeacb7ddb2c0fe565972670e"
+	var specs [2]pei.JobSpec
+	for i, body := range []string{
+		`{"workload":"bfs","scale":4096,"budget":2000,"kernel":"seq","kernel_workers":8}`,
+		`{"workload":"bfs","scale":4096,"budget":2000}`,
+	} {
+		if err := json.Unmarshal([]byte(body), &specs[i]); err != nil {
+			t.Fatalf("decode %s: %v", body, err)
+		}
+		d, err := specs[i].Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != want {
+			t.Errorf("digest of %s = %s, want %s", body, d, want)
+		}
+	}
+	if !reflect.DeepEqual(specs[0], specs[1]) {
+		t.Fatalf("decoded specs differ: %+v vs %+v", specs[0], specs[1])
+	}
+	n0, _, err0 := specs[0].Normalize()
+	n1, _, err1 := specs[1].Normalize()
+	if err0 != nil || err1 != nil || !reflect.DeepEqual(n0, n1) {
+		t.Fatalf("normalized specs differ: %+v (%v) vs %+v (%v)", n0, err0, n1, err1)
+	}
+}
+
+// FuzzJobSpecDigest checks that normalization is idempotent on any JSON
+// body: either Normalize rejects the spec, or the normalized spec has the
+// same digest as the original. Nothing may panic.
+func FuzzJobSpecDigest(f *testing.F) {
+	for _, body := range []string{
+		`{}`,
+		`{"workload":"bfs"}`,
+		`{"experiment":"sec76"}`,
+		`{"kind":"workload","workload":"bfs","size":"small","mode":"locality-aware","config":"scaled","scale":64}`,
+		`{"workload":"bfs","overrides":{}}`,
+		`{"workload":"bfs","overrides":{"Cores":2}}`,
+		`{"workload":"bfs","overrides":{"Cores":-3}}`,
+		`{"workload":"bfs","config":"baseline","mode":"pim","seed":1}`,
+		`{"workload":"bfs","experiment":"fig2"}`,
+		`{"workload":"bfs","verify":true,"budget":100}`,
+		`{"workload":"bfs","scale":4096,"budget":2000,"kernel":"seq","kernel_workers":8}`,
+		`{"experiment":"fig6","scale":2048,"budget":1000,"workloads":["hg"]}`,
+		`{"experiment":"fig6","workloads":["nope"]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s pei.JobSpec
+		if json.Unmarshal(body, &s) != nil {
+			return
+		}
+		n, _, err := s.Normalize()
+		if err != nil {
+			return
+		}
+		ds, err := s.Digest()
+		if err != nil {
+			t.Fatalf("Digest fails on a spec Normalize accepts: %v", err)
+		}
+		dn, err := n.Digest()
+		if err != nil {
+			t.Fatalf("normalized spec %+v does not normalize again: %v", n, err)
+		}
+		if ds != dn {
+			t.Fatalf("Digest(Normalize(s)) != Digest(s) for %s\nnormalized: %+v", body, n)
+		}
+	})
 }
 
 func TestRunJobWorkloadDeterministic(t *testing.T) {

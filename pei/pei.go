@@ -74,12 +74,6 @@ type System struct {
 
 	statsSink io.Writer
 	pmuLog    io.Writer
-
-	// Construction-time knobs, applied by options before the machine is
-	// built; optErr defers option validation errors to NewSystem.
-	kernel        machine.KernelMode
-	kernelWorkers int
-	optErr        error
 }
 
 // Option configures a System at construction. The functional-options
@@ -94,37 +88,16 @@ func WithStatsSink(w io.Writer) Option { return func(s *System) { s.statsSink = 
 // every successful run.
 func WithPMUVerbose(w io.Writer) Option { return func(s *System) { s.pmuLog = w } }
 
-// WithKernel selects the event-execution engine: "seq" (the default,
-// also the empty string) or "pdes", the conservative parallel kernel
-// with the given epoch worker count. Results are bit-identical either
-// way; pdes trades per-epoch synchronization for multi-core wall clock
-// on large configurations.
-func WithKernel(kernel string, workers int) Option {
-	return func(s *System) {
-		km, err := machine.ParseKernelMode(kernel)
-		if err != nil {
-			s.optErr = err
-			return
-		}
-		s.kernel = km
-		s.kernelWorkers = workers
-	}
-}
-
 // NewSystem builds a machine for cfg in the given mode.
 func NewSystem(cfg *Config, mode Mode, opts ...Option) (*System, error) {
-	s := &System{}
-	for _, o := range opts {
-		o(s)
-	}
-	if s.optErr != nil {
-		return nil, s.optErr
-	}
-	m, err := machine.New(cfg, mode, machine.WithKernel(s.kernel, s.kernelWorkers))
+	m, err := machine.New(cfg, mode)
 	if err != nil {
 		return nil, err
 	}
-	s.M = m
+	s := &System{M: m}
+	for _, o := range opts {
+		o(s)
+	}
 	return s, nil
 }
 
@@ -238,29 +211,13 @@ func RunWorkload(cfg *Config, mode Mode, name string, p WorkloadParams, verify b
 	return RunWorkloadContext(context.Background(), cfg, mode, name, p, verify)
 }
 
-// RunWorkloadContext is RunWorkload with cancellation. Of the options,
-// only construction-time knobs (WithKernel) apply; the run's machine is
-// internal, so output sinks like WithStatsSink have nothing to attach to
-// and are ignored.
-func RunWorkloadContext(ctx context.Context, cfg *Config, mode Mode, name string, p WorkloadParams, verify bool, opts ...Option) (Result, error) {
-	s := &System{}
-	for _, o := range opts {
-		o(s)
-	}
-	if s.optErr != nil {
-		return Result{}, s.optErr
-	}
-	return runWorkloadOn(ctx, cfg, mode, name, p, verify, machine.WithKernel(s.kernel, s.kernelWorkers))
-}
-
-// runWorkloadOn is RunWorkloadContext with machine construction options
-// (the kernel selection of JobSpec workload jobs rides through here).
-func runWorkloadOn(ctx context.Context, cfg *Config, mode Mode, name string, p WorkloadParams, verify bool, mopts ...machine.Option) (Result, error) {
+// RunWorkloadContext is RunWorkload with cancellation.
+func RunWorkloadContext(ctx context.Context, cfg *Config, mode Mode, name string, p WorkloadParams, verify bool) (Result, error) {
 	w, err := workloads.New(name, p)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := machine.New(cfg, mode, mopts...)
+	m, err := machine.New(cfg, mode)
 	if err != nil {
 		return Result{}, err
 	}
