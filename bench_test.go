@@ -219,7 +219,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	done := 0
 	for i := 0; i < b.N; i++ {
 		a := uint64(i%8192) * 64
-		m.Hier.Access(i%4, a, i%5 == 0, func() { done++ })
+		m.Hier.AccessEvent(i%4, a, i%5 == 0, sim.Call(func() { done++ }))
 		if i%64 == 63 {
 			m.K.Run()
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -80,7 +81,7 @@ func main() {
 		for i, s := range live {
 			rec[i] = &trace.RecordingStream{Inner: s, Writer: tw, Thread: i}
 		}
-		res, err := m.Run(rec)
+		res, err := m.RunContext(context.Background(), rec)
 		if err != nil {
 			fatal(err)
 		}
@@ -110,7 +111,7 @@ func main() {
 		if tr.StoreSize > 0 {
 			m.Store.Alloc(int(tr.StoreSize), 64)
 		}
-		res, err := m.Run(tr.Streams())
+		res, err := m.RunContext(context.Background(), tr.Streams())
 		if err != nil {
 			fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func runMix(mode pei.Mode) machine.Result {
 		log.Fatal(err)
 	}
 	streams := append(a.Streams(m), b.Streams(m)...)
-	res, err := m.Run(streams)
+	res, err := m.RunContext(context.Background(), streams)
 	if err != nil {
 		log.Fatal(err)
 	}

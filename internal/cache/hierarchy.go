@@ -14,8 +14,8 @@ import (
 // caches. Misses go to the HMC chain.
 //
 // It also provides the two primitives the PMU needs for memory-side PEI
-// coherence: BackInvalidate (writer PEIs) and BackWriteback (reader
-// PEIs).
+// coherence: BackInvalidateEvent (writer PEIs) and BackWritebackEvent
+// (reader PEIs).
 type Hierarchy struct {
 	k     *sim.Kernel
 	cfg   *config.Config
@@ -61,7 +61,7 @@ type Hierarchy struct {
 	// block number. The PMU's locality monitor hangs off this hook.
 	OnL3Access func(blk uint64)
 
-	// AccessLatency records the retire latency of every Access call
+	// AccessLatency records the retire latency of every AccessEvent call
 	// (loads and stores alike), bucketed at L1/L2/L3/memory scales.
 	AccessLatency *stats.Histogram
 }
@@ -328,17 +328,10 @@ func (h *Hierarchy) putCoh(t *cohTxn) {
 	h.freeCoh = append(h.freeCoh, t)
 }
 
-// Access performs a load (write=false) or store (write=true) of the
-// block containing a on behalf of core. done runs when the access
-// retires (data available / ownership granted). Closure form of
-// AccessEvent.
-func (h *Hierarchy) Access(core int, a uint64, write bool, done func()) {
-	h.AccessEvent(core, a, write, sim.Call(done))
-}
-
-// AccessEvent is the allocation-free form of Access: the walk's state
-// lives in a pooled transaction instead of closure captures, and done
-// is invoked when the access retires.
+// AccessEvent performs a load (write=false) or store (write=true) of the
+// block containing a on behalf of core. done is invoked when the access
+// retires (data available / ownership granted). The walk's state lives
+// in a pooled transaction, so an access allocates nothing.
 func (h *Hierarchy) AccessEvent(core int, a uint64, write bool, done sim.Cont) {
 	t := h.getAccess()
 	t.core = core
@@ -709,15 +702,10 @@ func (h *Hierarchy) evictL3(bank int, v *Line) {
 	}
 }
 
-// BackWriteback flushes any dirty copy of a's block to main memory while
-// letting caches keep clean copies. The PMU issues this before
+// BackWritebackEvent flushes any dirty copy of a's block to main memory
+// while letting caches keep clean copies. The PMU issues this before
 // offloading a reader PEI (§4.3). done runs when memory holds the latest
-// data. Closure form of BackWritebackEvent.
-func (h *Hierarchy) BackWriteback(a uint64, done func()) {
-	h.BackWritebackEvent(a, sim.Call(done))
-}
-
-// BackWritebackEvent is the allocation-free form of BackWriteback.
+// data.
 func (h *Hierarchy) BackWritebackEvent(a uint64, done sim.Cont) {
 	h.cPMUBackWritebacks.Inc()
 	t := h.getCoh()
@@ -726,15 +714,10 @@ func (h *Hierarchy) BackWritebackEvent(a uint64, done sim.Cont) {
 	h.k.ScheduleEvent(h.cfg.L3.LatencyCycles, t, sim.EventArg{N: cohStageLookup})
 }
 
-// BackInvalidate removes a's block from the entire hierarchy, writing
-// dirty data to memory first. The PMU issues this before offloading a
-// writer PEI (§4.3). done runs when no cache holds the block and memory
-// is current. Closure form of BackInvalidateEvent.
-func (h *Hierarchy) BackInvalidate(a uint64, done func()) {
-	h.BackInvalidateEvent(a, sim.Call(done))
-}
-
-// BackInvalidateEvent is the allocation-free form of BackInvalidate.
+// BackInvalidateEvent removes a's block from the entire hierarchy,
+// writing dirty data to memory first. The PMU issues this before
+// offloading a writer PEI (§4.3). done runs when no cache holds the
+// block and memory is current.
 func (h *Hierarchy) BackInvalidateEvent(a uint64, done sim.Cont) {
 	h.cPMUBackInvals.Inc()
 	t := h.getCoh()

@@ -36,7 +36,7 @@ func newTestHierarchy(t testing.TB) (*sim.Kernel, *Hierarchy, *stats.Registry) {
 func TestColdMissFillsAllLevels(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
 	var first sim.Cycle = -1
-	h.Access(0, 0x1000, false, func() { first = k.Now() })
+	h.AccessEvent(0, 0x1000, false, sim.Call(func() { first = k.Now() }))
 	k.Run()
 	if first < 0 {
 		t.Fatal("access never completed")
@@ -54,7 +54,7 @@ func TestColdMissFillsAllLevels(t *testing.T) {
 	// Second access hits L1 and is much faster.
 	var second sim.Cycle
 	start := k.Now()
-	h.Access(0, 0x1000, false, func() { second = k.Now() - start })
+	h.AccessEvent(0, 0x1000, false, sim.Call(func() { second = k.Now() - start }))
 	k.Run()
 	if second != 4 { // L1 latency
 		t.Fatalf("L1 hit latency = %d, want 4", second)
@@ -63,7 +63,7 @@ func TestColdMissFillsAllLevels(t *testing.T) {
 
 func TestSoleReaderGetsExclusive(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
-	h.Access(0, 0x2000, false, func() {})
+	h.AccessEvent(0, 0x2000, false, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x2000)
 	if st := h.L1(0).Peek(blk).State; st != Exclusive {
@@ -71,7 +71,7 @@ func TestSoleReaderGetsExclusive(t *testing.T) {
 	}
 	// A silent upgrade: write hits E in L1 without another L3 trip.
 	l3hits := reg.Get("l3.hits")
-	h.Access(0, 0x2000, true, func() {})
+	h.AccessEvent(0, 0x2000, true, sim.Call(func() {}))
 	k.Run()
 	if reg.Get("l3.hits") != l3hits {
 		t.Fatal("E->M upgrade should not reach L3")
@@ -83,9 +83,9 @@ func TestSoleReaderGetsExclusive(t *testing.T) {
 
 func TestSecondReaderGetsShared(t *testing.T) {
 	k, h, _ := newTestHierarchy(t)
-	h.Access(0, 0x3000, false, func() {})
+	h.AccessEvent(0, 0x3000, false, sim.Call(func() {}))
 	k.Run()
-	h.Access(1, 0x3000, false, func() {})
+	h.AccessEvent(1, 0x3000, false, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x3000)
 	if st := h.L1(1).Peek(blk).State; st != Shared {
@@ -99,11 +99,11 @@ func TestSecondReaderGetsShared(t *testing.T) {
 
 func TestWriteInvalidatesOtherSharers(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
-	h.Access(0, 0x4000, false, func() {})
+	h.AccessEvent(0, 0x4000, false, sim.Call(func() {}))
 	k.Run()
-	h.Access(1, 0x4000, false, func() {})
+	h.AccessEvent(1, 0x4000, false, sim.Call(func() {}))
 	k.Run()
-	h.Access(0, 0x4000, true, func() {})
+	h.AccessEvent(0, 0x4000, true, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x4000)
 	if h.L1(1).Peek(blk) != nil || h.L2(1).Peek(blk) != nil {
@@ -119,9 +119,9 @@ func TestWriteInvalidatesOtherSharers(t *testing.T) {
 
 func TestReadDowngradesModifiedCopy(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
-	h.Access(0, 0x5000, true, func() {})
+	h.AccessEvent(0, 0x5000, true, sim.Call(func() {}))
 	k.Run()
-	h.Access(1, 0x5000, false, func() {})
+	h.AccessEvent(1, 0x5000, false, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x5000)
 	if st := h.L1(0).Peek(blk).State; st != Shared {
@@ -140,7 +140,7 @@ func TestMSHRMergeSingleMemoryRead(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
 	done := 0
 	for i := 0; i < 4; i++ {
-		h.Access(0, 0x6000, false, func() { done++ })
+		h.AccessEvent(0, 0x6000, false, sim.Call(func() { done++ }))
 	}
 	k.Run()
 	if done != 4 {
@@ -154,8 +154,8 @@ func TestMSHRMergeSingleMemoryRead(t *testing.T) {
 func TestCrossCoreMergeAtL3(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
 	done := 0
-	h.Access(0, 0x7000, false, func() { done++ })
-	h.Access(1, 0x7000, false, func() { done++ })
+	h.AccessEvent(0, 0x7000, false, sim.Call(func() { done++ }))
+	h.AccessEvent(1, 0x7000, false, sim.Call(func() { done++ }))
 	k.Run()
 	if done != 2 {
 		t.Fatalf("done = %d, want 2", done)
@@ -167,11 +167,11 @@ func TestCrossCoreMergeAtL3(t *testing.T) {
 
 func TestBackInvalidateRemovesEverywhereAndWritesDirty(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
-	h.Access(0, 0x8000, true, func() {}) // dirty in core 0
+	h.AccessEvent(0, 0x8000, true, sim.Call(func() {})) // dirty in core 0
 	k.Run()
 	resBytes := reg.Get("offchip.req.bytes")
 	invDone := false
-	h.BackInvalidate(0x8000, func() { invDone = true })
+	h.BackInvalidateEvent(0x8000, sim.Call(func() { invDone = true }))
 	k.Run()
 	if !invDone {
 		t.Fatal("BackInvalidate never completed")
@@ -186,11 +186,11 @@ func TestBackInvalidateRemovesEverywhereAndWritesDirty(t *testing.T) {
 
 func TestBackWritebackKeepsCleanCopies(t *testing.T) {
 	k, h, _ := newTestHierarchy(t)
-	h.Access(0, 0x9000, true, func() {})
+	h.AccessEvent(0, 0x9000, true, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x9000)
 	done := false
-	h.BackWriteback(0x9000, func() { done = true })
+	h.BackWritebackEvent(0x9000, sim.Call(func() { done = true }))
 	k.Run()
 	if !done {
 		t.Fatal("BackWriteback never completed")
@@ -206,10 +206,10 @@ func TestBackWritebackKeepsCleanCopies(t *testing.T) {
 
 func TestBackInvalidateCleanBlockNoMemoryWrite(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
-	h.Access(0, 0xA000, false, func() {})
+	h.AccessEvent(0, 0xA000, false, sim.Call(func() {}))
 	k.Run()
 	wrBefore := reg.Get("dram.writes")
-	h.BackInvalidate(0xA000, func() {})
+	h.BackInvalidateEvent(0xA000, sim.Call(func() {}))
 	k.Run()
 	if reg.Get("dram.writes") != wrBefore {
 		t.Fatal("clean invalidation should not write memory")
@@ -220,13 +220,13 @@ func TestOnL3AccessHookFires(t *testing.T) {
 	k, h, _ := newTestHierarchy(t)
 	var seen []uint64
 	h.OnL3Access = func(blk uint64) { seen = append(seen, blk) }
-	h.Access(0, 0xB000, false, func() {})
+	h.AccessEvent(0, 0xB000, false, sim.Call(func() {}))
 	k.Run()
 	if len(seen) != 1 || seen[0] != addr.BlockOf(0xB000) {
 		t.Fatalf("hook saw %v", seen)
 	}
 	// L1 hits must not reach the hook.
-	h.Access(0, 0xB000, false, func() {})
+	h.AccessEvent(0, 0xB000, false, sim.Call(func() {}))
 	k.Run()
 	if len(seen) != 1 {
 		t.Fatal("L1 hit leaked to the L3 hook")
@@ -258,7 +258,7 @@ func TestInclusionUnderRandomTraffic(t *testing.T) {
 		// Footprint bigger than L3 to force evictions.
 		a := uint64(rng.Intn(16384)) * addr.BlockBytes
 		outstanding++
-		h.Access(core, a, rng.Intn(3) == 0, func() { outstanding-- })
+		h.AccessEvent(core, a, rng.Intn(3) == 0, sim.Call(func() { outstanding-- }))
 		if i%16 == 15 {
 			k.Run()
 		}
@@ -277,11 +277,11 @@ func TestInclusionAfterBackOps(t *testing.T) {
 		a := uint64(rng.Intn(512)) * addr.BlockBytes
 		switch rng.Intn(4) {
 		case 0:
-			h.BackInvalidate(a, func() {})
+			h.BackInvalidateEvent(a, sim.Call(func() {}))
 		case 1:
-			h.BackWriteback(a, func() {})
+			h.BackWritebackEvent(a, sim.Call(func() {}))
 		default:
-			h.Access(rng.Intn(4), a, rng.Intn(2) == 0, func() {})
+			h.AccessEvent(rng.Intn(4), a, rng.Intn(2) == 0, sim.Call(func() {}))
 		}
 		if i%8 == 7 {
 			k.Run()
@@ -296,8 +296,8 @@ func TestUpgradeReplayForMergedStore(t *testing.T) {
 	// A load and a store to the same block issued back-to-back: the
 	// store merges into the load's MSHR and must still end Modified.
 	loadDone, storeDone := false, false
-	h.Access(0, 0xC000, false, func() { loadDone = true })
-	h.Access(0, 0xC000, true, func() { storeDone = true })
+	h.AccessEvent(0, 0xC000, false, sim.Call(func() { loadDone = true }))
+	h.AccessEvent(0, 0xC000, true, sim.Call(func() { storeDone = true }))
 	k.Run()
 	if !loadDone || !storeDone {
 		t.Fatalf("load/store done = %v/%v", loadDone, storeDone)
@@ -324,7 +324,7 @@ func TestPrefetcherFillsNextLines(t *testing.T) {
 		PacketHeaderBytes: cfg.PacketHeaderBytes,
 	}, reg)
 	h := NewHierarchy(k, cfg, chain, reg)
-	h.Access(0, 0x10000, false, func() {})
+	h.AccessEvent(0, 0x10000, false, sim.Call(func() {}))
 	k.Run()
 	if reg.Get("l2.prefetches") != 2 {
 		t.Fatalf("prefetches = %d, want 2", reg.Get("l2.prefetches"))
@@ -338,7 +338,7 @@ func TestPrefetcherFillsNextLines(t *testing.T) {
 	missesBefore := reg.Get("l2.misses")
 	done := 0
 	for i := 1; i <= 2; i++ {
-		h.Access(0, 0x10000+uint64(i*64), false, func() { done++ })
+		h.AccessEvent(0, 0x10000+uint64(i*64), false, sim.Call(func() { done++ }))
 	}
 	k.Run()
 	if done != 2 {
@@ -351,7 +351,7 @@ func TestPrefetcherFillsNextLines(t *testing.T) {
 
 func TestPrefetcherOffByDefault(t *testing.T) {
 	k, h, reg := newTestHierarchy(t)
-	h.Access(0, 0x20000, false, func() {})
+	h.AccessEvent(0, 0x20000, false, sim.Call(func() {}))
 	k.Run()
 	if reg.Get("l2.prefetches") != 0 {
 		t.Fatal("prefetches issued with depth 0")

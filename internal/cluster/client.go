@@ -53,7 +53,6 @@ type Client struct {
 
 	mu         sync.Mutex
 	registered bool
-	memberID   string
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -140,7 +139,6 @@ func (c *Client) registerOnce(onRegistered func(bool)) {
 	c.mu.Lock()
 	first := !c.registered
 	c.registered = true
-	c.memberID = reply.ID
 	c.mu.Unlock()
 	if first {
 		c.opts.Logf("cluster registered with %s as %s (advertising %s)", c.coordinator, reply.ID, c.advertise)
@@ -148,14 +146,6 @@ func (c *Client) registerOnce(onRegistered func(bool)) {
 			onRegistered(true)
 		}
 	}
-}
-
-// MemberID returns the coordinator-assigned worker ID ("" before the
-// first successful registration).
-func (c *Client) MemberID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.memberID
 }
 
 // Lookup implements serve.PeerCache: fetch the digest's result through

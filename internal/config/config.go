@@ -129,9 +129,12 @@ type Config struct {
 	TLBEntries     int
 	TLBMissLatency int64
 
-	// MaxOps bounds the number of workload operations each core executes
-	// (the stand-in for the paper's 2 B-instruction budget). Zero means
-	// run streams to completion.
+	// MaxOps must be zero. The run's instruction budget (the stand-in
+	// for the paper's 2 B-instruction budget) is workloads.Params.OpBudget,
+	// enforced in the generators so barriers still complete; Validate
+	// rejects a nonzero MaxOps. The field stays only because it is part
+	// of the marshalled config: removing it would change every JobSpec
+	// digest and snapshot blob name.
 	MaxOps int64
 }
 
@@ -187,6 +190,9 @@ func (c *Config) Validate() error {
 	}
 	if c.EnableVM && (c.TLBEntries <= 0 || c.TLBMissLatency < 0) {
 		return fmt.Errorf("config: EnableVM requires positive TLBEntries and non-negative TLBMissLatency")
+	}
+	if c.MaxOps != 0 {
+		return fmt.Errorf("config: MaxOps = %d is not supported; bound the run with the workload OpBudget instead", c.MaxOps)
 	}
 	return nil
 }

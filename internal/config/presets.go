@@ -56,8 +56,6 @@ func Baseline() *Config {
 		PartialTagBits:    10,
 		UseIgnoreBit:      true,
 		DispatchWindowCyc: 40000, // 10 µs at 4 GHz
-
-		MaxOps: 0,
 	}
 }
 

@@ -70,7 +70,6 @@ type Core struct {
 	k          *sim.Kernel
 	issueWidth int
 	window     int
-	maxOps     int64
 
 	mem MemPort
 	pmu PEIPort
@@ -99,12 +98,12 @@ type Core struct {
 	notified   bool //peilint:allow snapcomplete re-derived with finished when the restored stream drains
 }
 
-// NewCore creates a core. maxOps of zero means unlimited.
-func NewCore(id int, k *sim.Kernel, issueWidth, window int, maxOps int64, mem MemPort, pmu PEIPort) *Core {
+// NewCore creates a core.
+func NewCore(id int, k *sim.Kernel, issueWidth, window int, mem MemPort, pmu PEIPort) *Core {
 	if issueWidth <= 0 || window <= 0 {
 		panic("cpu: bad core parameters")
 	}
-	return &Core{ID: id, k: k, issueWidth: issueWidth, window: window, maxOps: maxOps, mem: mem, pmu: pmu}
+	return &Core{ID: id, k: k, issueWidth: issueWidth, window: window, mem: mem, pmu: pmu}
 }
 
 // Core event stages: the core itself is the handler for every per-op
@@ -207,11 +206,6 @@ func (c *Core) pump() {
 		}
 		if c.issuedThisCycle >= c.issueWidth {
 			c.schedulePump(1)
-			return
-		}
-		if c.maxOps > 0 && c.issued >= c.maxOps {
-			c.finished = true
-			c.maybeFinish()
 			return
 		}
 		op, ok := c.stream.Next()

@@ -50,10 +50,10 @@ func (p *fakePMU) FenceEvent(done sim.Cont) {
 	p.k.ScheduleEvent(10, done.H, done.Arg)
 }
 
-func newTestCore(k *sim.Kernel, width, window int, maxOps int64) (*Core, *fakeMem, *fakePMU) {
+func newTestCore(k *sim.Kernel, width, window int) (*Core, *fakeMem, *fakePMU) {
 	m := &fakeMem{k: k, latency: 100}
 	p := &fakePMU{k: k}
-	return NewCore(0, k, width, window, maxOps, m, p), m, p
+	return NewCore(0, k, width, window, m, p), m, p
 }
 
 func loads(n int) []Op {
@@ -66,7 +66,7 @@ func loads(n int) []Op {
 
 func TestWindowBoundsMLP(t *testing.T) {
 	k := sim.NewKernel()
-	c, m, _ := newTestCore(k, 4, 8, 0)
+	c, m, _ := newTestCore(k, 4, 8)
 	c.Run(&SliceStream{Ops: loads(64)})
 	k.Run()
 	if !c.Done() {
@@ -85,7 +85,7 @@ func TestWindowBoundsMLP(t *testing.T) {
 
 func TestIssueWidthBoundsPerCycleIssue(t *testing.T) {
 	k := sim.NewKernel()
-	c, m, _ := newTestCore(k, 2, 64, 0)
+	c, m, _ := newTestCore(k, 2, 64)
 	c.Run(&SliceStream{Ops: loads(10)})
 	// After the first cycle only 2 ops may have issued.
 	k.RunUntil(0)
@@ -100,7 +100,7 @@ func TestIssueWidthBoundsPerCycleIssue(t *testing.T) {
 
 func TestComputeBlocksIssue(t *testing.T) {
 	k := sim.NewKernel()
-	c, m, _ := newTestCore(k, 4, 64, 0)
+	c, m, _ := newTestCore(k, 4, 64)
 	c.Run(&SliceStream{Ops: []Op{
 		{Kind: OpCompute, Cycles: 500},
 		{Kind: OpLoad, Addr: 0},
@@ -115,22 +115,9 @@ func TestComputeBlocksIssue(t *testing.T) {
 	}
 }
 
-func TestMaxOpsBudget(t *testing.T) {
-	k := sim.NewKernel()
-	c, _, _ := newTestCore(k, 4, 8, 20)
-	c.Run(&SliceStream{Ops: loads(1000)})
-	k.Run()
-	if c.Retired != 20 {
-		t.Fatalf("retired %d, want 20 (budget)", c.Retired)
-	}
-	if !c.Done() {
-		t.Fatal("core not done after budget")
-	}
-}
-
 func TestPEIIssueAndRetire(t *testing.T) {
 	k := sim.NewKernel()
-	c, _, p := newTestCore(k, 4, 8, 0)
+	c, _, p := newTestCore(k, 4, 8)
 	userDone := 0
 	ops := []Op{
 		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 64, Done: func() { userDone++ }}},
@@ -151,7 +138,7 @@ func TestPEIIssueAndRetire(t *testing.T) {
 
 func TestFenceStallsIssue(t *testing.T) {
 	k := sim.NewKernel()
-	c, m, p := newTestCore(k, 4, 8, 0)
+	c, m, p := newTestCore(k, 4, 8)
 	c.Run(&SliceStream{Ops: []Op{
 		{Kind: OpFence},
 		{Kind: OpLoad, Addr: 64},
@@ -168,7 +155,7 @@ func TestFenceStallsIssue(t *testing.T) {
 
 func TestOnFinishedFiresOnce(t *testing.T) {
 	k := sim.NewKernel()
-	c, _, _ := newTestCore(k, 4, 8, 0)
+	c, _, _ := newTestCore(k, 4, 8)
 	n := 0
 	c.OnFinished = func() { n++ }
 	c.Run(&SliceStream{Ops: loads(5)})
@@ -180,7 +167,7 @@ func TestOnFinishedFiresOnce(t *testing.T) {
 
 func TestEmptyStream(t *testing.T) {
 	k := sim.NewKernel()
-	c, _, _ := newTestCore(k, 4, 8, 0)
+	c, _, _ := newTestCore(k, 4, 8)
 	fired := false
 	c.OnFinished = func() { fired = true }
 	c.Run(&SliceStream{})
@@ -248,7 +235,7 @@ func TestFuncStream(t *testing.T) {
 		return Op{Kind: OpCompute}, true
 	})
 	k := sim.NewKernel()
-	c, _, _ := newTestCore(k, 4, 8, 0)
+	c, _, _ := newTestCore(k, 4, 8)
 	c.Run(s)
 	k.Run()
 	if c.Retired != 2 {

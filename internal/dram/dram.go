@@ -87,9 +87,6 @@ func NewController(k *sim.Kernel, banks int, t Timing, reg *stats.Registry, pref
 	}
 }
 
-// QueueLen reports the number of waiting requests.
-func (c *Controller) QueueLen() int { return len(c.queue) }
-
 // Enqueue adds a request; it will be scheduled FR-FCFS. Closure-based
 // compatibility form of EnqueueEvent.
 func (c *Controller) Enqueue(r *Request) {

@@ -27,7 +27,7 @@ func (r *Runner) ablate(ctx context.Context, size workloads.Size, mutate func(*c
 		if err != nil {
 			return err
 		}
-		res, err := r.runWorkload(ctx, name, r.params(size), pim.LocalityAware, mutate)
+		res, err := r.RunWorkload(ctx, name, r.params(size), pim.LocalityAware, mutate, false)
 		if err != nil {
 			return err
 		}
@@ -178,8 +178,8 @@ func (r *Runner) ComparisonHMC2(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		h2, err := r.runWorkload(ctx, name, r.params(workloads.Large), pim.PIMOnly,
-			func(c *config.Config) { c.HMC2AtomicsMode = true })
+		h2, err := r.RunWorkload(ctx, name, r.params(workloads.Large), pim.PIMOnly,
+			func(c *config.Config) { c.HMC2AtomicsMode = true }, false)
 		if err != nil {
 			return err
 		}

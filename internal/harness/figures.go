@@ -283,8 +283,7 @@ func (r *Runner) runPair(ctx context.Context, w1 string, s1 workloads.Size, w2 s
 		return machine.Result{}, err
 	}
 	r.simulations.Add(1)
-	cfg := r.Opts.Cfg.Clone()
-	cfg.MaxOps = 0
+	cfg := r.Opts.Cfg
 	half := cfg.Cores / 2
 	if half == 0 {
 		half = 1
@@ -327,8 +326,8 @@ func (r *Runner) Fig10(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		bd, err := r.runWorkload(ctx, name, r.params(workloads.Large), pim.LocalityAware,
-			func(c *config.Config) { c.BalancedDispatch = true })
+		bd, err := r.RunWorkload(ctx, name, r.params(workloads.Large), pim.LocalityAware,
+			func(c *config.Config) { c.BalancedDispatch = true }, false)
 		if err != nil {
 			return err
 		}
@@ -376,8 +375,8 @@ func (r *Runner) pcuSweep(ctx context.Context, title string, values []int, set f
 	names := r.Opts.Workloads
 	base := make([]machine.Result, len(names))
 	err := r.forEach(ctx, len(names), func(ctx context.Context, i int) error {
-		res, err := r.runWorkload(ctx, names[i], r.params(size), pim.LocalityAware,
-			func(c *config.Config) { set(c, def) })
+		res, err := r.RunWorkload(ctx, names[i], r.params(size), pim.LocalityAware,
+			func(c *config.Config) { set(c, def) }, false)
 		if err != nil {
 			return err
 		}
@@ -393,8 +392,8 @@ func (r *Runner) pcuSweep(ctx context.Context, title string, values []int, set f
 	err = r.forEach(ctx, len(grid), func(ctx context.Context, j int) error {
 		v, name := values[j/len(names)], names[j%len(names)]
 		r.logf("pcu sweep: value %d, %s", v, name)
-		res, err := r.runWorkload(ctx, name, r.params(size), pim.LocalityAware,
-			func(c *config.Config) { set(c, v) })
+		res, err := r.RunWorkload(ctx, name, r.params(size), pim.LocalityAware,
+			func(c *config.Config) { set(c, v) }, false)
 		if err != nil {
 			return err
 		}
@@ -452,7 +451,7 @@ func (r *Runner) Sec76(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := r.runWorkload(ctx, name, r.params(size), pim.LocalityAware, v.mutate)
+		res, err := r.RunWorkload(ctx, name, r.params(size), pim.LocalityAware, v.mutate, false)
 		if err != nil {
 			return err
 		}

@@ -14,11 +14,13 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -26,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"pimsim/internal/config"
+	"pimsim/internal/cpu"
 	"pimsim/internal/graph"
 	"pimsim/internal/machine"
 	"pimsim/internal/pim"
@@ -88,8 +91,9 @@ type Progress struct {
 	Cell string `json:"cell"`
 	// Done is false when the simulation starts, true when it finishes.
 	Done bool `json:"done"`
-	// Cycles is the simulated cycle count (Done events only; zero for
-	// failed or cancelled runs).
+	// Cycles is the number of cycles this run simulated (Done events
+	// only; zero for failed or cancelled runs). A warm-started run
+	// counts only the cycles after the snapshot it resumed from.
 	Cycles int64 `json:"cycles,omitempty"`
 	// Simulations is the runner's machine count so far, including this
 	// one.
@@ -356,7 +360,7 @@ func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
 	r.cache[key] = e
 	r.mu.Unlock()
 
-	res, err := r.runWorkload(ctx, c.Workload, r.params(c.Size), c.Mode, nil)
+	res, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode, nil, false)
 	if err != nil {
 		// Failed (often: cancelled) runs are evicted so a later request
 		// re-simulates instead of replaying the error.
@@ -373,53 +377,125 @@ func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
 	return res, err
 }
 
-// runWorkload builds a fresh machine and runs one workload on it.
-// mutate optionally adjusts the cloned config before building.
-func (r *Runner) runWorkload(ctx context.Context, name string, p workloads.Params, mode pim.Mode, mutate func(*config.Config)) (machine.Result, error) {
+// RunWorkload simulates one workload on a fresh machine. It is the only
+// path a single-workload run takes: cells and their graph and
+// config-mutating variants, pei.RunWorkloadContext and pei.RunJob all
+// come through here. mutate, if non-nil, adjusts a clone of the runner's
+// config before the machine is built; verify checks the functional
+// results against the workload's golden implementation after the run.
+//
+// A run is a sequence of phases cut at the workload's superstep
+// boundaries. Without a snapshot store it is one phase — Start, Drive,
+// CheckDone, Finish, exactly machine.RunContext. With a store it is
+// Rounds() phases: the run resumes from the deepest stored boundary and
+// writes every interior boundary back (see snapshot.go).
+func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Params, mode pim.Mode, mutate func(*config.Config), verify bool) (machine.Result, error) {
+	if verify && p.OpBudget > 0 {
+		return machine.Result{}, fmt.Errorf("harness: cannot verify a budget-truncated run")
+	}
 	if err := ctx.Err(); err != nil {
 		return machine.Result{}, err
 	}
 	n := r.simulations.Add(1)
-	var cycles int64
+	var simulated int64 // cycles driven in this run; stays 0 on failure
 	if r.Opts.Progress != nil {
 		cell := fmt.Sprintf("%s/%s/%s", name, p.Size, mode)
 		r.Opts.Progress(Progress{Cell: cell, Simulations: n})
 		defer func() {
-			r.Opts.Progress(Progress{Cell: cell, Done: true, Cycles: cycles, Simulations: n})
+			r.Opts.Progress(Progress{Cell: cell, Done: true, Cycles: simulated, Simulations: n})
 		}()
 	}
 	cfg := r.Opts.Cfg.Clone()
-	cfg.MaxOps = 0 // budgeting happens in the generators (barrier-safe)
 	if mutate != nil {
 		mutate(cfg)
 	}
-	if r.snapshotsEnabled() {
-		res, simulated, err := r.runPhased(ctx, cfg, name, p, mode, false)
-		if err == nil {
-			cycles = simulated
+	st, err := r.snapStore()
+	if err != nil {
+		return machine.Result{}, err
+	}
+	build := func() (*machine.Machine, workloads.Workload, []cpu.Stream, error) {
+		w, err := workloads.New(name, p)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		return res, err
+		m, err := machine.New(cfg, mode)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return m, w, w.Streams(m), nil
 	}
-	w, err := workloads.New(name, p)
+	m, w, streams, err := build()
 	if err != nil {
 		return machine.Result{}, err
 	}
-	m, err := machine.New(cfg, mode)
-	if err != nil {
+
+	rounds, phase := 1, 0
+	var digest string
+	if st != nil {
+		rounds = w.Rounds()
+		digest = snapshotDigest(cfg, name, p, mode)
+		if blob, ok := st.Best(digest); ok {
+			if err := restore(m, w, blob.Path); err != nil {
+				// A torn or stale blob must not poison the run: drop it and
+				// rebuild cold (restore may have half-mutated the machine).
+				r.logf("  snapshot %s unusable (%v), running cold", blob.Path, err)
+				os.Remove(blob.Path)
+				if m, w, streams, err = build(); err != nil {
+					return machine.Result{}, err
+				}
+			} else {
+				phase = blob.Phase
+			}
+		}
+	}
+
+	start := int64(m.K.Now())
+	for ; phase < rounds; phase++ {
+		last := phase+1 >= rounds
+		if last {
+			w.SetRoundLimit(0) // the final phase runs to completion, tail included
+		} else {
+			w.SetRoundLimit(phase + 1)
+		}
+		if err := m.Start(streams); err != nil {
+			return machine.Result{}, err
+		}
+		if err := m.Drive(ctx); err != nil {
+			return machine.Result{}, err
+		}
+		if last {
+			break
+		}
+		var buf bytes.Buffer
+		if err := m.SnapshotTo(&buf, w.SnapshotTo); err != nil {
+			return machine.Result{}, err
+		}
+		if err := st.Put(digest, phase+1, int64(m.K.Now()), buf.Bytes()); err != nil {
+			return machine.Result{}, err
+		}
+	}
+	if err := m.CheckDone(streams); err != nil {
 		return machine.Result{}, err
 	}
-	res, err := m.RunContext(ctx, w.Streams(m))
-	if err == nil {
-		cycles = int64(res.Cycles)
+	res := m.Finish()
+	if st != nil {
+		r.cyclesSimulated.Add(int64(res.Cycles) - start)
+		r.cyclesSkipped.Add(start)
 	}
-	return res, err
+	if verify {
+		if err := w.Verify(m); err != nil {
+			return res, err
+		}
+	}
+	simulated = int64(res.Cycles) - start
+	return res, nil
 }
 
 // runGraphWorkload runs a graph workload on a specific named dataset.
 func (r *Runner) runGraphWorkload(ctx context.Context, name string, spec graph.DatasetSpec, mode pim.Mode) (machine.Result, error) {
 	p := r.params(workloads.Large)
 	p.Graph = &spec
-	return r.runWorkload(ctx, name, p, mode, nil)
+	return r.RunWorkload(ctx, name, p, mode, nil, false)
 }
 
 // forEach runs fn(ctx, i) for every i in [0, n) on the runner's worker

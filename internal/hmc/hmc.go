@@ -87,12 +87,6 @@ func (v *Vault) putTxn(t *vaultTxn) {
 	v.free = append(v.free, t)
 }
 
-// ReadBlock fetches one 64-byte block from DRAM to the logic die: DRAM
-// access followed by a TSV transfer. Closure form of ReadBlockEvent.
-func (v *Vault) ReadBlock(loc addr.Location, done func()) {
-	v.ReadBlockEvent(loc, sim.Call(done))
-}
-
 // ReadBlockEvent fetches one 64-byte block from DRAM to the logic die
 // (DRAM access, then a TSV transfer) and invokes done on completion.
 func (v *Vault) ReadBlockEvent(loc addr.Location, done sim.Cont) {
@@ -100,12 +94,6 @@ func (v *Vault) ReadBlockEvent(loc addr.Location, done sim.Cont) {
 	t := v.getTxn()
 	t.done = done
 	v.Ctrl.EnqueueEvent(loc.Bank, loc.Row, false, sim.Cont{H: t, Arg: sim.EventArg{N: vaultStageTSVOut}})
-}
-
-// WriteBlock stores one block from the logic die into DRAM: TSV transfer
-// followed by the DRAM write. Closure form of WriteBlockEvent.
-func (v *Vault) WriteBlock(loc addr.Location, done func()) {
-	v.WriteBlockEvent(loc, sim.Call(done))
 }
 
 // WriteBlockEvent stores one block from the logic die into DRAM (TSV
@@ -232,12 +220,6 @@ func (ch *Chain) decayPressure() {
 			break
 		}
 	}
-}
-
-// VaultAt returns the vault with global index v.
-func (ch *Chain) VaultAt(v int) *Vault {
-	per := ch.cfg.Mapping.VaultsPerCube
-	return ch.Cubes[v/per].Vaults[v%per]
 }
 
 // VaultFor returns the vault owning address a.
@@ -463,9 +445,9 @@ func (ch *Chain) putTxn(t *Txn) {
 
 // DeliverEvent sends a request packet to the vault owning address a.
 // For CmdRead/CmdWrite with a nil visitor the chain performs the vault
-// access itself and invokes done per Read/Write semantics; otherwise
-// the visitor is invoked on arrival with the transaction (user rides
-// along for its continuation state) and must call Txn.Respond. The
+// access itself and invokes done per ReadEvent/WriteEvent semantics;
+// otherwise the visitor is invoked on arrival with the transaction (user
+// rides along for its continuation state) and must call Txn.Respond. The
 // request is genuinely encoded at the host and decoded (CRC-checked) at
 // the vault, so packet framing on the link is the wire format's, not an
 // estimate; per-cube hop latency applies in each direction. Byte counts
@@ -520,22 +502,12 @@ func (ch *Chain) ReadEvent(a uint64, done sim.Cont) {
 	ch.DeliverEvent(a, CmdRead, 0, nil, nil, sim.EventArg{}, done)
 }
 
-// Read is the closure form of ReadEvent.
-func (ch *Chain) Read(a uint64, done func()) {
-	ch.ReadEvent(a, sim.Call(done))
-}
-
 // WriteEvent performs a block writeback to memory: header + 64 B
 // request, DRAM write, header-only acknowledgement. done (which may be
 // the zero Cont) runs when the write is restored in DRAM, not when the
 // ack returns, matching posted-write semantics.
 func (ch *Chain) WriteEvent(a uint64, done sim.Cont) {
 	ch.DeliverEvent(a, CmdWrite, 0, zeroBlock[:], nil, sim.EventArg{}, done)
-}
-
-// Write is the closure form of WriteEvent.
-func (ch *Chain) Write(a uint64, done func()) {
-	ch.WriteEvent(a, sim.Call(done))
 }
 
 // OffchipBytes reports total bytes moved over the chain in both

@@ -41,7 +41,7 @@ func TestChainGeometry(t *testing.T) {
 func TestReadRoundTrip(t *testing.T) {
 	k, ch, reg := newTestChain()
 	var done sim.Cycle = -1
-	ch.Read(0, func() { done = k.Now() })
+	ch.ReadEvent(0, sim.Call(func() { done = k.Now() }))
 	k.Run()
 	if done < 0 {
 		t.Fatal("read never completed")
@@ -61,7 +61,7 @@ func TestReadRoundTrip(t *testing.T) {
 func TestWritePacketSizes(t *testing.T) {
 	k, ch, reg := newTestChain()
 	completed := false
-	ch.Write(64*3, func() { completed = true })
+	ch.WriteEvent(64*3, sim.Call(func() { completed = true }))
 	k.Run()
 	if !completed {
 		t.Fatal("write never completed")
@@ -78,11 +78,11 @@ func TestSecondCubePaysHopLatency(t *testing.T) {
 	k, ch, _ := newTestChain()
 	var c0, c1 sim.Cycle
 	// Block 0 -> cube 0; block 1 -> cube 1 (interleaved).
-	ch.Read(0, func() { c0 = k.Now() })
+	ch.ReadEvent(0, sim.Call(func() { c0 = k.Now() }))
 	k.Run()
 	k2 := sim.NewKernel()
 	ch2 := NewChain(k2, testConfig(), stats.NewRegistry())
-	ch2.Read(64, func() { c1 = k2.Now() })
+	ch2.ReadEvent(64, sim.Call(func() { c1 = k2.Now() }))
 	k2.Run()
 	if c1 != c0+2*8 { // one hop each direction
 		t.Fatalf("cube1 read at %d, cube0 at %d; want +16", c1, c0)
@@ -127,7 +127,7 @@ func TestPressureCountersAccumulateAndHalve(t *testing.T) {
 	cfg := testConfig()
 	cfg.DispatchWindowCyc = 1000
 	ch := NewChain(k, cfg, stats.NewRegistry())
-	ch.Read(0, nil) // 1 req flit, 5 res flits
+	ch.ReadEvent(0, sim.Cont{}) // 1 req flit, 5 res flits
 	k.RunUntil(500)
 	if ch.ReqPressure() != 1 || ch.ResPressure() != 5 {
 		t.Fatalf("pressure = %v/%v, want 1/5", ch.ReqPressure(), ch.ResPressure())
@@ -145,7 +145,7 @@ func TestParallelVaultReads(t *testing.T) {
 	// tighter than 8x a single read's DRAM latency.
 	var last sim.Cycle
 	for i := 0; i < 8; i++ {
-		ch.Read(uint64(i*addr.BlockBytes), func() { done++; last = k.Now() })
+		ch.ReadEvent(uint64(i*addr.BlockBytes), sim.Call(func() { done++; last = k.Now() }))
 	}
 	k.Run()
 	if done != 8 {
@@ -158,8 +158,8 @@ func TestParallelVaultReads(t *testing.T) {
 
 func TestOffchipBytesTotal(t *testing.T) {
 	k, ch, _ := newTestChain()
-	ch.Read(0, nil)
-	ch.Write(64, nil)
+	ch.ReadEvent(0, sim.Cont{})
+	ch.WriteEvent(64, sim.Cont{})
 	k.Run()
 	if got := ch.OffchipBytes(); got != 16+80+80+16 {
 		t.Fatalf("OffchipBytes = %d, want 192", got)

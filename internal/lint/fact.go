@@ -1,5 +1,5 @@
-// The fact layer: analyzers export typed facts on objects and packages
-// while analyzing one package, and downstream packages (in import-graph
+// The fact layer: analyzers export typed facts on objects while
+// analyzing one package, and downstream packages (in import-graph
 // topological order) import them — the same shape as
 // golang.org/x/tools/go/analysis.Fact, built on the standard library
 // alone. Facts are what turn the per-package analyzers into
@@ -22,9 +22,9 @@ import (
 	"reflect"
 )
 
-// A Fact is a typed datum attached to a types.Object or a package by
-// one analyzer and visible to later passes of the same analyzer on
-// downstream packages. Implementations must be pointers to structs.
+// A Fact is a typed datum attached to a types.Object by one analyzer
+// and visible to later passes of the same analyzer on downstream
+// packages. Implementations must be pointers to structs.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()
@@ -36,12 +36,6 @@ type objFactKey struct {
 	obj      types.Object
 }
 
-// pkgFactKey identifies one analyzer's fact slot on one package.
-type pkgFactKey struct {
-	analyzer string
-	pkg      *types.Package
-}
-
 // A factStore holds every exported fact for one driver run. All
 // packages of a run share a loader (and therefore a types universe), so
 // object identity is stable: the *types.Func a downstream package
@@ -49,14 +43,10 @@ type pkgFactKey struct {
 // exported a fact on.
 type factStore struct {
 	obj map[objFactKey][]Fact
-	pkg map[pkgFactKey][]Fact
 }
 
 func newFactStore() *factStore {
-	return &factStore{
-		obj: make(map[objFactKey][]Fact),
-		pkg: make(map[pkgFactKey][]Fact),
-	}
+	return &factStore{obj: make(map[objFactKey][]Fact)}
 }
 
 // set records fact for (analyzer, obj), replacing an existing fact of
@@ -78,29 +68,6 @@ func (s *factStore) set(analyzer string, obj types.Object, fact Fact) {
 func (s *factStore) get(analyzer string, obj types.Object, ptr Fact) bool {
 	t := reflect.TypeOf(ptr)
 	for _, f := range s.obj[objFactKey{analyzer, obj}] {
-		if reflect.TypeOf(f) == t {
-			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		}
-	}
-	return false
-}
-
-func (s *factStore) setPkg(analyzer string, pkg *types.Package, fact Fact) {
-	key := pkgFactKey{analyzer, pkg}
-	t := reflect.TypeOf(fact)
-	for i, f := range s.pkg[key] {
-		if reflect.TypeOf(f) == t {
-			s.pkg[key][i] = fact
-			return
-		}
-	}
-	s.pkg[key] = append(s.pkg[key], fact)
-}
-
-func (s *factStore) getPkg(analyzer string, pkg *types.Package, ptr Fact) bool {
-	t := reflect.TypeOf(ptr)
-	for _, f := range s.pkg[pkgFactKey{analyzer, pkg}] {
 		if reflect.TypeOf(f) == t {
 			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
 			return true
@@ -140,20 +107,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 		return false
 	}
 	return p.facts.get(p.Analyzer.Name, obj, ptr)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	validateFact(fact)
-	p.facts.setPkg(p.Analyzer.Name, p.Pkg, fact)
-}
-
-// ImportPackageFact copies the fact of ptr's concrete type exported on
-// pkg by this pass's analyzer into ptr, reporting whether one exists.
-func (p *Pass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	validateFact(ptr)
-	if pkg == nil {
-		return false
-	}
-	return p.facts.getPkg(p.Analyzer.Name, pkg, ptr)
 }

@@ -80,7 +80,7 @@ func New(cfg *config.Config, mode pim.Mode) (*Machine, error) {
 		m.vml = layer
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		m.Cores = append(m.Cores, cpu.NewCore(i, k, cfg.IssueWidth, cfg.WindowSize, cfg.MaxOps, mem, peiPort))
+		m.Cores = append(m.Cores, cpu.NewCore(i, k, cfg.IssueWidth, cfg.WindowSize, mem, peiPort))
 	}
 	return m, nil
 }
@@ -128,23 +128,16 @@ func (r Result) PIMFraction() float64 {
 	return float64(r.PEIMem) / float64(r.PEIHost+r.PEIMem)
 }
 
-// Run executes one stream per core (stream i on core i; nil streams
-// leave the core idle) and drives the simulation until every stream
-// completes. It may be called once per Machine.
+// RunContext executes one stream per core (stream i on core i; nil
+// streams leave the core idle) and drives the simulation until every
+// stream completes. It may be called once per Machine. The event loop
+// checks ctx between event batches and returns ctx.Err() promptly once
+// ctx is done; a cancelled machine is left mid-simulation and must not
+// be reused.
 //
-//peilint:allow ctxfirst compat wrapper; delegates to RunContext with context.Background
-func (m *Machine) Run(streams []cpu.Stream) (Result, error) {
-	return m.RunContext(context.Background(), streams)
-}
-
-// RunContext is Run with cancellation: the event loop checks ctx between
-// event batches and returns ctx.Err() promptly once ctx is done. A
-// cancelled machine is left mid-simulation and must not be reused.
-//
-// It is the one-shot composition of the phased API: Start, Drive to
-// completion, CheckDone, Finish. Phased callers (checkpointing runs)
-// call those pieces directly, interleaving Quiesce and snapshots
-// between Drives.
+// It is the one-phase composition of the phased API: Start, Drive to
+// completion, CheckDone, Finish. The harness calls those pieces
+// directly, snapshotting between Drives when a run has several phases.
 func (m *Machine) RunContext(ctx context.Context, streams []cpu.Stream) (Result, error) {
 	if err := m.Start(streams); err != nil {
 		return Result{}, err

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"testing"
 
 	"pimsim/internal/config"
@@ -22,7 +23,7 @@ func streamOfPEIs(m *Machine, base uint64, n int, strideBlocks int) *cpu.SliceSt
 func TestMachineRunHostOnly(t *testing.T) {
 	m := MustNew(config.Scaled(), pim.HostOnly)
 	base := m.Store.Alloc(64*64, 64)
-	res, err := m.Run([]cpu.Stream{streamOfPEIs(m, base, 32, 1)})
+	res, err := m.RunContext(context.Background(), []cpu.Stream{streamOfPEIs(m, base, 32, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestMachinePIMOnlyUsesLessOffchipForIncrements(t *testing.T) {
 	run := func(mode pim.Mode) Result {
 		m := MustNew(cfg, mode)
 		base := m.Store.Alloc(128*64, 64)
-		res, err := m.Run([]cpu.Stream{streamOfPEIs(m, base, 128, 1)})
+		res, err := m.RunContext(context.Background(), []cpu.Stream{streamOfPEIs(m, base, 128, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestMachineCachedWorkloadFasterOnHost(t *testing.T) {
 				Op: pim.OpInc64, Target: base + uint64(i%4)*64,
 			}})
 		}
-		res, err := m.Run([]cpu.Stream{s})
+		res, err := m.RunContext(context.Background(), []cpu.Stream{s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestMachineMultipleCores(t *testing.T) {
 		bases[c] = m.Store.Alloc(32*64, 64)
 		streams = append(streams, streamOfPEIs(m, bases[c], 32, 1))
 	}
-	res, err := m.Run(streams)
+	res, err := m.RunContext(context.Background(), streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestMachineSharedCounterContention(t *testing.T) {
 		}
 		streams = append(streams, s)
 	}
-	if _, err := m.Run(streams); err != nil {
+	if _, err := m.RunContext(context.Background(), streams); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Store.ReadU64(a); got != 100 {
@@ -143,12 +144,12 @@ func TestMachineSharedCounterContention(t *testing.T) {
 
 func TestMachineErrors(t *testing.T) {
 	m := MustNew(config.Scaled(), pim.HostOnly)
-	if _, err := m.Run(nil); err == nil {
+	if _, err := m.RunContext(context.Background(), nil); err == nil {
 		t.Fatal("expected error for empty run")
 	}
 	m2 := MustNew(config.Scaled(), pim.HostOnly)
 	too := make([]cpu.Stream, m2.Cfg.Cores+1)
-	if _, err := m2.Run(too); err == nil {
+	if _, err := m2.RunContext(context.Background(), too); err == nil {
 		t.Fatal("expected error for too many streams")
 	}
 	bad := config.Scaled()
@@ -161,7 +162,7 @@ func TestMachineErrors(t *testing.T) {
 func TestMachineEnergyPopulated(t *testing.T) {
 	m := MustNew(config.Scaled(), pim.PIMOnly)
 	base := m.Store.Alloc(64*64, 64)
-	res, err := m.Run([]cpu.Stream{streamOfPEIs(m, base, 64, 1)})
+	res, err := m.RunContext(context.Background(), []cpu.Stream{streamOfPEIs(m, base, 64, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMachineDeterminism(t *testing.T) {
 	run := func() Result {
 		m := MustNew(config.Scaled(), pim.LocalityAware)
 		base := m.Store.Alloc(256*64, 64)
-		res, err := m.Run([]cpu.Stream{
+		res, err := m.RunContext(context.Background(), []cpu.Stream{
 			streamOfPEIs(m, base, 100, 1),
 			streamOfPEIs(m, base, 100, 2),
 		})
@@ -200,7 +201,7 @@ func TestMachineWithVirtualMemory(t *testing.T) {
 	cfg.EnableVM = true
 	m := MustNew(cfg, pim.LocalityAware)
 	base := m.Store.Alloc(64*64, 64)
-	res, err := m.Run([]cpu.Stream{streamOfPEIs(m, base, 64, 1)})
+	res, err := m.RunContext(context.Background(), []cpu.Stream{streamOfPEIs(m, base, 64, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestVMSlowerThanIdentity(t *testing.T) {
 				Target: base + uint64(i%4)*4096 + uint64(i/4%64)*64,
 			}})
 		}
-		res, err := m.Run([]cpu.Stream{s})
+		res, err := m.RunContext(context.Background(), []cpu.Stream{s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +265,7 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 			cpu.Op{Kind: cpu.OpLoad, Addr: base + uint64(i*64)},
 			cpu.Op{Kind: cpu.OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: base + uint64(i*64)}})
 	}
-	res, err := m.Run([]cpu.Stream{s})
+	res, err := m.RunContext(context.Background(), []cpu.Stream{s})
 	if err != nil {
 		t.Fatal(err)
 	}

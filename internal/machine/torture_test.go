@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -80,7 +81,7 @@ func tortureRun(t *testing.T, mode pim.Mode, seed int64) {
 		streams = append(streams, s)
 	}
 
-	if _, err := m.Run(streams); err != nil {
+	if _, err := m.RunContext(context.Background(), streams); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,7 +170,7 @@ func TestTortureReaderOutputs(t *testing.T) {
 		}
 		streams = append(streams, s)
 	}
-	if _, err := m.Run(streams); err != nil {
+	if _, err := m.RunContext(context.Background(), streams); err != nil {
 		t.Fatal(err)
 	}
 	for i, pr := range probes {

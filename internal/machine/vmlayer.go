@@ -98,11 +98,6 @@ func (v *vmLayer) AccessEvent(core int, a uint64, write bool, done sim.Cont) {
 	v.k.ScheduleEvent(v.missLat, t, sim.EventArg{})
 }
 
-// Access is the closure form of AccessEvent.
-func (v *vmLayer) Access(core int, a uint64, write bool, done func()) {
-	v.AccessEvent(core, a, write, sim.Call(done))
-}
-
 // Issue implements cpu.PEIPort: exactly one translation per PEI — the
 // single-cache-block restriction means the target never spans pages.
 func (v *vmLayer) Issue(p *pim.PEI) {

@@ -164,16 +164,11 @@ func (d *Directory) entryFor(target uint64) *dirEntry {
 
 // RegisterWriter notes an issued writer PEI before its lock request
 // reaches the directory, so a pfence issued immediately afterwards still
-// waits for it. Paired with AcquireRegistered.
+// waits for it. Paired with AcquireRegisteredEvent.
 func (d *Directory) RegisterWriter() { d.outstandingWriters++ }
 
-// Acquire obtains the reader–writer lock covering target. granted runs
-// (possibly later) once the lock is held. Closure form of AcquireEvent.
-func (d *Directory) Acquire(target uint64, writer bool, granted func()) {
-	d.AcquireEvent(target, writer, sim.Call(granted))
-}
-
-// AcquireEvent is the allocation-free form of Acquire.
+// AcquireEvent obtains the reader–writer lock covering target. granted
+// runs (possibly later) once the lock is held.
 func (d *Directory) AcquireEvent(target uint64, writer bool, granted sim.Cont) {
 	if writer {
 		d.RegisterWriter()
@@ -181,16 +176,10 @@ func (d *Directory) AcquireEvent(target uint64, writer bool, granted sim.Cont) {
 	d.AcquireRegisteredEvent(target, writer, granted)
 }
 
-// AcquireRegistered is Acquire for a writer already counted via
-// RegisterWriter (readers behave identically under both entry points).
-// Closure form of AcquireRegisteredEvent.
-func (d *Directory) AcquireRegistered(target uint64, writer bool, granted func()) {
-	d.AcquireRegisteredEvent(target, writer, sim.Call(granted))
-}
-
-// AcquireRegisteredEvent is the allocation-free form of
-// AcquireRegistered: the request rides a pooled transaction across the
-// directory access latency.
+// AcquireRegisteredEvent is AcquireEvent for a writer already counted
+// via RegisterWriter (readers behave identically under both entry
+// points). The request rides a pooled transaction across the directory
+// access latency.
 func (d *Directory) AcquireRegisteredEvent(target uint64, writer bool, granted sim.Cont) {
 	t := d.getTxn()
 	t.target = target
@@ -272,14 +261,8 @@ func (d *Directory) writerDone() {
 	}
 }
 
-// Fence implements pfence (§3.2): done runs once every writer PEI issued
-// so far has completed (all entries readable). Closure form of
-// FenceEvent.
-func (d *Directory) Fence(done func()) {
-	d.FenceEvent(sim.Call(done))
-}
-
-// FenceEvent is the allocation-free form of Fence.
+// FenceEvent implements pfence (§3.2): done runs once every writer PEI
+// issued so far has completed (all entries readable).
 func (d *Directory) FenceEvent(done sim.Cont) {
 	t := d.getTxn()
 	t.fence = true

@@ -16,8 +16,8 @@ func newTestDirectory(entries int, ideal bool) (*sim.Kernel, *Directory) {
 func TestReadersShareEntry(t *testing.T) {
 	k, d := newTestDirectory(16, false)
 	granted := 0
-	d.Acquire(0x40, false, func() { granted++ })
-	d.Acquire(0x40, false, func() { granted++ })
+	d.AcquireEvent(0x40, false, sim.Call(func() { granted++ }))
+	d.AcquireEvent(0x40, false, sim.Call(func() { granted++ }))
 	k.Run()
 	if granted != 2 {
 		t.Fatalf("granted = %d, want 2 concurrent readers", granted)
@@ -27,8 +27,8 @@ func TestReadersShareEntry(t *testing.T) {
 func TestWriterExcludesWriter(t *testing.T) {
 	k, d := newTestDirectory(16, false)
 	var order []int
-	d.Acquire(0x40, true, func() { order = append(order, 1) })
-	d.Acquire(0x40, true, func() { order = append(order, 2) })
+	d.AcquireEvent(0x40, true, sim.Call(func() { order = append(order, 1) }))
+	d.AcquireEvent(0x40, true, sim.Call(func() { order = append(order, 2) }))
 	k.Run()
 	if len(order) != 1 {
 		t.Fatalf("second writer granted while first holds lock: %v", order)
@@ -43,10 +43,10 @@ func TestWriterExcludesWriter(t *testing.T) {
 func TestWriterWaitsForReaders(t *testing.T) {
 	k, d := newTestDirectory(16, false)
 	writerIn := false
-	d.Acquire(0x40, false, func() {})
-	d.Acquire(0x40, false, func() {})
+	d.AcquireEvent(0x40, false, sim.Call(func() {}))
+	d.AcquireEvent(0x40, false, sim.Call(func() {}))
 	k.Run()
-	d.Acquire(0x40, true, func() { writerIn = true })
+	d.AcquireEvent(0x40, true, sim.Call(func() { writerIn = true }))
 	k.Run()
 	if writerIn {
 		t.Fatal("writer granted while readers active")
@@ -66,10 +66,10 @@ func TestWriterWaitsForReaders(t *testing.T) {
 func TestWaitingWriterBarsNewReaders(t *testing.T) {
 	k, d := newTestDirectory(16, false)
 	var events []string
-	d.Acquire(0x40, false, func() { events = append(events, "r1") })
+	d.AcquireEvent(0x40, false, sim.Call(func() { events = append(events, "r1") }))
 	k.Run()
-	d.Acquire(0x40, true, func() { events = append(events, "w") })
-	d.Acquire(0x40, false, func() { events = append(events, "r2") })
+	d.AcquireEvent(0x40, true, sim.Call(func() { events = append(events, "w") }))
+	d.AcquireEvent(0x40, false, sim.Call(func() { events = append(events, "r2") }))
 	k.Run()
 	if len(events) != 1 {
 		t.Fatalf("events = %v; writer must wait and bar r2", events)
@@ -91,8 +91,8 @@ func TestAliasedBlocksSerialize(t *testing.T) {
 	// blocks 0 (0b00) and 3 (0b11) both fold to 0 and alias.
 	k, d := newTestDirectory(2, false)
 	granted2 := false
-	d.Acquire(0*64, true, func() {})
-	d.Acquire(3*64, true, func() { granted2 = true })
+	d.AcquireEvent(0*64, true, sim.Call(func() {}))
+	d.AcquireEvent(3*64, true, sim.Call(func() { granted2 = true }))
 	k.Run()
 	if granted2 {
 		t.Fatal("aliasing writers should serialize (false positive)")
@@ -108,7 +108,7 @@ func TestIdealDirectoryNoAliasing(t *testing.T) {
 	k, d := newTestDirectory(0, true)
 	granted := 0
 	for blk := uint64(0); blk < 100; blk++ {
-		d.Acquire(blk*64, true, func() { granted++ })
+		d.AcquireEvent(blk*64, true, sim.Call(func() { granted++ }))
 	}
 	k.Run()
 	if granted != 100 {
@@ -124,10 +124,10 @@ func TestIdealDirectoryNoAliasing(t *testing.T) {
 
 func TestFenceImmediateWithoutWriters(t *testing.T) {
 	k, d := newTestDirectory(16, false)
-	d.Acquire(0x40, false, func() {}) // reader does not block pfence
+	d.AcquireEvent(0x40, false, sim.Call(func() {})) // reader does not block pfence
 	k.Run()
 	fenced := false
-	d.Fence(func() { fenced = true })
+	d.FenceEvent(sim.Call(func() { fenced = true }))
 	k.Run()
 	if !fenced {
 		t.Fatal("fence must not wait for readers")
@@ -136,11 +136,11 @@ func TestFenceImmediateWithoutWriters(t *testing.T) {
 
 func TestFenceWaitsForAllWriters(t *testing.T) {
 	k, d := newTestDirectory(16, false)
-	d.Acquire(0x40, true, func() {})
-	d.Acquire(0x80, true, func() {})
+	d.AcquireEvent(0x40, true, sim.Call(func() {}))
+	d.AcquireEvent(0x80, true, sim.Call(func() {}))
 	k.Run()
 	fenced := false
-	d.Fence(func() { fenced = true })
+	d.FenceEvent(sim.Call(func() { fenced = true }))
 	k.Run()
 	if fenced {
 		t.Fatal("fence fired with writers outstanding")
@@ -160,11 +160,11 @@ func TestFenceWaitsForAllWriters(t *testing.T) {
 func TestFenceCoversQueuedWriters(t *testing.T) {
 	k, d := newTestDirectory(16, false)
 	w2done := false
-	d.Acquire(0x40, true, func() {})
-	d.Acquire(0x40, true, func() { w2done = true }) // queued
+	d.AcquireEvent(0x40, true, sim.Call(func() {}))
+	d.AcquireEvent(0x40, true, sim.Call(func() { w2done = true })) // queued
 	k.Run()
 	fenced := false
-	d.Fence(func() { fenced = true })
+	d.FenceEvent(sim.Call(func() { fenced = true }))
 	d.Release(0x40, true) // w2 now runs
 	k.Run()
 	if !w2done {
@@ -231,7 +231,7 @@ func TestDirectoryInvariantUnderRandomLoad(t *testing.T) {
 		target := uint64(rng.Intn(16)) * 64
 		writer := rng.Intn(2) == 0
 		issued++
-		d.Acquire(target, writer, func() {
+		d.AcquireEvent(target, writer, sim.Call(func() {
 			r, w := countHolders(target)
 			if writer && (r > 0 || w > 0) {
 				violation = true
@@ -241,7 +241,7 @@ func TestDirectoryInvariantUnderRandomLoad(t *testing.T) {
 			}
 			granted++
 			active = append(active, held{target, writer})
-		})
+		}))
 		k.Run()
 	}
 	for len(active) > 0 {

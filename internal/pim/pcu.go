@@ -41,15 +41,9 @@ func NewPCU(k *sim.Kernel, entries, width int, clockDiv sim.Cycle) *PCU {
 	return &PCU{k: k, entries: entries, clockDiv: clockDiv, ports: make([]sim.Cycle, width)}
 }
 
-// Acquire obtains an operand buffer entry, queueing if all are in use.
-// granted runs once the entry is held; the holder must call Release.
-// Closure form of AcquireEvent.
-func (p *PCU) Acquire(granted func()) {
-	p.AcquireEvent(sim.Call(granted))
-}
-
-// AcquireEvent is the allocation-free form of Acquire: granted is
-// invoked (synchronously when an entry is free) once the entry is held.
+// AcquireEvent obtains an operand buffer entry, queueing if all are in
+// use. granted is invoked (synchronously when an entry is free) once the
+// entry is held; the holder must call Release.
 func (p *PCU) AcquireEvent(granted sim.Cont) {
 	if p.inFlight < p.entries {
 		p.inFlight++
@@ -82,17 +76,12 @@ func (p *PCU) Release() {
 // InFlight reports current operand-buffer occupancy.
 func (p *PCU) InFlight() int { return p.inFlight }
 
-// Compute schedules one computation: the issuing port is busy for one
+// ComputeEvent schedules one computation: the issuing port is busy for one
 // PCU cycle (the logic is pipelined with an initiation interval of one),
 // and done runs after the operation's full latency. A width-w PCU thus
 // initiates up to w operations per PCU cycle, matching the paper's
 // single-issue (per-PCU) computation logic whose latency is hidden by
 // the operand buffer (§4.2).
-func (p *PCU) Compute(cycles int64, done func()) {
-	p.ComputeEvent(cycles, sim.Call(done))
-}
-
-// ComputeEvent is the allocation-free form of Compute.
 func (p *PCU) ComputeEvent(cycles int64, done sim.Cont) {
 	now := p.k.Now()
 	best := 0

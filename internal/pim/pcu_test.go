@@ -11,7 +11,7 @@ func TestOperandBufferLimitsInFlight(t *testing.T) {
 	p := NewPCU(k, 2, 1, 1)
 	got := 0
 	for i := 0; i < 5; i++ {
-		p.Acquire(func() { got++ })
+		p.AcquireEvent(sim.Call(func() { got++ }))
 	}
 	if got != 2 {
 		t.Fatalf("granted = %d, want 2 (buffer size)", got)
@@ -47,8 +47,8 @@ func TestComputePipelinedAtWidthOne(t *testing.T) {
 	p := NewPCU(k, 4, 1, 1)
 	var t1, t2 sim.Cycle
 	// Pipelined single-issue logic: initiation interval 1, latency 10.
-	p.Compute(10, func() { t1 = k.Now() })
-	p.Compute(10, func() { t2 = k.Now() })
+	p.ComputeEvent(10, sim.Call(func() { t1 = k.Now() }))
+	p.ComputeEvent(10, sim.Call(func() { t2 = k.Now() }))
 	k.Run()
 	if t1 != 10 || t2 != 11 {
 		t.Fatalf("completions %d,%d; want 10,11", t1, t2)
@@ -59,9 +59,9 @@ func TestComputeParallelAtWidthTwo(t *testing.T) {
 	k := sim.NewKernel()
 	p := NewPCU(k, 4, 2, 1)
 	var t1, t2, t3 sim.Cycle
-	p.Compute(10, func() { t1 = k.Now() })
-	p.Compute(10, func() { t2 = k.Now() })
-	p.Compute(10, func() { t3 = k.Now() })
+	p.ComputeEvent(10, sim.Call(func() { t1 = k.Now() }))
+	p.ComputeEvent(10, sim.Call(func() { t2 = k.Now() }))
+	p.ComputeEvent(10, sim.Call(func() { t3 = k.Now() }))
 	k.Run()
 	// Two ports: the third op initiates one cycle after the first.
 	if t1 != 10 || t2 != 10 || t3 != 11 {
@@ -73,8 +73,8 @@ func TestClockDivisorSlowsCompute(t *testing.T) {
 	k := sim.NewKernel()
 	p := NewPCU(k, 4, 1, 2) // memory-side PCU at 2 GHz
 	var d1, d2 sim.Cycle
-	p.Compute(10, func() { d1 = k.Now() })
-	p.Compute(10, func() { d2 = k.Now() })
+	p.ComputeEvent(10, sim.Call(func() { d1 = k.Now() }))
+	p.ComputeEvent(10, sim.Call(func() { d2 = k.Now() }))
 	k.Run()
 	if d1 != 20 {
 		t.Fatalf("completion at %d, want 20 (10 cycles at half clock)", d1)
@@ -88,7 +88,7 @@ func TestComputeCountsExecuted(t *testing.T) {
 	k := sim.NewKernel()
 	p := NewPCU(k, 4, 1, 1)
 	for i := 0; i < 7; i++ {
-		p.Compute(1, func() {})
+		p.ComputeEvent(1, sim.Call(func() {}))
 	}
 	k.Run()
 	if p.Executed != 7 {

@@ -404,13 +404,8 @@ func (p *PMU) memFinish(t *peiTxn) {
 	p.putTxn(t)
 }
 
-// Fence implements pfence: done runs once all previously issued writer
-// PEIs (from any core) have completed. Closure form of FenceEvent.
-func (p *PMU) Fence(done func()) {
-	p.FenceEvent(sim.Call(done))
-}
-
-// FenceEvent is the allocation-free form of Fence.
+// FenceEvent implements pfence: done runs once all previously issued
+// writer PEIs (from any core) have completed.
 func (p *PMU) FenceEvent(done sim.Cont) {
 	p.cFences.Inc()
 	p.Dir.FenceEvent(done)

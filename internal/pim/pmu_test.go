@@ -103,7 +103,7 @@ func TestMemorySidePEIFlushesDirtyBlock(t *testing.T) {
 	a := r.store.Alloc(8, 8)
 	// Make the block dirty in core 1's cache via a normal store.
 	storeDone := false
-	r.hier.Access(1, a, true, func() { storeDone = true })
+	r.hier.AccessEvent(1, a, true, sim.Call(func() { storeDone = true }))
 	r.k.Run()
 	if !storeDone {
 		t.Fatal("priming store never completed")
@@ -121,7 +121,7 @@ func TestMemorySidePEIFlushesDirtyBlock(t *testing.T) {
 func TestReaderPEIUsesBackWriteback(t *testing.T) {
 	r := newRig(t, PIMOnly, nil)
 	b := r.store.Alloc(64, 64)
-	r.hier.Access(0, b, true, func() {})
+	r.hier.AccessEvent(0, b, true, sim.Call(func() {}))
 	r.k.Run()
 	r.issueAndRun(t, &PEI{Op: OpHistBin, Target: b, Core: 0, Input: []byte{0}})
 	if r.reg.Get("pmu.back_writebacks") != 1 {
@@ -198,7 +198,7 @@ func TestLocalityAwareHotBlockGoesToHost(t *testing.T) {
 	a := r.store.Alloc(8, 8)
 	// Warm the monitor with cache traffic.
 	for i := 0; i < 4; i++ {
-		r.hier.Access(0, a, false, func() {})
+		r.hier.AccessEvent(0, a, false, sim.Call(func() {}))
 		r.k.Run()
 	}
 	r.issueAndRun(t, &PEI{Op: OpFloatAdd, Target: a, Core: 0, Input: F64Input(1.0)})
@@ -227,7 +227,7 @@ func TestPfenceOrdersWriters(t *testing.T) {
 		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Core: i % r.cfg.Cores, Done: func() { retired++ }})
 	}
 	fenced := false
-	r.pmu.Fence(func() {
+	r.pmu.FenceEvent(sim.Call(func() {
 		fenced = true
 		if retired != 64 {
 			t.Errorf("fence fired with %d/64 PEIs retired", retired)
@@ -237,7 +237,7 @@ func TestPfenceOrdersWriters(t *testing.T) {
 				t.Errorf("element %d = %d at fence", i, arr.Get(i))
 			}
 		}
-	})
+	}))
 	r.k.Run()
 	if !fenced {
 		t.Fatal("fence never fired")
@@ -259,7 +259,7 @@ func TestBalancedDispatchRedirectsToHost(t *testing.T) {
 	r := newRig(t, LocalityAware, func(c *config.Config) { c.BalancedDispatch = true })
 	// Saturate the request direction with writes so C_req >> C_res.
 	for i := 0; i < 50; i++ {
-		r.chain.Write(uint64(i)*addr.BlockBytes+1<<19, nil)
+		r.chain.WriteEvent(uint64(i)*addr.BlockBytes+1<<19, sim.Cont{})
 	}
 	r.k.Run()
 	if r.chain.ReqPressure() <= r.chain.ResPressure() {
@@ -351,7 +351,7 @@ func TestHMC2AtomicsBypassFence(t *testing.T) {
 	a := r.store.Alloc(8, 8)
 	r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Done: func() {}})
 	fenced := false
-	r.pmu.Fence(func() { fenced = true })
+	r.pmu.FenceEvent(sim.Call(func() { fenced = true }))
 	r.k.RunUntil(10)
 	if !fenced {
 		t.Fatal("fence should return immediately: HMC2 atomics are invisible to it")

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pimsim/internal/config"
@@ -193,7 +194,7 @@ func TestRecordReplayWorkload(t *testing.T) {
 	for i, s := range live {
 		recStreams[i] = &RecordingStream{Inner: s, Writer: tw, Thread: i}
 	}
-	liveRes, err := m.Run(recStreams)
+	liveRes, err := m.RunContext(context.Background(), recStreams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestRecordReplayWorkload(t *testing.T) {
 	// machine's entire input.
 	m2 := machine.MustNew(cfg, pim.LocalityAware)
 	m2.Store.Alloc(int(m.Store.Size()), 64) // back the recorded addresses
-	replayRes, err := m2.Run(tr.Streams())
+	replayRes, err := m2.RunContext(context.Background(), tr.Streams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestReplayTwiceFromOneTrace(t *testing.T) {
 	for i, s := range live {
 		rec[i] = &RecordingStream{Inner: s, Writer: tw, Thread: i}
 	}
-	if _, err := m.Run(rec); err != nil {
+	if _, err := m.RunContext(context.Background(), rec); err != nil {
 		t.Fatal(err)
 	}
 	tw.Close()
@@ -255,7 +256,7 @@ func TestReplayTwiceFromOneTrace(t *testing.T) {
 	run := func() int64 {
 		m2 := machine.MustNew(cfg, pim.HostOnly)
 		m2.Store.Alloc(int(m.Store.Size()), 64)
-		res, err := m2.Run(tr.Streams())
+		res, err := m2.RunContext(context.Background(), tr.Streams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func TestReplayAcrossModes(t *testing.T) {
 	for i, s := range live {
 		rec[i] = &RecordingStream{Inner: s, Writer: tw, Thread: i}
 	}
-	if _, err := m.Run(rec); err != nil {
+	if _, err := m.RunContext(context.Background(), rec); err != nil {
 		t.Fatal(err)
 	}
 	tw.Close()
@@ -287,7 +288,7 @@ func TestReplayAcrossModes(t *testing.T) {
 	for _, mode := range []pim.Mode{pim.HostOnly, pim.PIMOnly, pim.LocalityAware} {
 		m2 := machine.MustNew(cfg, mode)
 		m2.Store.Alloc(int(m.Store.Size()), 64)
-		res, err := m2.Run(tr.Streams())
+		res, err := m2.RunContext(context.Background(), tr.Streams())
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

@@ -55,7 +55,7 @@ func (w *hashjoin) sizes() (r, s int) {
 		r = 64
 	}
 	// Cap the probe relation so a full probe pass stays laptop-scale;
-	// runs are budget-limited by MaxOps anyway.
+	// runs are budget-limited by OpBudget anyway.
 	if s > 1<<21 {
 		s = 1 << 21
 	}

@@ -16,6 +16,7 @@ import (
 	"pimsim/internal/cpu"
 	"pimsim/internal/graph"
 	"pimsim/internal/machine"
+	"pimsim/internal/snap"
 )
 
 // Size selects the input scale of Table 3.
@@ -95,6 +96,28 @@ type Workload interface {
 	// Verify checks functional results against a golden implementation;
 	// call after the machine has run.
 	Verify(m *machine.Machine) error
+
+	// A run can be cut at superstep boundaries for checkpointing.
+	// Between phases the machine drains to quiescence; SnapshotTo then
+	// captures the only state that lives outside the simulated machine —
+	// the generators' positions and any host-side accumulators PEI
+	// completion callbacks write into. Every workload gets these methods
+	// by embedding phaseCtl (phase.go).
+
+	// Rounds reports the total number of supersteps the workload runs.
+	Rounds() int
+	// SetRoundLimit caps generation at the first limit rounds (0 or
+	// negative clears the cap). With a cap below Rounds(), streams
+	// report exhaustion at the cap and the machine drains to a
+	// checkpointable boundary; raising the cap and re-arming the cores
+	// resumes generation exactly where it stopped.
+	SetRoundLimit(limit int)
+	// SnapshotTo appends the workload's generator state to a machine
+	// snapshot stream. Only valid at a drained phase boundary.
+	SnapshotTo(w *snap.Writer)
+	// RestoreFrom loads generator state into a freshly built workload
+	// whose Streams have been constructed on the restore target.
+	RestoreFrom(r *snap.Reader)
 }
 
 // Names lists all workloads in the paper's order.

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"pimsim/internal/config"
@@ -25,7 +26,7 @@ func runWorkload(t *testing.T, name string, mode pim.Mode, p Params) machine.Res
 	if len(streams) != p.Threads {
 		t.Fatalf("%s: %d streams, want %d", name, len(streams), p.Threads)
 	}
-	res, err := m.Run(streams)
+	res, err := m.RunContext(context.Background(), streams)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -208,7 +209,7 @@ func TestFunctionIndependentOfTiming(t *testing.T) {
 			for _, name := range []string{"bfs", "pr", "hj"} {
 				w := MustNew(name, p)
 				m := machine.MustNew(cfg, pim.LocalityAware)
-				if _, err := m.Run(w.Streams(m)); err != nil {
+				if _, err := m.RunContext(context.Background(), w.Streams(m)); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if err := w.Verify(m); err != nil {
@@ -226,7 +227,7 @@ func TestBudgetedRunsTerminate(t *testing.T) {
 		p := Params{Threads: 4, Size: Small, Scale: 512, OpBudget: 500}
 		w := MustNew(name, p)
 		m := machine.MustNew(config.Scaled(), pim.LocalityAware)
-		res, err := m.Run(w.Streams(m))
+		res, err := m.RunContext(context.Background(), w.Streams(m))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

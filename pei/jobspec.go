@@ -273,11 +273,13 @@ type RunJobOptions struct {
 	// must be goroutine-safe.
 	Progress func(JobProgress)
 	// Snapshots, if non-nil, enables warm starts: every simulation the
-	// job runs resumes from the deepest matching checkpoint in the store
-	// and writes new phase-boundary checkpoints back. Functional results
-	// are unchanged, but checkpointed runs use the phased execution
-	// model (see DESIGN.md §13), so a server should enable snapshots for
-	// all jobs or none — mixing the two models splits cycle counts for
+	// job runs (experiment cells and workload jobs alike) resumes from
+	// the deepest matching checkpoint in the store and writes new
+	// phase-boundary checkpoints back. Functional results are unchanged,
+	// but a run with a store is cut into one phase per superstep while a
+	// run without one is a single phase, and the two cycle counts differ
+	// (see DESIGN.md §13). A server should therefore enable snapshots for
+	// all jobs or none — mixing them splits cycle counts for
 	// otherwise-identical specs.
 	Snapshots *SnapshotStore
 }
@@ -291,60 +293,35 @@ func RunJob(ctx context.Context, spec JobSpec, w io.Writer, opts RunJobOptions) 
 	if err != nil {
 		return err
 	}
-	switch spec.Kind {
-	case JobExperiment:
-		ro := ReproduceOptions{
-			Cfg:           cfg,
-			Scale:         spec.Scale,
-			OpBudget:      spec.OpBudget,
-			Workloads:     spec.Workloads,
-			Pairs:         spec.Pairs,
-			Parallelism:   opts.Parallelism,
-			Progress:      opts.Progress,
-			SnapshotStore: opts.Snapshots,
-		}
-		return Reproduce(ctx, spec.Experiment, ro, w)
-	default: // JobWorkload; Normalize rejected everything else
-		size, _ := ParseSize(spec.Size)
-		mode, _ := ParseMode(spec.Mode)
-		params := WorkloadParams{
-			Threads:  spec.Threads,
-			Size:     size,
-			Scale:    spec.Scale,
-			Seed:     spec.Seed,
-			OpBudget: spec.OpBudget,
-		}
-		cell := fmt.Sprintf("%s/%s/%s", spec.Workload, size, mode)
-		if opts.Progress != nil {
-			opts.Progress(JobProgress{Cell: cell, Simulations: 1})
-		}
-		var res Result
-		var err error
-		if opts.Snapshots != nil {
-			// Warm-startable path: a throwaway Runner carrying the shared
-			// store runs the workload phased, resuming from the deepest
-			// stored boundary.
-			r := harness.NewRunner(harness.Options{
-				Cfg:           cfg,
-				SnapshotStore: opts.Snapshots,
-			})
-			res, err = r.RunPhasedWorkload(ctx, spec.Workload, params, mode, spec.Verify)
-		} else {
-			res, err = RunWorkloadContext(ctx, cfg, mode, spec.Workload, params, spec.Verify)
-		}
-		if opts.Progress != nil {
-			var cycles int64
-			if err == nil {
-				cycles = int64(res.Cycles)
-			}
-			opts.Progress(JobProgress{Cell: cell, Done: true, Cycles: cycles, Simulations: 1})
-		}
-		if err != nil {
-			return err
-		}
-		writeWorkloadReport(w, spec, res)
-		return nil
+	ro := ReproduceOptions{
+		Cfg:           cfg,
+		Scale:         spec.Scale,
+		OpBudget:      spec.OpBudget,
+		Workloads:     spec.Workloads,
+		Pairs:         spec.Pairs,
+		Parallelism:   opts.Parallelism,
+		Progress:      opts.Progress,
+		SnapshotStore: opts.Snapshots,
 	}
+	if spec.Kind == JobExperiment {
+		return Reproduce(ctx, spec.Experiment, ro, w)
+	}
+	// JobWorkload; Normalize rejected everything else.
+	size, _ := ParseSize(spec.Size)
+	mode, _ := ParseMode(spec.Mode)
+	params := WorkloadParams{
+		Threads:  spec.Threads,
+		Size:     size,
+		Scale:    spec.Scale,
+		Seed:     spec.Seed,
+		OpBudget: spec.OpBudget,
+	}
+	res, err := harness.NewRunner(ro).RunWorkload(ctx, spec.Workload, params, mode, nil, spec.Verify)
+	if err != nil {
+		return err
+	}
+	writeWorkloadReport(w, spec, res)
+	return nil
 }
 
 // writeWorkloadReport renders a single-workload result as the aligned

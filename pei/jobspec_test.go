@@ -45,6 +45,8 @@ func TestJobSpecNormalizeRejectsInvalid(t *testing.T) {
 		{Workload: "bfs", Verify: true, OpBudget: 100},
 		{Experiment: "fig6", Workloads: []string{"nope"}},
 		{Workload: "bfs", Overrides: json.RawMessage(`{"Cores": -3}`)},
+		// The op budget is OpBudget; MaxOps must stay zero.
+		{Workload: "bfs", Overrides: json.RawMessage(`{"MaxOps": 500}`)},
 	}
 	for _, s := range bad {
 		if _, _, err := s.Normalize(); err == nil {
@@ -141,6 +143,7 @@ func FuzzJobSpecDigest(f *testing.F) {
 		`{"workload":"bfs","overrides":{}}`,
 		`{"workload":"bfs","overrides":{"Cores":2}}`,
 		`{"workload":"bfs","overrides":{"Cores":-3}}`,
+		`{"workload":"bfs","overrides":{"MaxOps":500}}`,
 		`{"workload":"bfs","config":"baseline","mode":"pim","seed":1}`,
 		`{"workload":"bfs","experiment":"fig2"}`,
 		`{"workload":"bfs","verify":true,"budget":100}`,

@@ -213,27 +213,7 @@ func RunWorkload(cfg *Config, mode Mode, name string, p WorkloadParams, verify b
 
 // RunWorkloadContext is RunWorkload with cancellation.
 func RunWorkloadContext(ctx context.Context, cfg *Config, mode Mode, name string, p WorkloadParams, verify bool) (Result, error) {
-	w, err := workloads.New(name, p)
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := machine.New(cfg, mode)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := m.RunContext(ctx, w.Streams(m))
-	if err != nil {
-		return Result{}, err
-	}
-	if verify {
-		if p.OpBudget > 0 {
-			return res, fmt.Errorf("pei: cannot verify a budget-truncated run")
-		}
-		if err := w.Verify(m); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return harness.NewRunner(harness.Options{Cfg: cfg}).RunWorkload(ctx, name, p, mode, nil, verify)
 }
 
 // SnapshotStore is the content-addressed checkpoint store behind warm
