@@ -55,7 +55,7 @@ func TestPEIHostSideSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPEIMemorySideSteadyStateAllocs pins the memory-side PEI path (§4.5
-// Figure 5): coherence cleanup, packet codec, chain, vault PCU, DRAM.
+// Figure 5): coherence cleanup, chain, vault PCU, DRAM.
 func TestPEIMemorySideSteadyStateAllocs(t *testing.T) {
 	allocs := measurePEIAllocs(t, pim.PIMOnly)
 	if allocs > 0.05 {
@@ -66,8 +66,8 @@ func TestPEIMemorySideSteadyStateAllocs(t *testing.T) {
 // TestPooledTxnSequentialReuse drives two deliberately different PEIs
 // through the memory-side path back to back. The second reuses the
 // transaction objects the first released (PMU, chain, vault, DRAM
-// pools); stale state — a leftover writer flag, output size, or wire
-// payload — would corrupt the probe's result.
+// pools); stale state — a leftover writer flag or output size — would
+// corrupt the probe's result.
 func TestPooledTxnSequentialReuse(t *testing.T) {
 	m := machine.MustNew(config.Scaled(), pim.PIMOnly)
 	base := m.Store.Alloc(128, 64)

@@ -25,17 +25,6 @@ type Timing struct {
 	TRFC  sim.Cycle
 }
 
-// Request is one 64-byte block access presented to a vault controller.
-// Closure-based compatibility form; hot paths use EnqueueEvent.
-type Request struct {
-	Bank  int
-	Row   uint64
-	Write bool
-	// Done runs when the access completes (data available at the vault
-	// for reads; write restored for writes).
-	Done func()
-}
-
 // request is the controller's internal queued form, recycled through a
 // free list so steady-state traffic allocates nothing.
 type request struct {
@@ -87,16 +76,11 @@ func NewController(k *sim.Kernel, banks int, t Timing, reg *stats.Registry, pref
 	}
 }
 
-// Enqueue adds a request; it will be scheduled FR-FCFS. Closure-based
-// compatibility form of EnqueueEvent.
-func (c *Controller) Enqueue(r *Request) {
-	c.EnqueueEvent(r.Bank, r.Row, r.Write, sim.Call(r.Done))
-}
-
-// EnqueueEvent adds a block access to the queue; done (which may be the
-// zero Cont) is invoked when the access completes. The queued record
-// comes from the controller's free list, so steady-state enqueueing
-// allocates nothing.
+// EnqueueEvent adds a block access to the queue, to be scheduled
+// FR-FCFS; done (which may be the zero Cont) is invoked when the access
+// completes (data available at the vault for reads; write restored for
+// writes). The queued record comes from the controller's free list, so
+// steady-state enqueueing allocates nothing.
 func (c *Controller) EnqueueEvent(bank int, row uint64, write bool, done sim.Cont) {
 	if bank < 0 || bank >= len(c.banks) {
 		panic("dram: bank out of range")

@@ -24,7 +24,7 @@ func newTestController(banks int) (*sim.Kernel, *Controller, *stats.Registry) {
 func TestFirstAccessIsRowMiss(t *testing.T) {
 	k, c, reg := newTestController(4)
 	var done sim.Cycle = -1
-	c.Enqueue(&Request{Bank: 0, Row: 3, Done: func() { done = k.Now() }})
+	c.EnqueueEvent(0, 3, false, sim.Call(func() { done = k.Now() }))
 	k.Run()
 	if done != 110 { // tRCD + tCL
 		t.Fatalf("completion at %d, want 110", done)
@@ -37,8 +37,8 @@ func TestFirstAccessIsRowMiss(t *testing.T) {
 func TestRowHitIsFaster(t *testing.T) {
 	k, c, reg := newTestController(4)
 	var second sim.Cycle
-	c.Enqueue(&Request{Bank: 0, Row: 3, Done: nil})
-	c.Enqueue(&Request{Bank: 0, Row: 3, Done: func() { second = k.Now() }})
+	c.EnqueueEvent(0, 3, false, sim.Cont{})
+	c.EnqueueEvent(0, 3, false, sim.Call(func() { second = k.Now() }))
 	k.Run()
 	// First: issues at 0, bank ready at 110. Second: row hit issues at
 	// 110, completes at 165.
@@ -53,8 +53,8 @@ func TestRowHitIsFaster(t *testing.T) {
 func TestRowConflictPaysPrecharge(t *testing.T) {
 	k, c, reg := newTestController(4)
 	var second sim.Cycle
-	c.Enqueue(&Request{Bank: 0, Row: 1})
-	c.Enqueue(&Request{Bank: 0, Row: 2, Done: func() { second = k.Now() }})
+	c.EnqueueEvent(0, 1, false, sim.Cont{})
+	c.EnqueueEvent(0, 2, false, sim.Call(func() { second = k.Now() }))
 	k.Run()
 	// Second issues at 110, takes tRP+tRCD+tCL = 165, completes at 275.
 	if second != 275 {
@@ -68,8 +68,8 @@ func TestRowConflictPaysPrecharge(t *testing.T) {
 func TestBankParallelism(t *testing.T) {
 	k, c, _ := newTestController(4)
 	var a, b sim.Cycle
-	c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { a = k.Now() }})
-	c.Enqueue(&Request{Bank: 1, Row: 1, Done: func() { b = k.Now() }})
+	c.EnqueueEvent(0, 1, false, sim.Call(func() { a = k.Now() }))
+	c.EnqueueEvent(1, 1, false, sim.Call(func() { b = k.Now() }))
 	k.Run()
 	// Bank 1's command issues one IssueGap later but overlaps bank 0.
 	if a != 110 || b != 112 {
@@ -80,11 +80,11 @@ func TestBankParallelism(t *testing.T) {
 func TestFRFCFSPrefersRowHit(t *testing.T) {
 	k, c, _ := newTestController(1)
 	var order []int
-	c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { order = append(order, 1) }})
+	c.EnqueueEvent(0, 1, false, sim.Call(func() { order = append(order, 1) }))
 	// While row 1 is open: a conflicting request arrives first, then a
 	// row hit. FR-FCFS should reorder the hit ahead of the conflict.
-	c.Enqueue(&Request{Bank: 0, Row: 9, Done: func() { order = append(order, 9) }})
-	c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { order = append(order, 11) }})
+	c.EnqueueEvent(0, 9, false, sim.Call(func() { order = append(order, 9) }))
+	c.EnqueueEvent(0, 1, false, sim.Call(func() { order = append(order, 11) }))
 	k.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 11 || order[2] != 9 {
 		t.Fatalf("completion order %v, want [1 11 9]", order)
@@ -93,7 +93,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 
 func TestWriteCounted(t *testing.T) {
 	k, c, reg := newTestController(2)
-	c.Enqueue(&Request{Bank: 0, Row: 0, Write: true})
+	c.EnqueueEvent(0, 0, true, sim.Cont{})
 	k.Run()
 	if reg.Get("dram.writes") != 1 || reg.Get("dram.reads") != 0 {
 		t.Fatal("write accounting wrong")
@@ -107,7 +107,7 @@ func TestBankOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Enqueue(&Request{Bank: 5, Row: 0})
+	c.EnqueueEvent(5, 0, false, sim.Cont{})
 }
 
 // Property: every enqueued request eventually completes exactly once, in
@@ -117,12 +117,7 @@ func TestAllRequestsComplete(t *testing.T) {
 		k, c, _ := newTestController(8)
 		completed := 0
 		for _, p := range pattern {
-			c.Enqueue(&Request{
-				Bank:  int(p % 8),
-				Row:   uint64(p / 8 % 4),
-				Write: p%3 == 0,
-				Done:  func() { completed++ },
-			})
+			c.EnqueueEvent(int(p%8), uint64(p/8%4), p%3 == 0, sim.Call(func() { completed++ }))
 		}
 		k.Run()
 		return completed == len(pattern)
@@ -138,7 +133,7 @@ func TestSingleBankSerialization(t *testing.T) {
 	k, c, _ := newTestController(1)
 	var times []sim.Cycle
 	for i := 0; i < 20; i++ {
-		c.Enqueue(&Request{Bank: 0, Row: uint64(i % 2), Done: func() { times = append(times, k.Now()) }})
+		c.EnqueueEvent(0, uint64(i%2), false, sim.Call(func() { times = append(times, k.Now()) }))
 	}
 	k.Run()
 	if len(times) != 20 {
@@ -158,7 +153,7 @@ func TestStaggeredArrivals(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		k.At(sim.Cycle(i*30), func() {
-			c.Enqueue(&Request{Bank: i % 2, Row: uint64(i), Done: func() { completed++ }})
+			c.EnqueueEvent(i%2, uint64(i), false, sim.Call(func() { completed++ }))
 		})
 	}
 	k.Run()
@@ -178,7 +173,7 @@ func TestRefreshStallsBanks(t *testing.T) {
 	// wait out tRFC and then pay a full row activation (rows closed).
 	var done sim.Cycle
 	k.At(1000, func() {
-		c.Enqueue(&Request{Bank: 0, Row: 1, Done: func() { done = k.Now() }})
+		c.EnqueueEvent(0, 1, false, sim.Call(func() { done = k.Now() }))
 	})
 	k.Run()
 	if done != 1000+200+110 {
@@ -195,10 +190,10 @@ func TestRefreshClosesOpenRow(t *testing.T) {
 	tm.TREFI = 1000
 	tm.TRFC = 200
 	c := NewController(k, 1, tm, testRegistry(), "dram.")
-	c.Enqueue(&Request{Bank: 0, Row: 5}) // opens row 5, completes at 110
+	c.EnqueueEvent(0, 5, false, sim.Cont{}) // opens row 5, completes at 110
 	var done sim.Cycle
 	k.At(1500, func() { // after one refresh epoch
-		c.Enqueue(&Request{Bank: 0, Row: 5, Done: func() { done = k.Now() }})
+		c.EnqueueEvent(0, 5, false, sim.Call(func() { done = k.Now() }))
 	})
 	k.Run()
 	// Row was closed by refresh: row miss (tRCD+tCL), not a hit.
@@ -209,7 +204,7 @@ func TestRefreshClosesOpenRow(t *testing.T) {
 
 func TestRefreshDisabledByDefaultTiming(t *testing.T) {
 	k, c, reg := newTestController(1)
-	c.Enqueue(&Request{Bank: 0, Row: 0})
+	c.EnqueueEvent(0, 0, false, sim.Cont{})
 	k.Run()
 	if reg.Get("dram.refreshes") != 0 {
 		t.Fatal("refresh fired with TREFI=0")
@@ -224,7 +219,7 @@ func TestLongIdleGapFastForwardsRefresh(t *testing.T) {
 	c := NewController(k, 1, tm, testRegistry(), "dram.")
 	done := false
 	k.At(1_000_000, func() {
-		c.Enqueue(&Request{Bank: 0, Row: 0, Done: func() { done = true }})
+		c.EnqueueEvent(0, 0, false, sim.Call(func() { done = true }))
 	})
 	k.Run()
 	if !done {

@@ -7,7 +7,6 @@
 package hmc
 
 import (
-	"fmt"
 	"math"
 
 	"pimsim/internal/addr"
@@ -169,9 +168,8 @@ type Chain struct {
 	// drain its event queue.
 	cReq, cRes float64
 	lastDecay  sim.Cycle
-	seq        uint32
 
-	free []*Txn //peilint:allow snapcomplete pool of recycled link transactions (wire buffers ride along): capacity, not state
+	free []*Txn //peilint:allow snapcomplete pool of recycled link transactions: capacity, not state
 }
 
 // NewChain builds the memory system described by cfg on kernel k.
@@ -233,10 +231,6 @@ func (ch *Chain) VaultFor(a uint64) (*Vault, addr.Location) {
 func (ch *Chain) ReqPressure() float64 { ch.decayPressure(); return ch.cReq }
 func (ch *Chain) ResPressure() float64 { ch.decayPressure(); return ch.cRes }
 
-// Responder sends a response packet of respBytes payload (header added)
-// back to the host and runs done on delivery.
-type Responder func(respBytes int, done func())
-
 // VaultVisitor receives a delivered request at the target vault. The
 // visitor reads the transaction (vault, location, user argument) and
 // must eventually call Txn.Respond exactly once to route the reply back
@@ -245,22 +239,32 @@ type VaultVisitor interface {
 	AtVault(t *Txn)
 }
 
-// zeroBlock backs the payload field of data packets; functional values
-// live in the memlayout store, so link payloads carry placeholder bytes
-// of the correct size.
-var zeroBlock [addr.BlockBytes]byte
+// Command is a request packet's command: an ordinary block transfer,
+// or the paper's PEI extension (§4.2), which executes a PIM operation
+// at the target vault's PCU.
+type Command uint8
+
+const (
+	CmdRead Command = iota
+	CmdWrite
+	CmdPEI
+)
+
+// packetBytes is the size on the link of a packet carrying payload
+// bytes: the configured header (header plus tail framing, §7.4 and
+// footnote 7) plus the payload. Functional values live in the memlayout
+// store, so packets are sized, never serialized.
+func (ch *Chain) packetBytes(payload int) int { return ch.cfg.PacketHeaderBytes + payload }
 
 // Txn is one in-flight request/response transaction on the chain: it
-// carries the encoded wire image across the request link and the cube
-// hops, hands itself to the visitor at the vault, and routes the reply
-// over the response link. Transactions are pooled by the chain (the
-// wire buffer's capacity is recycled with them); the chain releases the
-// transaction when the response enters the response link.
+// crosses the request link and the cube hops, hands itself to the
+// visitor at the vault, and routes the reply over the response link.
+// Transactions are pooled by the chain, which releases one when its
+// response enters the response link.
 type Txn struct {
 	ch      *Chain
 	v       *Vault
 	loc     addr.Location
-	addr    uint64
 	cmd     Command
 	hop     sim.Cycle
 	visitor VaultVisitor
@@ -274,9 +278,6 @@ type Txn struct {
 	// vault's response sequence in the low bits. Same-cycle arrivals at
 	// the host serialize in rkey order.
 	rkey uint64
-
-	wire []byte // encoded request; capacity reused across transactions
-	pkt  Packet // encode/decode scratch (payload aliases wire after decode)
 }
 
 // Vault returns the target vault; Loc its DRAM location; User the
@@ -289,8 +290,8 @@ const (
 	// chainStageHopIn: the request left the shared link; cube-hop
 	// latency to the target cube comes next.
 	chainStageHopIn = iota
-	// chainStageAtVault: decode (CRC-check) the request and hand it to
-	// the visitor or the built-in read/write handling.
+	// chainStageAtVault: hand the request to the visitor or the
+	// built-in read/write handling.
 	chainStageAtVault
 	// chainStageHopOut: the response finished its cube hops; propagate
 	// across the link to the host end (the response direction is
@@ -313,10 +314,6 @@ func (t *Txn) OnEvent(arg sim.EventArg) {
 	case chainStageHopIn:
 		t.ch.k.ScheduleEvent(t.hop, t, sim.EventArg{N: chainStageAtVault})
 	case chainStageAtVault:
-		err := DecodeInto(&t.pkt, t.wire)
-		if err != nil || t.pkt.Addr != t.addr || t.pkt.Cmd != t.cmd {
-			panic(fmt.Sprintf("hmc: packet corrupted in transit: %v (addr %#x cmd %v)", err, t.addr, t.cmd))
-		}
 		switch {
 		case t.visitor != nil:
 			t.visitor.AtVault(t)
@@ -349,7 +346,7 @@ func (t *Txn) OnEvent(arg sim.EventArg) {
 // accounting happen at the host when the packet arrives.
 func (t *Txn) Respond(respBytes int, done sim.Cont) {
 	v := t.v
-	t.respBytes = t.ch.cfg.PacketHeaderBytes + respBytes
+	t.respBytes = t.ch.packetBytes(respBytes)
 	t.respDone = done
 	v.respSeq++
 	t.rkey = uint64(v.Index)<<32 | uint64(v.respSeq)
@@ -431,45 +428,36 @@ func (ch *Chain) getTxn() *Txn {
 	return &Txn{ch: ch}
 }
 
-// putTxn recycles a completed transaction, keeping its wire buffer's
-// capacity; the nil ch field marks it free so a double release (e.g. a
-// visitor calling Respond twice) panics.
+// putTxn recycles a completed transaction; the nil ch field marks it
+// free so a double release (e.g. a visitor calling Respond twice)
+// panics.
 func (ch *Chain) putTxn(t *Txn) {
 	if t.ch == nil {
 		panic("hmc: chain transaction double-released")
 	}
-	wire := t.wire[:0]
-	*t = Txn{wire: wire}
+	*t = Txn{}
 	ch.free = append(ch.free, t)
 }
 
-// DeliverEvent sends a request packet to the vault owning address a.
-// For CmdRead/CmdWrite with a nil visitor the chain performs the vault
-// access itself and invokes done per ReadEvent/WriteEvent semantics;
-// otherwise the visitor is invoked on arrival with the transaction (user
-// rides along for its continuation state) and must call Txn.Respond. The
-// request is genuinely encoded at the host and decoded (CRC-checked) at
-// the vault, so packet framing on the link is the wire format's, not an
-// estimate; per-cube hop latency applies in each direction. Byte counts
-// land in the shared registry under offchip.req/res.
-func (ch *Chain) DeliverEvent(a uint64, cmd Command, subcmd uint8, payload []byte, visitor VaultVisitor, user sim.EventArg, done sim.Cont) {
+// DeliverEvent sends a request packet carrying payloadBytes of operand
+// or write data to the vault owning address a. For CmdRead/CmdWrite
+// with a nil visitor the chain performs the vault access itself and
+// invokes done per ReadEvent/WriteEvent semantics; otherwise the
+// visitor is invoked on arrival with the transaction (user rides along
+// for its continuation state) and must call Txn.Respond. Both
+// directions are sized by packetBytes; per-cube hop latency applies in
+// each direction. Byte counts land in the shared registry under
+// offchip.req/res.
+func (ch *Chain) DeliverEvent(a uint64, cmd Command, payloadBytes int, visitor VaultVisitor, user sim.EventArg, done sim.Cont) {
 	v, loc := ch.VaultFor(a)
-	ch.seq++
 	t := ch.getTxn()
 	t.v = v
 	t.loc = loc
-	t.addr = a
 	t.cmd = cmd
 	t.visitor = visitor
 	t.user = user
 	t.done = done
-	t.pkt = Packet{Cmd: cmd, Subcmd: subcmd, Addr: a, Seq: ch.seq, Payload: payload}
-	wire, err := t.pkt.EncodeTo(t.wire[:0])
-	if err != nil {
-		panic(err)
-	}
-	t.wire = wire
-	reqBytes := len(wire)
+	reqBytes := ch.packetBytes(payloadBytes)
 	t.hop = ch.cfg.HopLatency * sim.Cycle(loc.Cube)
 	ch.decayPressure()
 	ch.cReq += float64((reqBytes + sim.FlitBytes - 1) / sim.FlitBytes)
@@ -478,36 +466,19 @@ func (ch *Chain) DeliverEvent(a uint64, cmd Command, subcmd uint8, payload []byt
 	ch.Req.SendEventEarly(reqBytes, t, sim.EventArg{N: chainStageHopIn})
 }
 
-// visitFunc adapts the closure-based Deliver signature to VaultVisitor
-// for cold callers and tests.
-type visitFunc func(v *Vault, loc addr.Location, respond Responder)
-
-func (f visitFunc) AtVault(t *Txn) {
-	//peilint:allow hotalloc compatibility shim for closure-based Deliver; hot paths use DeliverEvent
-	f(t.v, t.loc, func(respBytes int, done func()) {
-		t.Respond(respBytes, sim.Call(done))
-	})
-}
-
-// Deliver is the closure-based form of DeliverEvent: atVault receives
-// the vault, its location, and a Responder for the reply.
-func (ch *Chain) Deliver(a uint64, cmd Command, subcmd uint8, payload []byte, atVault func(v *Vault, loc addr.Location, respond Responder)) {
-	ch.DeliverEvent(a, cmd, subcmd, payload, visitFunc(atVault), sim.EventArg{}, sim.Cont{})
-}
-
-// ReadEvent performs a normal cache-block fill from memory: 16 B
+// ReadEvent performs a normal cache-block fill from memory: header-only
 // request, DRAM read, 64 B + header response. done runs when the block
 // arrives back at the host.
 func (ch *Chain) ReadEvent(a uint64, done sim.Cont) {
-	ch.DeliverEvent(a, CmdRead, 0, nil, nil, sim.EventArg{}, done)
+	ch.DeliverEvent(a, CmdRead, 0, nil, sim.EventArg{}, done)
 }
 
 // WriteEvent performs a block writeback to memory: header + 64 B
 // request, DRAM write, header-only acknowledgement. done (which may be
-// the zero Cont) runs when the write is restored in DRAM, not when the
-// ack returns, matching posted-write semantics.
+// the zero Cont) runs when the ack, sent once the write is restored in
+// DRAM, reaches the host.
 func (ch *Chain) WriteEvent(a uint64, done sim.Cont) {
-	ch.DeliverEvent(a, CmdWrite, 0, zeroBlock[:], nil, sim.EventArg{}, done)
+	ch.DeliverEvent(a, CmdWrite, addr.BlockBytes, nil, sim.EventArg{}, done)
 }
 
 // OffchipBytes reports total bytes moved over the chain in both

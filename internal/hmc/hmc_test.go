@@ -105,13 +105,20 @@ func TestVaultForMatchesMapping(t *testing.T) {
 	}
 }
 
+// respondVisitor answers every delivered request with a response of
+// respBytes payload and runs done when that response reaches the host.
+type respondVisitor struct {
+	respBytes int
+	done      func()
+}
+
+func (rv *respondVisitor) AtVault(t *Txn) { t.Respond(rv.respBytes, sim.Call(rv.done)) }
+
 func TestDeliverCustomPayloadAndResponse(t *testing.T) {
 	k, ch, reg := newTestChain()
 	var respDone bool
 	// PIM-style packet: 8 B input operand, 9 B output (hash probe).
-	ch.Deliver(128, CmdPEI, 3, make([]byte, 8), func(v *Vault, loc addr.Location, respond Responder) {
-		respond(9, func() { respDone = true })
-	})
+	ch.DeliverEvent(128, CmdPEI, 8, &respondVisitor{respBytes: 9, done: func() { respDone = true }}, sim.EventArg{}, sim.Cont{})
 	k.Run()
 	if !respDone {
 		t.Fatal("response never delivered")
@@ -119,6 +126,31 @@ func TestDeliverCustomPayloadAndResponse(t *testing.T) {
 	if reg.Get("offchip.req.bytes") != 24 || reg.Get("offchip.res.bytes") != 25 {
 		t.Fatalf("req/res = %d/%d, want 24/25",
 			reg.Get("offchip.req.bytes"), reg.Get("offchip.res.bytes"))
+	}
+}
+
+// Framing comes from the configured header size in both directions: a
+// read is a bare-header request and a header+block response, a write a
+// header+block request and a bare-header ack.
+func TestPacketHeaderBytesFramesBothDirections(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		issue            func(ch *Chain)
+		wantReq, wantRes int64
+	}{
+		{"read", func(ch *Chain) { ch.ReadEvent(0, sim.Cont{}) }, 32, 96},
+		{"write", func(ch *Chain) { ch.WriteEvent(0, sim.Cont{}) }, 96, 32},
+	} {
+		k := sim.NewKernel()
+		reg := stats.NewRegistry()
+		cfg := testConfig()
+		cfg.PacketHeaderBytes = 32
+		ch := NewChain(k, cfg, reg)
+		tc.issue(ch)
+		k.Run()
+		if got, gotRes := reg.Get("offchip.req.bytes"), reg.Get("offchip.res.bytes"); got != tc.wantReq || gotRes != tc.wantRes {
+			t.Errorf("%s with 32 B headers: req/res bytes = %d/%d, want %d/%d", tc.name, got, gotRes, tc.wantReq, tc.wantRes)
+		}
 	}
 }
 

@@ -7,22 +7,19 @@ import (
 )
 
 // Pool lifecycle tests for the chain and vault transaction free lists:
-// a recycled transaction must carry no state from its previous life
-// (the wire buffer keeps only its capacity), and releasing twice must
-// panic instead of corrupting the free list.
+// a recycled transaction must carry no state from its previous life,
+// and releasing twice must panic instead of corrupting the free list.
 
 func TestChainTxnPoolReuseCarriesNoStaleState(t *testing.T) {
 	ch := &Chain{}
 	tx := ch.getTxn()
-	tx.addr = 0xdead
 	tx.cmd = CmdPEI
 	tx.hop = 7
 	tx.user = sim.EventArg{N: 9}
 	tx.done = sim.Call(func() {})
 	tx.respBytes = 80
 	tx.respDone = sim.Call(func() {})
-	tx.wire = append(tx.wire[:0], 1, 2, 3, 4)
-	tx.pkt = Packet{Cmd: CmdPEI, Payload: tx.wire}
+	tx.rkey = 42
 	ch.putTxn(tx)
 
 	got := ch.getTxn()
@@ -32,16 +29,10 @@ func TestChainTxnPoolReuseCarriesNoStaleState(t *testing.T) {
 	if got.ch != ch {
 		t.Fatal("recycled transaction lost its owner")
 	}
-	if got.addr != 0 || got.cmd != 0 || got.hop != 0 || got.user != (sim.EventArg{}) ||
+	if got.cmd != 0 || got.hop != 0 || got.user != (sim.EventArg{}) ||
 		got.done.H != nil || got.respBytes != 0 || got.respDone.H != nil ||
-		got.visitor != nil || got.pkt.Payload != nil {
+		got.visitor != nil || got.rkey != 0 {
 		t.Fatalf("recycled transaction carries stale state: %+v", got)
-	}
-	if len(got.wire) != 0 {
-		t.Fatalf("recycled wire buffer still holds %d bytes", len(got.wire))
-	}
-	if cap(got.wire) == 0 {
-		t.Fatal("recycled wire buffer lost its capacity")
 	}
 }
 

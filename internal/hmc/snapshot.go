@@ -26,7 +26,7 @@ func (v *Vault) RestoreFrom(r *snap.Reader) {
 
 // SnapshotTo serializes the chain: the request link, response-link
 // serialization horizon and occupancy, the dispatch pressure averages
-// with their decay anchor, the packet sequence number, and every vault.
+// with their decay anchor, the request packet count, and every vault.
 // The response arbitration batch must be empty — a packet parked there
 // means the host side has undelivered work and the machine is not
 // quiescent.
@@ -42,7 +42,9 @@ func (ch *Chain) SnapshotTo(w *snap.Writer) {
 	w.F64(ch.cReq)
 	w.F64(ch.cRes)
 	w.I64(ch.lastDecay)
-	w.U32(ch.seq)
+	// The format's u32 request-sequence slot holds the request packet
+	// count; restore skips it, since the registry restores the counter.
+	w.U32(uint32(ch.cReqPackets.Get()))
 	w.Int(len(ch.Cubes))
 	for _, cube := range ch.Cubes {
 		w.Int(len(cube.Vaults))
@@ -66,7 +68,7 @@ func (ch *Chain) RestoreFrom(r *snap.Reader) {
 	ch.cReq = r.F64()
 	ch.cRes = r.F64()
 	ch.lastDecay = r.I64()
-	ch.seq = r.U32()
+	r.U32() // request packet count: the registry restores it
 	cubes := r.Int()
 	if r.Err() != nil {
 		return

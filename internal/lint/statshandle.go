@@ -1,8 +1,11 @@
 // The statshandle analyzer: per-event code must not pay a string hash
-// per counter update. PR 2 introduced stats.Handle — an interned index
-// into the registry's flat value array — precisely so Tick/Step/
-// Schedule trees bump integers, not map entries. This analyzer keeps
-// the string-keyed convenience methods out of those trees, including
+// per counter update. stats.Handle — an interned index into the
+// registry's flat value array — exists so per-event trees bump
+// integers, not map entries. Under the handler event model (DESIGN.md
+// §11) every scheduled event runs through an OnEvent method, so OnEvent
+// is the root that covers per-event code; Step and Schedule are the
+// kernel's own dispatch and enqueue paths. This analyzer keeps the
+// string-keyed convenience methods out of those trees, including
 // through wrappers defined in other packages: a helper that calls
 // Registry.Add by name carries a StringStatsFact, and calling it from a
 // hot tree is the same hash per event.
@@ -17,7 +20,7 @@ import (
 // hotRoots are the method/function names whose call trees are per-event
 // hot paths.
 var hotRoots = map[string]bool{
-	"Tick":     true,
+	"OnEvent":  true,
 	"Step":     true,
 	"Schedule": true,
 }
@@ -37,7 +40,7 @@ var stringKeyedRegistryMethods = map[string]bool{
 // not per-event).
 var StatsHandle = &Analyzer{
 	Name: "statshandle",
-	Doc: "inside Tick/Step/Schedule call trees, stats must go through " +
+	Doc: "inside OnEvent/Step/Schedule call trees, stats must go through " +
 		"pre-resolved stats.Handle counters (Registry.Counter at construction " +
 		"time), not string-keyed Registry.Add/Inc/Get/Set — whether called " +
 		"directly or through a wrapper in another package",

@@ -366,8 +366,7 @@ func (p *PMU) executeMemory(t *peiTxn) {
 // along as the delivery's user payload; AtVault picks it back up on the
 // logic die.
 func (p *PMU) sendPIMOp(t *peiTxn) {
-	p.chain.DeliverEvent(t.pei.Target, hmc.CmdPEI, uint8(t.pei.Op), t.pei.Input,
-		p, sim.EventArg{Ptr: t}, sim.Cont{})
+	p.chain.DeliverEvent(t.pei.Target, hmc.CmdPEI, len(t.pei.Input), p, sim.EventArg{Ptr: t}, sim.Cont{})
 }
 
 // AtVault implements hmc.VaultVisitor: the PIM op has crossed the chain

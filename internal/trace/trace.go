@@ -272,6 +272,9 @@ func Read(r io.Reader) (*Trace, error) {
 			if _, err := io.ReadFull(br, b[:]); err != nil {
 				return nil, err
 			}
+			if int(b[0]) >= len(pim.Ops) {
+				return nil, fmt.Errorf("trace: PEI opcode %d outside Table 1", b[0])
+			}
 			input := make([]byte, int(b[9]))
 			if _, err := io.ReadFull(br, input); err != nil {
 				return nil, err

@@ -177,6 +177,60 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// FuzzRead: trace files are external input. Any bytes must either fail
+// to read or yield a trace whose PEIs all carry Table 1 opcodes and
+// whose streams build; Read must never panic. The seeds are a v1 and a
+// v2 trace, plus the v1 trace with its PEI opcode patched to 200, which
+// Read must reject rather than hand to a replay that indexes past
+// pim.Ops.
+func FuzzRead(f *testing.F) {
+	for _, digest := range []string{"", "cfg-digest"} {
+		var buf bytes.Buffer
+		w, err := NewWriterDigest(&buf, 2, 1<<16, digest)
+		if err != nil {
+			f.Fatal(err)
+		}
+		barrier := cpu.NewBarrier(2)
+		w.Record(0, cpu.Op{Kind: cpu.OpCompute, Cycles: 3})
+		w.Record(0, cpu.Op{Kind: cpu.OpLoad, Addr: 128})
+		w.Record(1, cpu.Op{Kind: cpu.OpStore, Addr: 192})
+		w.Record(0, cpu.Op{Kind: cpu.OpPEI, PEI: &pim.PEI{Op: pim.OpMin64, Target: 256, Input: pim.U64Input(5)}})
+		w.Record(0, cpu.Op{Kind: cpu.OpFence})
+		w.Record(0, cpu.Op{Kind: cpu.OpBarrier, Barrier: barrier})
+		w.Record(1, cpu.Op{Kind: cpu.OpBarrier, Barrier: barrier})
+		w.Record(1, cpu.Op{Kind: cpu.OpDrain})
+		if err := w.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		if digest == "" {
+			// Header, compute, load and store records, then the PEI
+			// record's thread and kind bytes.
+			const opAt = 8 + 12 + 6 + 10 + 10 + 2
+			bad := bytes.Clone(buf.Bytes())
+			if bad[opAt] != byte(pim.OpMin64) {
+				f.Fatalf("byte %d is %d, not the PEI opcode", opAt, bad[opAt])
+			}
+			bad[opAt] = 200
+			f.Add(bad)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for thread, ops := range tr.PerThread {
+			for i, op := range ops {
+				if op.Kind == cpu.OpPEI && int(op.PEI.Op) >= len(pim.Ops) {
+					t.Fatalf("thread %d op %d: PEI opcode %d outside Table 1", thread, i, op.PEI.Op)
+				}
+			}
+		}
+		tr.Streams()
+	})
+}
+
 func TestRecordReplayWorkload(t *testing.T) {
 	cfg := config.Scaled()
 	p := workloads.Params{Threads: 2, Size: workloads.Small, Scale: 1024}
