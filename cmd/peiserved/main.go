@@ -16,24 +16,12 @@
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/experiments      runnable experiments/workloads/modes
 //	GET    /metrics             Prometheus text format
-//	GET    /healthz             readiness alias (503 while draining or,
-//	                            in cluster mode, before registration)
+//	GET    /healthz             readiness alias (503 while draining)
 //	GET    /healthz/live        liveness (200 while the process is up)
 //	GET    /healthz/ready       readiness
 //
-// Cluster mode (see README "Cluster" for a 3-node walkthrough):
-//
-//	peiserved -coordinator -addr :9000
-//	peiserved -addr :9001 -join http://host:9000 -advertise http://host:9001
-//
-// A coordinator exposes the same job API and consistent-hashes each
-// job's digest across the registered workers, so identical jobs always
-// land where the cached result (and warm-start snapshots) live; workers
-// consult the cluster's peer cache before simulating.
-//
-// SIGTERM/SIGINT stop accepting new jobs, deregister from the cluster
-// (worker mode), drain queued and running jobs (bounded by
-// -drain-timeout), then exit.
+// SIGTERM/SIGINT stop accepting new jobs, drain queued and running
+// jobs (bounded by -drain-timeout), then exit.
 package main
 
 import (
@@ -49,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"pimsim/internal/cluster"
 	"pimsim/internal/serve"
 	"pimsim/pei"
 )
@@ -64,23 +51,10 @@ func main() {
 		snapshotDir  = flag.String("snapshot-dir", "", "checkpoint store directory for simulation warm starts (empty = disabled)")
 		snapshotMB   = flag.Int64("snapshot-mb", 256, "snapshot store LRU budget in MiB (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "max time to drain jobs on shutdown")
-
-		coordinator    = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker")
-		join           = flag.String("join", "", "coordinator URL to register with (worker cluster mode)")
-		advertise      = flag.String("advertise", "", "this worker's base URL as the coordinator and peers reach it (required with -join)")
-		healthInterval = flag.Duration("health-interval", time.Second, "coordinator health-check interval")
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "peiserved ", log.LstdFlags|log.Lmsgprefix)
-	if *coordinator {
-		runCoordinator(logger, *addr, *healthInterval)
-		return
-	}
-	if *join != "" && *advertise == "" {
-		fmt.Fprintln(os.Stderr, "peiserved: -join requires -advertise (the URL peers use to reach this worker)")
-		os.Exit(2)
-	}
 
 	var snaps *pei.SnapshotStore
 	if *snapshotDir != "" {
@@ -100,25 +74,14 @@ func main() {
 		logger.Printf("snapshots enabled dir=%s budget-mb=%d", *snapshotDir, *snapshotMB)
 	}
 
-	var agent *cluster.Client
-	opts := serve.Options{
+	srv := serve.New(serve.Options{
 		Workers:     *workers,
 		QueueDepth:  *queueDepth,
 		CacheBytes:  *cacheMB << 20,
 		Parallelism: *parallel,
 		Snapshots:   snaps,
 		Logf:        logger.Printf,
-	}
-	if *join != "" {
-		agent = cluster.NewClient(*join, *advertise, cluster.ClientOptions{Logf: logger.Printf})
-		opts.Peers = agent
-		opts.ClusterMode = true
-	}
-	srv := serve.New(opts)
-	if agent != nil {
-		agent.Start(srv.SetRegistered)
-		logger.Printf("cluster mode: joining %s advertising %s", *join, *advertise)
-	}
+	})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
@@ -136,11 +99,6 @@ func main() {
 	stop()
 
 	logger.Printf("shutdown requested; draining (timeout %s)", *drainTimeout)
-	if agent != nil {
-		// Deregister first: the coordinator stops routing new work here
-		// while the queue drains.
-		agent.Stop()
-	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Drain(drainCtx); err != nil {
@@ -149,36 +107,5 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Printf("http shutdown: %v", err)
 	}
-	logger.Printf("bye")
-}
-
-// runCoordinator serves cluster.Coordinator until SIGTERM/SIGINT.
-func runCoordinator(logger *log.Logger, addr string, healthInterval time.Duration) {
-	coord := cluster.NewCoordinator(cluster.Options{
-		HealthInterval: healthInterval,
-		Logf:           logger.Printf,
-	})
-	httpSrv := &http.Server{Addr: addr, Handler: coord.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logger.Printf("coordinator listening addr=%s health-interval=%s", addr, healthInterval)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "peiserved:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	stop()
-
-	logger.Printf("coordinator shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Printf("http shutdown: %v", err)
-	}
-	coord.Close()
 	logger.Printf("bye")
 }

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -501,8 +502,11 @@ func (r *Runner) runGraphWorkload(ctx context.Context, name string, spec graph.D
 // forEach runs fn(ctx, i) for every i in [0, n) on the runner's worker
 // pool (Options.Parallelism goroutines). fn must write its result into
 // index-addressed storage so the caller can assemble output in declared
-// order. On the first fn error (lowest index wins) or on ctx
-// cancellation the remaining work is abandoned and that error returned.
+// order. On the first fn error or on ctx cancellation the remaining
+// work is abandoned. A cancelled ctx returns its error; otherwise the
+// lowest-index error wins, preferring a real failure over the
+// context.Canceled that cells still running report once the pool is
+// cancelled on the failure's behalf.
 func (r *Runner) forEach(ctx context.Context, n int, fn func(context.Context, int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -546,12 +550,19 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(context.Context, in
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var first error
 	for _, err := range errs {
-		if err != nil {
+		if err != nil && !errors.Is(err, context.Canceled) {
 			return err
 		}
+		if first == nil {
+			first = err
+		}
 	}
-	return ctx.Err()
+	return first
 }
 
 // speedup formats a/b as a speedup of b over a.

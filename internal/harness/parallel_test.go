@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +161,26 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 	// nil error is always wrong.
 	if err == nil {
 		t.Fatal("forEach swallowed the error")
+	}
+}
+
+// TestForEachReportsFailureNotCancellation: when index 1 fails, the
+// pool cancels index 0, which then returns context.Canceled; the
+// lower index must not mask the real failure.
+func TestForEachReportsFailureNotCancellation(t *testing.T) {
+	o := tinyOptions()
+	o.Parallelism = 2
+	r := NewRunner(o)
+	sentinel := errors.New("cell failed")
+	err := r.forEach(ctx, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			return sentinel
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("forEach returned %v, want the failing cell's error", err)
 	}
 }
 

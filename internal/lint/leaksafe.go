@@ -1,12 +1,12 @@
-// The leaksafe analyzer: the serving and cluster layers hold the
-// process's long-lived resources — HTTP response bodies, goroutines,
-// mutexes guarding routing state — and each has a leak mode that no
-// test reliably catches. An unclosed response body pins a connection
-// until the transport times out; a goroutine with no stop signal
-// outlives Drain and trips the race detector only when unlucky; a
-// mutex held across a proxied round trip turns one slow worker into a
-// coordinator-wide stall. This analyzer makes the three disciplines
-// machine-checked in internal/serve and internal/cluster:
+// The leaksafe analyzer: the serving layer holds the process's
+// long-lived resources — HTTP response bodies, goroutines, mutexes
+// guarding job state — and each has a leak mode that no test reliably
+// catches. An unclosed response body pins a connection until the
+// transport times out; a goroutine with no stop signal outlives Drain
+// and trips the race detector only when unlucky; a mutex held across a
+// network round trip turns one slow remote into a server-wide stall.
+// This analyzer makes the three disciplines machine-checked in
+// internal/serve:
 //
 //  1. every *http.Response obtained in a function is either closed
 //     there (resp.Body.Close(), deferred or not) or handed off — passed
@@ -34,18 +34,14 @@ import (
 	"strings"
 )
 
-// LeakSafe enforces resource-lifecycle discipline in the serving and
-// cluster control-plane layers.
+// LeakSafe enforces resource-lifecycle discipline in the serving layer.
 var LeakSafe = &Analyzer{
 	Name: "leaksafe",
-	Doc: "in internal/serve and internal/cluster: close every " +
+	Doc: "in internal/serve: close every " +
 		"http.Response body or hand it off, launch goroutines only with a " +
 		"ctx/WaitGroup/channel lifecycle, and never hold a mutex across an " +
 		"HTTP round trip (including through helpers, via HTTPFacts)",
-	Packages: []string{
-		"internal/serve",
-		"internal/cluster",
-	},
+	Packages:  []string{"internal/serve"},
 	FactTypes: []Fact{(*HTTPFact)(nil)},
 	Run:       runLeakSafe,
 }
@@ -129,7 +125,7 @@ func runLeakSafe(pass *Pass) error {
 	edges := localEdges(pass, decls)
 	gatherHTTPFacts(pass, decls, edges)
 	if !pass.report {
-		return nil // fact-gathering pass outside serve/cluster
+		return nil // fact-gathering pass outside serve
 	}
 	funcs := make([]*types.Func, 0, len(decls))
 	for f := range decls {

@@ -1,9 +1,8 @@
-// Package lint is the project's static-analysis suite: seven analyzers
+// Package lint is the project's static-analysis suite: six analyzers
 // that turn the simulator's determinism and hot-path invariants (byte-
 // identical tables at any parallelism, zero-allocation event kernel,
-// context-first public entry points, a simulator-free cluster control
-// plane, complete snapshot pairs, leak-free serving-layer resources)
-// into machine-checked law, plus
+// context-first public entry points, complete snapshot pairs,
+// leak-free serving-layer resources) into machine-checked law, plus
 // the waiver directive that documents every deliberate exception.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
@@ -269,7 +268,7 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// Analyzers returns the full suite in a stable order: the seven
+// Analyzers returns the full suite in a stable order: the six
 // invariant analyzers plus the waiver validator.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -277,7 +276,6 @@ func Analyzers() []*Analyzer {
 		StatsHandle,
 		CtxFirst,
 		HotAlloc,
-		ClusterSafe,
 		SnapComplete,
 		LeakSafe,
 		Waiver,
@@ -294,5 +292,5 @@ const waiverAnalyzerName = "waiver"
 // omitted — and not referenced via Analyzers() to avoid an
 // initialization cycle back into the Waiver variable).
 func analyzerNames() []string {
-	return []string{SimDeterm.Name, StatsHandle.Name, CtxFirst.Name, HotAlloc.Name, ClusterSafe.Name, SnapComplete.Name, LeakSafe.Name}
+	return []string{SimDeterm.Name, StatsHandle.Name, CtxFirst.Name, HotAlloc.Name, SnapComplete.Name, LeakSafe.Name}
 }

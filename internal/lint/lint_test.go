@@ -13,7 +13,6 @@ func TestSimDeterm(t *testing.T)    { AnalyzerTest(t, SimDeterm, "simdeterm") }
 func TestStatsHandle(t *testing.T)  { AnalyzerTest(t, StatsHandle, "statshandle") }
 func TestCtxFirst(t *testing.T)     { AnalyzerTest(t, CtxFirst, "ctxfirst") }
 func TestHotAlloc(t *testing.T)     { AnalyzerTest(t, HotAlloc, "hotalloc") }
-func TestClusterSafe(t *testing.T)  { AnalyzerTest(t, ClusterSafe, "clustersafe") }
 func TestSnapComplete(t *testing.T) { AnalyzerTest(t, SnapComplete, "snapcomplete") }
 func TestLeakSafe(t *testing.T)     { AnalyzerTest(t, LeakSafe, "leaksafe") }
 
@@ -121,14 +120,9 @@ func TestAnalyzerScope(t *testing.T) {
 		{HotAlloc, "internal/pim", true},
 		{HotAlloc, "internal/cpu", false},
 		{HotAlloc, "internal/workloads", false},
-		{ClusterSafe, "internal/cluster", true},
-		{ClusterSafe, "internal/serve", false}, // serve legitimately imports the simulator
-		{ClusterSafe, "internal/sim", false},
 		{SnapComplete, "internal/sim", true}, // any package that snapshots
-		{SnapComplete, "internal/cluster", true},
 		{SnapComplete, "internal/graph", true},
 		{LeakSafe, "internal/serve", true},
-		{LeakSafe, "internal/cluster", true},
 		{LeakSafe, "internal/sim", false}, // no HTTP or goroutines inside the simulator
 		{Waiver, "internal/graph", true},  // waiver validates everywhere
 		{Waiver, "cmd/peilint", true},

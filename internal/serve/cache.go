@@ -44,20 +44,6 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-// Peek returns the cached bytes for key without touching the hit/miss
-// counters (recency is still refreshed). The peer-serving path uses it
-// so cross-node fetches don't distort this node's own hit-rate signal.
-func (c *resultCache) Peek(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
 // Put inserts (or refreshes) key and evicts LRU entries beyond the byte
 // budget.
 func (c *resultCache) Put(key string, val []byte) {

@@ -25,8 +25,6 @@ import (
 //	sim.cells        simulations started on behalf of jobs
 //	sim.cycles       total simulated cycles across completed cells
 //	http.requests    HTTP requests served
-//	cache.peer_hits  jobs completed from another worker's cache (cluster)
-//	cache.peer_served  cached results served to peers via /internal/v1/cache
 type metrics struct {
 	mu        sync.Mutex
 	reg       *stats.Registry

@@ -43,16 +43,6 @@ type Options struct {
 	// transition (default log.Printf).
 	Logf func(format string, args ...any)
 
-	// Peers, if non-nil, is the cluster's distributed result cache: a
-	// worker that dequeues a locally-missed job asks Peers.Lookup before
-	// simulating, and reports its own completions via Peers.ReportFill
-	// so the result is a hit everywhere (see internal/cluster).
-	Peers PeerCache
-	// ClusterMode gates readiness on cluster registration: until
-	// SetRegistered(true), /healthz/ready (and /healthz) report 503 so
-	// load balancers and e2e tests can wait for the worker to join.
-	ClusterMode bool
-
 	// now and runJob are test seams.
 	now    func() time.Time
 	runJob func(ctx context.Context, spec pei.JobSpec, w io.Writer, opts pei.RunJobOptions) error
@@ -94,12 +84,11 @@ type Server struct {
 	cache *resultCache
 	met   *metrics
 
-	mu         sync.Mutex
-	jobs       map[string]*Job
-	inflight   map[string]*Job // digest -> queued/running leader
-	seq        int
-	draining   bool
-	registered bool // cluster registration held (see SetRegistered)
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	inflight map[string]*Job // digest -> queued/running leader
+	seq      int
+	draining bool
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -128,8 +117,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleReady) // back-compat alias for readiness
 	s.mux.HandleFunc("GET /healthz/live", s.handleLive)
 	s.mux.HandleFunc("GET /healthz/ready", s.handleReady)
-	s.mux.HandleFunc("GET /internal/v1/status", s.handleStatus)
-	s.mux.HandleFunc("GET /internal/v1/cache/{digest}", s.handleCacheFetch)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -341,24 +328,6 @@ func (s *Server) runOne(job *Job) {
 	job.cancel = cancel
 	job.mu.Unlock()
 
-	// Peer-aware cache: before paying for a simulation, ask the cluster
-	// whether an identical job already completed on another worker.
-	// Normally digest-affinity routing makes this redundant (identical
-	// jobs land where the cache lives), so the lookup only pays off after
-	// ring changes — failover moved the digest's range here, or a client
-	// submitted to a worker directly — which is exactly when it matters.
-	if s.opts.Peers != nil {
-		if out, ok := s.opts.Peers.Lookup(ctx, job.Digest); ok {
-			s.met.add("cache.peer_hits", 1)
-			job.mu.Lock()
-			job.cacheHit = true
-			job.mu.Unlock()
-			s.opts.Logf("job id=%s digest=%.12s state=done cache=peer", job.ID, job.Digest)
-			s.terminate(job, StateDone, out, nil)
-			return
-		}
-	}
-
 	if !job.setState(StateRunning, start, nil) {
 		return
 	}
@@ -417,11 +386,6 @@ func (s *Server) terminate(job *Job, state JobState, out []byte, err error) {
 
 	if state == StateDone {
 		s.cache.Put(job.Digest, out)
-		if s.opts.Peers != nil {
-			// Tell the cluster this worker now holds the result, so an
-			// identical job landing anywhere else becomes a peer hit.
-			s.opts.Peers.ReportFill(job.Digest)
-		}
 	}
 	if job.setState(state, now, s.countTerminal(state)) {
 		s.opts.Logf("job id=%s digest=%.12s state=%s dur=%s",
@@ -576,8 +540,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// countJobStates tallies jobs by lifecycle state for the metrics and
-// cluster-status surfaces.
+// countJobStates tallies jobs by lifecycle state for the metrics
+// surface.
 func (s *Server) countJobStates() (queued, running int64) {
 	s.mu.Lock()
 	//peilint:allow simdeterm commutative count of job states; no iteration order escapes

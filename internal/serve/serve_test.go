@@ -236,6 +236,60 @@ func TestBackpressure429(t *testing.T) {
 	close(release)
 }
 
+// TestRetryAfterOnBackpressure: a 429 carries a queue-depth-derived
+// Retry-After hint (1s headroom + backlog amortized over the worker pool).
+func TestRetryAfterOnBackpressure(t *testing.T) {
+	started := make(chan struct{}, 4)
+	release := make(chan struct{})
+	opts := Options{Workers: 1, QueueDepth: 2}
+	opts.runJob = func(ctx context.Context, spec pei.JobSpec, w io.Writer, ro pei.RunJobOptions) error {
+		started <- struct{}{}
+		<-release
+		fmt.Fprintln(w, "ok")
+		return nil
+	}
+	_, ts := newTestServer(t, opts)
+	defer close(release)
+
+	if status, _ := submit(t, ts, workloadSpec(1)); status != http.StatusAccepted {
+		t.Fatalf("first submit: %d", status)
+	}
+	<-started // worker busy; both queue slots free
+	for seed := int64(2); seed <= 3; seed++ {
+		if status, _ := submit(t, ts, workloadSpec(seed)); status != http.StatusAccepted {
+			t.Fatalf("queued submit seed %d: %d", seed, status)
+		}
+	}
+	body, _ := json.Marshal(workloadSpec(4))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("overflow submit: %d, want 429", resp.StatusCode)
+	}
+	// queued=2, workers=1: 1 + 2/1 = 3 seconds.
+	if got := resp.Header.Get("Retry-After"); got != "3" {
+		t.Fatalf("Retry-After %q, want 3", got)
+	}
+}
+
+// TestRetryAfterSeconds pins the formula's edges.
+func TestRetryAfterSeconds(t *testing.T) {
+	cases := []struct{ queued, workers, want int }{
+		{0, 2, 1},
+		{8, 2, 5},
+		{1000, 1, 60}, // capped
+		{4, 0, 5},     // degenerate pool clamps to 1
+	}
+	for _, c := range cases {
+		if got := retryAfterSeconds(c.queued, c.workers); got != c.want {
+			t.Errorf("retryAfterSeconds(%d, %d) = %d, want %d", c.queued, c.workers, got, c.want)
+		}
+	}
+}
+
 // TestSSEStream is the satellite SSE test: a client attached to a
 // running job sees queued/running state events, per-simulation progress
 // events, the done state, and a final end event.
@@ -431,6 +485,32 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 	if v := getJob(t, ts, running.ID); v.State != StateDone {
 		t.Fatalf("in-flight job ended %s, want done (drained)", v.State)
+	}
+}
+
+// TestLivenessReadinessSplit: liveness stays 200 through drain, while
+// readiness and its /healthz alias flip to 503.
+func TestLivenessReadinessSplit(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 2, Logf: discardLogf})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, path := range []string{"/healthz/live", "/healthz/ready", "/healthz"} {
+		if code, _ := getBody(t, ts.URL+path); code != http.StatusOK {
+			t.Fatalf("%s before drain: %d, want 200", path, code)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // drain returns immediately; the flag still flips
+	s.Drain(ctx)
+	if code, _ := getBody(t, ts.URL+"/healthz/live"); code != http.StatusOK {
+		t.Fatalf("live while draining: %d, want 200", code)
+	}
+	for _, path := range []string{"/healthz/ready", "/healthz"} {
+		if code, _ := getBody(t, ts.URL+path); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s while draining: %d, want 503", path, code)
+		}
 	}
 }
 
