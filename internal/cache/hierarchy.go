@@ -29,13 +29,9 @@ type Hierarchy struct {
 	coreIn  []*sim.Link // per-core response port out of the crossbar
 	bankSrv []*sim.Link // per-bank L3 service port
 
-	privMSHR []map[uint64]*privMSHR // per core, keyed by block
-	// privPend with privPendHead is a per-core head-indexed FIFO of
-	// requests waiting for an MSHR slot (reset, retaining capacity, when
-	// drained so churn never reallocates).
-	privPend     [][]pendReq
-	privPendHead []int
-	l3MSHR       []map[uint64]*l3MSHR // per bank, keyed by block
+	privMSHR     []map[uint64]*privMSHR // per core, keyed by block
+	privPend     []sim.FIFO[pendReq]    // per core, requests waiting for an MSHR slot
+	l3MSHR       []map[uint64]*l3MSHR   // per bank, keyed by block
 	perBankMSHRs int
 
 	// Free lists for the pooled transaction records that replace the
@@ -194,15 +190,13 @@ func (h *l3DirtyNotice) OnEvent(arg sim.EventArg) {
 
 // NewHierarchy builds the hierarchy for cfg over the given memory chain.
 func NewHierarchy(k *sim.Kernel, cfg *config.Config, chain *hmc.Chain, reg *stats.Registry) *Hierarchy {
-	h := &Hierarchy{k: k, cfg: cfg, chain: chain, reg: reg}
+	h := &Hierarchy{k: k, cfg: cfg, chain: chain, reg: reg, privPend: make([]sim.FIFO[pendReq], cfg.Cores)}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, New(cfg.L1.Sets(), cfg.L1.Ways))
 		h.l2 = append(h.l2, New(cfg.L2.Sets(), cfg.L2.Ways))
 		h.coreOut = append(h.coreOut, sim.NewLink(k, cfg.NoCBytesPerCycle, cfg.NoCLatency))
 		h.coreIn = append(h.coreIn, sim.NewLink(k, cfg.NoCBytesPerCycle, cfg.NoCLatency))
 		h.privMSHR = append(h.privMSHR, make(map[uint64]*privMSHR))
-		h.privPend = append(h.privPend, nil)
-		h.privPendHead = append(h.privPendHead, 0)
 	}
 	setsPerBank := cfg.L3.Sets() / cfg.L3Banks
 	for b := 0; b < cfg.L3Banks; b++ {
@@ -492,7 +486,7 @@ func (h *Hierarchy) privateMissEvent(core int, blk uint64, write bool, done sim.
 		h.cL2MSHRStalls.Inc()
 		// Parked requests are retried from scratch once a slot frees;
 		// the retry recomputes everything.
-		h.privPend[core] = append(h.privPend[core], pendReq{blk: blk, write: write, done: done})
+		h.privPend[core].Push(pendReq{blk: blk, write: write, done: done})
 		return
 	}
 	m := h.getPriv()
@@ -539,14 +533,8 @@ func (h *Hierarchy) finishPrivateMiss(m *privMSHR) {
 	}
 	h.putPriv(m)
 	// Admit one pending request now that a slot is free.
-	if head := h.privPendHead[core]; head < len(h.privPend[core]) {
-		next := h.privPend[core][head]
-		h.privPend[core][head] = pendReq{}
-		h.privPendHead[core]++
-		if h.privPendHead[core] == len(h.privPend[core]) {
-			h.privPend[core] = h.privPend[core][:0]
-			h.privPendHead[core] = 0
-		}
+	if h.privPend[core].Len() > 0 {
+		next := h.privPend[core].Pop()
 		h.privateMissEvent(core, next.blk, next.write, next.done)
 	}
 }

@@ -358,3 +358,54 @@ func TestPrefetcherOffByDefault(t *testing.T) {
 	}
 	_ = h
 }
+
+// missStream keeps a fixed number of reads in flight on core 0: every
+// completion issues the next read of a working set that is 4x the
+// scaled L2 and a quarter of the L3, so each read misses in L2 and hits
+// in L3.
+type missStream struct {
+	h    *Hierarchy
+	next uint64
+	done int
+}
+
+const missStreamBlocks = 1024
+
+func (s *missStream) OnEvent(sim.EventArg) {
+	s.done++
+	s.issue()
+}
+
+func (s *missStream) issue() {
+	s.h.AccessEvent(0, s.next*addr.BlockBytes, false, sim.Cont{H: s})
+	s.next = (s.next + 1) % missStreamBlocks
+}
+
+// runUntil dispatches events until done reads have completed, or until
+// the kernel runs dry (which the caller's backlog check then reports).
+func (s *missStream) runUntil(k *sim.Kernel, done int) {
+	for s.done < done && k.Step() {
+	}
+}
+
+// TestMSHRPendBacklogSteadyStateAllocs oversubscribes core 0's private
+// MSHRs for good: twice as many reads are in flight as there are MSHRs,
+// so requests park on the MSHR-full pend list and it never drains.
+// Once warm, the miss path allocates nothing, and the pend list's
+// storage stays bounded by its backlog rather than growing with the
+// number of stalls.
+func TestMSHRPendBacklogSteadyStateAllocs(t *testing.T) {
+	k, h, _ := newTestHierarchy(t)
+	s := &missStream{h: h}
+	for i := 0; i < 2*h.cfg.L2.MSHRs; i++ {
+		s.issue()
+	}
+	s.runUntil(k, 10_000)
+	allocs := testing.AllocsPerRun(3, func() { s.runUntil(k, s.done+100_000) })
+	if allocs != 0 {
+		t.Fatalf("backlogged miss path allocates %.0f objects per 100k reads, want 0", allocs)
+	}
+	if h.privPend[0].Len() == 0 {
+		t.Fatal("pend list drained: the test no longer exercises a backlog")
+	}
+}

@@ -63,7 +63,7 @@ func (h *Hierarchy) SnapshotTo(w *snap.Writer) {
 			w.Fail(fmt.Errorf("%w: core %d has %d private MSHRs in flight", snap.ErrNotQuiescent, core, n))
 			return
 		}
-		if h.privPendHead[core] < len(h.privPend[core]) {
+		if h.privPend[core].Len() != 0 {
 			w.Fail(fmt.Errorf("%w: core %d has parked miss requests", snap.ErrNotQuiescent, core))
 			return
 		}
@@ -99,7 +99,7 @@ func (h *Hierarchy) RestoreFrom(r *snap.Reader) {
 			r.Fail(fmt.Errorf("%w: restore target core %d has %d private MSHRs in flight", snap.ErrNotQuiescent, core, n))
 			return
 		}
-		if h.privPendHead[core] < len(h.privPend[core]) {
+		if h.privPend[core].Len() != 0 {
 			r.Fail(fmt.Errorf("%w: restore target core %d has parked miss requests", snap.ErrNotQuiescent, core))
 			return
 		}

@@ -250,13 +250,21 @@ func (c *Controller) scheduleNextPump() {
 		return // an earlier-or-equal pump is already queued
 	}
 	c.pumpAt = earliest
-	c.k.AtEvent(earliest, c, sim.EventArg{})
+	c.k.AtEvent(earliest, c, sim.EventArg{N: earliest})
 }
 
 // OnEvent is the controller's self-scheduled pump wakeup (see
 // scheduleNextPump); the controller is its own handler so the wakeup
-// allocates nothing.
-func (c *Controller) OnEvent(sim.EventArg) {
+// allocates nothing. a.N is the cycle the wakeup was scheduled for. A
+// wakeup that an earlier-timed pump has superseded is stale: it would
+// issue nothing (pumpAt is the earliest issue time, recomputed after
+// every enqueue and issue) and would only schedule a duplicate of the
+// live wakeup, so it returns at once. Of two wakeups for pumpAt itself,
+// the first to dispatch acts.
+func (c *Controller) OnEvent(a sim.EventArg) {
+	if a.N != c.pumpAt {
+		return
+	}
 	c.pumpAt = -1
 	c.pump()
 }

@@ -76,7 +76,7 @@ func (t *dirTxn) OnEvent(sim.EventArg) {
 		return
 	}
 	d.cBlocked.Inc()
-	e.queue = append(e.queue, dirWaiter{writer: writer, granted: granted})
+	e.queue.Push(dirWaiter{writer: writer, granted: granted})
 	if writer {
 		e.writerWaiting++
 	}
@@ -106,23 +106,7 @@ type dirEntry struct {
 	// writerWaiting marks a queued writer; new readers must queue behind
 	// it rather than overtaking (non-readable state in the paper).
 	writerWaiting int
-	// queue with qhead is a head-indexed FIFO (reset, retaining capacity,
-	// when drained) so waiter churn never reallocates.
-	queue []dirWaiter
-	qhead int
-}
-
-func (e *dirEntry) queued() int { return len(e.queue) - e.qhead }
-
-func (e *dirEntry) popWaiter() dirWaiter {
-	w := e.queue[e.qhead]
-	e.queue[e.qhead] = dirWaiter{}
-	e.qhead++
-	if e.qhead == len(e.queue) {
-		e.queue = e.queue[:0]
-		e.qhead = 0
-	}
-	return w
+	queue         sim.FIFO[dirWaiter] // blocked requests in arrival order
 }
 
 // NewDirectory creates a directory with the given entry count (rounded
@@ -191,7 +175,7 @@ func (d *Directory) AcquireRegisteredEvent(target uint64, writer bool, granted s
 func (d *Directory) canGrant(e *dirEntry, writer bool) bool {
 	if writer {
 		// One writer at a time, and it must wait for readers to drain.
-		return !e.writer && e.readers == 0 && e.queued() == 0
+		return !e.writer && e.readers == 0 && e.queue.Len() == 0
 	}
 	// Readers are barred while a writer is active or waiting.
 	return !e.writer && e.writerWaiting == 0
@@ -221,7 +205,7 @@ func (d *Directory) Release(target uint64, writer bool) {
 		e.readers--
 	}
 	d.wake(e)
-	if d.ideal && e.readers == 0 && !e.writer && e.queued() == 0 {
+	if d.ideal && e.readers == 0 && !e.writer && e.queue.Len() == 0 {
 		delete(d.idealLocks, addr.BlockOf(target))
 	}
 }
@@ -229,13 +213,13 @@ func (d *Directory) Release(target uint64, writer bool) {
 // wake admits queued waiters FIFO: either one writer, or a maximal run
 // of readers up to the next queued writer.
 func (d *Directory) wake(e *dirEntry) {
-	for e.queued() > 0 {
-		w := e.queue[e.qhead]
+	for e.queue.Len() > 0 {
+		w := e.queue.Peek()
 		if w.writer {
 			if e.writer || e.readers > 0 {
 				return
 			}
-			e.popWaiter()
+			e.queue.Pop()
 			e.writerWaiting--
 			e.writer = true
 			w.granted.Invoke()
@@ -244,7 +228,7 @@ func (d *Directory) wake(e *dirEntry) {
 		if e.writer {
 			return
 		}
-		e.popWaiter()
+		e.queue.Pop()
 		e.readers++
 		w.granted.Invoke()
 	}

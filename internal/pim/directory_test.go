@@ -257,3 +257,30 @@ func TestDirectoryInvariantUnderRandomLoad(t *testing.T) {
 		t.Fatalf("granted %d of %d acquires", granted, issued)
 	}
 }
+
+// TestDirectoryBacklogSteadyStateAllocs keeps one entry's waiter queue
+// permanently non-empty: a writer holds the lock and another waits;
+// each round queues a third writer and releases the holder, which
+// grants the oldest waiter. Queue storage must stay bounded by the
+// backlog, not grow with the number of blocked requests.
+func TestDirectoryBacklogSteadyStateAllocs(t *testing.T) {
+	k, d := newTestDirectory(16, false)
+	wait := sim.Cont{H: nopHandler{}}
+	d.AcquireEvent(0x40, true, wait) // holds the lock
+	d.AcquireEvent(0x40, true, wait) // the standing waiter
+	k.Run()
+	e := d.entryFor(0x40)
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 100_000; i++ {
+			d.AcquireEvent(0x40, true, wait)
+			k.Run()
+			d.Release(0x40, true)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("backlogged directory entry allocates %.0f objects per 100k blocked writers, want 0", allocs)
+	}
+	if !e.writer || e.queue.Len() != 1 || d.OutstandingWriters() != 2 {
+		t.Fatalf("backlog lost: writer %v, queued %d, outstanding %d", e.writer, e.queue.Len(), d.OutstandingWriters())
+	}
+}

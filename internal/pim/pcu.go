@@ -16,11 +16,7 @@ type PCU struct {
 	clockDiv sim.Cycle
 
 	inFlight int
-	// waitQ with waitHead is a head-indexed FIFO: popping advances the
-	// head and the slice is reset (retaining capacity) when it empties,
-	// so steady-state churn never reallocates.
-	waitQ    []sim.Cont
-	waitHead int
+	waitQ    sim.FIFO[sim.Cont] // PEIs waiting for an operand buffer entry
 
 	// ports holds the next-free cycle of each execution port
 	// (len = execution width).
@@ -51,20 +47,13 @@ func (p *PCU) AcquireEvent(granted sim.Cont) {
 		return
 	}
 	p.BufferFullStalls++
-	p.waitQ = append(p.waitQ, granted)
+	p.waitQ.Push(granted)
 }
 
 // Release frees an operand buffer entry and admits the next waiter.
 func (p *PCU) Release() {
-	if p.waitHead < len(p.waitQ) {
-		next := p.waitQ[p.waitHead]
-		p.waitQ[p.waitHead] = sim.Cont{} // drop the handler reference
-		p.waitHead++
-		if p.waitHead == len(p.waitQ) {
-			p.waitQ = p.waitQ[:0]
-			p.waitHead = 0
-		}
-		next.Invoke()
+	if p.waitQ.Len() > 0 {
+		p.waitQ.Pop().Invoke()
 		return
 	}
 	p.inFlight--

@@ -95,3 +95,33 @@ func TestComputeCountsExecuted(t *testing.T) {
 		t.Fatalf("Executed = %d, want 7", p.Executed)
 	}
 }
+
+// nopHandler is a continuation target that does nothing; converting
+// the zero-size value to a Handler does not allocate.
+type nopHandler struct{}
+
+func (nopHandler) OnEvent(sim.EventArg) {}
+
+// TestPCUBacklogSteadyStateAllocs keeps a one-entry operand buffer
+// permanently oversubscribed: every release hands the entry to the
+// oldest waiter while a new one queues, so the wait queue never
+// drains. Its storage must stay bounded by the backlog, not grow with
+// the number of stalls.
+func TestPCUBacklogSteadyStateAllocs(t *testing.T) {
+	p := NewPCU(sim.NewKernel(), 1, 1, 1)
+	wait := sim.Cont{H: nopHandler{}}
+	p.AcquireEvent(wait) // holds the entry
+	p.AcquireEvent(wait) // the standing waiter
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 100_000; i++ {
+			p.AcquireEvent(wait)
+			p.Release()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("backlogged PCU allocates %.0f objects per 100k stalls, want 0", allocs)
+	}
+	if p.InFlight() != 1 || p.waitQ.Len() != 1 {
+		t.Fatalf("backlog lost: in flight %d, waiting %d", p.InFlight(), p.waitQ.Len())
+	}
+}

@@ -48,9 +48,9 @@ func (m *Monitor) RestoreFrom(r *snap.Reader) {
 // counters. The operand buffer must be empty with no queued waiters.
 func (p *PCU) SnapshotTo(w *snap.Writer) {
 	w.Section("PCU ")
-	if p.inFlight != 0 || p.waitHead < len(p.waitQ) {
+	if p.inFlight != 0 || p.waitQ.Len() != 0 {
 		w.Fail(fmt.Errorf("%w: PCU has %d in-flight PEIs and %d waiters",
-			snap.ErrNotQuiescent, p.inFlight, len(p.waitQ)-p.waitHead))
+			snap.ErrNotQuiescent, p.inFlight, p.waitQ.Len()))
 		return
 	}
 	w.Int(len(p.ports))
@@ -66,9 +66,9 @@ func (p *PCU) SnapshotTo(w *snap.Writer) {
 // against the restored port horizons.
 func (p *PCU) RestoreFrom(r *snap.Reader) {
 	r.Section("PCU ")
-	if p.inFlight != 0 || p.waitHead < len(p.waitQ) {
+	if p.inFlight != 0 || p.waitQ.Len() != 0 {
 		r.Fail(fmt.Errorf("%w: restore target PCU has %d in-flight PEIs and %d waiters",
-			snap.ErrNotQuiescent, p.inFlight, len(p.waitQ)-p.waitHead))
+			snap.ErrNotQuiescent, p.inFlight, p.waitQ.Len()))
 		return
 	}
 	ports := r.Int()
@@ -98,9 +98,9 @@ func (d *Directory) assertIdle(fail func(error)) {
 	}
 	for i := range d.entries {
 		e := &d.entries[i]
-		if e.readers != 0 || e.writer || e.queued() != 0 {
+		if e.readers != 0 || e.writer || e.queue.Len() != 0 {
 			fail(fmt.Errorf("%w: directory entry %d held (readers=%d writer=%v queued=%d)",
-				snap.ErrNotQuiescent, i, e.readers, e.writer, e.queued()))
+				snap.ErrNotQuiescent, i, e.readers, e.writer, e.queue.Len()))
 			return
 		}
 	}
