@@ -11,10 +11,11 @@
 //
 // Packages are analyzed in import topological order so that analyzers
 // exporting facts (nondeterminism reachability, per-call string
-// allocation, HTTP round trips) see their dependencies' facts; the
-// checks are therefore inter-procedural across the whole module, not
-// per package. A well-formed //peilint:allow directive that no longer
-// suppresses anything is itself reported as a stale waiver.
+// allocation, string-keyed counter updates) see their dependencies'
+// facts; the checks are therefore inter-procedural across the whole
+// module, not per package. A well-formed //peilint:allow directive
+// that no longer suppresses anything is itself reported as a stale
+// waiver.
 //
 // Each finding prints as "file:line:col: analyzer: message" (or as a
 // JSON array with file/line/col/analyzer/message fields under -json).

@@ -54,18 +54,38 @@ func main() {
 	)
 	flag.Parse()
 
+	// Refuse out-of-range values instead of letting serve.New's
+	// defaults replace them behind a startup log that prints the bad
+	// value. A snapshot directory starting with "-" is virtually always
+	// a swallowed flag (`-snapshot-dir -snapshot-mb 512` makes
+	// "-snapshot-mb" the directory value); refuse it instead of
+	// littering the working tree with un-globbable paths.
+	var refusal string
+	switch {
+	case *workers < 1:
+		refusal = fmt.Sprintf("-workers %d: want >= 1", *workers)
+	case *queueDepth < 1:
+		refusal = fmt.Sprintf("-queue-depth %d: want >= 1", *queueDepth)
+	case *cacheMB < 1:
+		refusal = fmt.Sprintf("-cache-mb %d: want >= 1", *cacheMB)
+	case *parallel < 0:
+		refusal = fmt.Sprintf("-parallel %d: want >= 0 (0 = GOMAXPROCS/workers)", *parallel)
+	case *snapshotMB < 0:
+		refusal = fmt.Sprintf("-snapshot-mb %d: want >= 0 (0 = unlimited)", *snapshotMB)
+	case *drainTimeout < 0:
+		refusal = fmt.Sprintf("-drain-timeout %s: want >= 0", *drainTimeout)
+	case strings.HasPrefix(*snapshotDir, "-"):
+		refusal = fmt.Sprintf("-snapshot-dir %q looks like a flag, not a directory (missing value?)", *snapshotDir)
+	}
+	if refusal != "" {
+		fmt.Fprintln(os.Stderr, "peiserved:", refusal)
+		os.Exit(2)
+	}
+
 	logger := log.New(os.Stderr, "peiserved ", log.LstdFlags|log.Lmsgprefix)
 
 	var snaps *pei.SnapshotStore
 	if *snapshotDir != "" {
-		// A directory starting with "-" is virtually always a swallowed
-		// flag (`-snapshot-dir -snapshot-mb 512` makes "-snapshot-mb" the
-		// directory value), and silently creating it litters the working
-		// tree with un-globbable paths. Refuse it.
-		if strings.HasPrefix(*snapshotDir, "-") {
-			fmt.Fprintf(os.Stderr, "peiserved: -snapshot-dir %q looks like a flag, not a directory (missing value?)\n", *snapshotDir)
-			os.Exit(2)
-		}
 		var err error
 		if snaps, err = pei.OpenSnapshotStore(*snapshotDir, *snapshotMB<<20); err != nil {
 			fmt.Fprintln(os.Stderr, "peiserved:", err)

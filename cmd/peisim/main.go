@@ -37,6 +37,22 @@ func main() {
 	)
 	flag.Parse()
 
+	// Refuse out-of-range values instead of letting the library's
+	// defaults replace them behind a header that prints the bad value.
+	var refusal string
+	switch {
+	case *scale < 1:
+		refusal = fmt.Sprintf("-scale %d: want a divisor >= 1", *scale)
+	case *budget < 0:
+		refusal = fmt.Sprintf("-budget %d: want >= 0 (0 = run to completion)", *budget)
+	case *threads < 0:
+		refusal = fmt.Sprintf("-threads %d: want >= 0 (0 = all cores)", *threads)
+	}
+	if refusal != "" {
+		fmt.Fprintln(os.Stderr, "peisim:", refusal)
+		os.Exit(2)
+	}
+
 	cfg := pei.ScaledConfig()
 	if *full {
 		cfg = pei.BaselineConfig()
@@ -48,7 +64,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	cfg.BalancedDispatch = *balanced
+	if *balanced {
+		cfg.BalancedDispatch = true // the flag adds to a -config file, never resets it
+	}
 
 	mode, err := pei.ParseMode(*modeStr)
 	if err != nil {
@@ -59,7 +77,7 @@ func main() {
 		fatal(err)
 	}
 	nThreads := *threads
-	if nThreads <= 0 {
+	if nThreads == 0 {
 		nThreads = cfg.Cores
 	}
 

@@ -18,11 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pimsim/internal/cpu"
 	"pimsim/internal/machine"
-	"pimsim/internal/pim"
 	"pimsim/internal/trace"
 	"pimsim/internal/workloads"
 	"pimsim/pei"
@@ -33,26 +31,40 @@ func main() {
 		record   = flag.String("record", "", "record the workload to this trace file")
 		replay   = flag.String("replay", "", "replay this trace file")
 		workload = flag.String("workload", "pr", "workload to record")
-		sizeStr  = flag.String("size", "small", "input size")
+		sizeStr  = flag.String("size", "small", "input size: small|medium|large")
 		scale    = flag.Int("scale", 64, "input scale divisor")
-		budget   = flag.Int64("budget", 0, "per-thread op budget")
-		modeStr  = flag.String("mode", "locality", "machine mode for the run")
+		budget   = flag.Int64("budget", 0, "per-thread op budget (0 = run to completion)")
+		modeStr  = flag.String("mode", "locality", "machine mode for the run: host|pim|locality|ideal")
 		full     = flag.Bool("full", false, "use the full Table 2 machine")
 	)
 	flag.Parse()
+
+	// Refuse out-of-range values instead of letting the library's
+	// defaults replace them.
+	var refusal string
+	switch {
+	case *scale < 1:
+		refusal = fmt.Sprintf("-scale %d: want a divisor >= 1", *scale)
+	case *budget < 0:
+		refusal = fmt.Sprintf("-budget %d: want >= 0 (0 = run to completion)", *budget)
+	}
+	if refusal != "" {
+		fmt.Fprintln(os.Stderr, "peitrace:", refusal)
+		os.Exit(2)
+	}
 
 	cfg := pei.ScaledConfig()
 	if *full {
 		cfg = pei.BaselineConfig()
 	}
-	mode, err := parseMode(*modeStr)
+	mode, err := pei.ParseMode(*modeStr)
 	if err != nil {
 		fatal(err)
 	}
 
 	switch {
 	case *record != "":
-		size, err := workloads.ParseSize(*sizeStr)
+		size, err := pei.ParseSize(*sizeStr)
 		if err != nil {
 			fatal(err)
 		}
@@ -131,20 +143,6 @@ func cfgDigest(cfg *pei.Config) string {
 	}
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:16])
-}
-
-func parseMode(s string) (pim.Mode, error) {
-	switch strings.ToLower(s) {
-	case "host":
-		return pim.HostOnly, nil
-	case "pim":
-		return pim.PIMOnly, nil
-	case "locality", "la":
-		return pim.LocalityAware, nil
-	case "ideal":
-		return pim.IdealHost, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 func fatal(err error) {

@@ -73,14 +73,13 @@ type Options struct {
 	// run phased, every interior superstep boundary is serialized into a
 	// content-addressed blob store rooted here, and reruns of a cell
 	// resume from the deepest stored boundary. Results are bit-identical
-	// to cold runs (pinned by the resume-equivalence tests).
+	// to cold runs (pinned by the resume-equivalence tests). The store
+	// opened here has no size budget; a caller that needs LRU eviction
+	// opens its own and injects it as SnapshotStore.
 	SnapshotDir string
-	// SnapshotBudget caps the snapshot directory's size in bytes;
-	// least-recently-used blobs are evicted beyond it (<= 0: unlimited).
-	SnapshotBudget int64
 	// SnapshotStore injects an already-open blob store instead of
-	// SnapshotDir/SnapshotBudget — peiserved shares one store (and its
-	// hit/miss counters) across every job it runs.
+	// SnapshotDir — peiserved shares one store (and its hit/miss
+	// counters) across every job it runs.
 	SnapshotStore *snap.Store
 }
 

@@ -79,7 +79,7 @@ func (r *Runner) snapStore() (*snap.Store, error) {
 		if r.Opts.SnapshotStore != nil {
 			r.store = r.Opts.SnapshotStore
 		} else {
-			r.store, r.storeErr = snap.NewStore(r.Opts.SnapshotDir, r.Opts.SnapshotBudget)
+			r.store, r.storeErr = snap.NewStore(r.Opts.SnapshotDir, 0)
 		}
 	}
 	return r.store, r.storeErr

@@ -3,8 +3,7 @@
 // importers are analyzed, then post-processes the result set —
 // deduplicating diagnostics, sorting them stably, and reporting stale
 // waivers. This is what `go run ./cmd/peilint ./...` and the
-// whole-tree test run; single-package runs without facts stay on
-// RunAnalyzer.
+// whole-tree test run; the golden tests go through analyzeSingle.
 
 package lint
 

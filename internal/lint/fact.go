@@ -5,8 +5,8 @@
 // alone. Facts are what turn the per-package analyzers into
 // whole-module inter-procedural checks: simdeterm learns that a helper
 // two packages away transitively calls time.Now, hotalloc that it
-// allocates a string per call, leaksafe that it performs an HTTP round
-// trip.
+// allocates a string per call, statshandle that it hashes a counter
+// name.
 //
 // Facts are keyed by (analyzer, object): an analyzer only ever sees its
 // own facts, so two analyzers can attach different fact types to the

@@ -2,8 +2,8 @@
 // that turn the simulator's determinism and hot-path invariants (byte-
 // identical tables at any parallelism, zero-allocation event kernel,
 // context-first public entry points, complete snapshot pairs,
-// leak-free serving-layer resources) into machine-checked law, plus
-// the waiver directive that documents every deliberate exception.
+// serving-layer goroutines with a lifecycle) into machine-checked law,
+// plus the waiver directive that documents every deliberate exception.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape — Analyzer, Pass, Diagnostic, Facts, and an
@@ -17,9 +17,9 @@
 // analyzes packages in import topological order, analyzers with
 // FactTypes export Facts (fact.go) on functions they have analyzed,
 // and downstream passes import those facts — so a helper two packages
-// away that reads the wall clock, hashes a counter name, or performs
-// an HTTP round trip is caught at the call site in checked code, with
-// the witness chain in the message.
+// away that reads the wall clock, allocates a string per call, or
+// hashes a counter name is caught at the call site in checked code,
+// with the witness chain in the message.
 //
 // # Waivers
 //
@@ -225,28 +225,6 @@ func parseWaivers(fset *token.FileSet, files []*ast.File) waiverSet {
 		}
 	}
 	return ws
-}
-
-// RunAnalyzer applies one analyzer to a loaded package in isolation —
-// no facts flow in from dependencies — and returns its diagnostics
-// sorted by position. Whole-module runs with fact propagation go
-// through Analyze (driver.go).
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer: a,
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
-		report:   true,
-		facts:    newFactStore(),
-		waivers:  parseWaivers(pkg.Fset, pkg.Files),
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
-	}
-	sortDiagnostics(pass.diags)
-	return pass.diags, nil
 }
 
 func sortDiagnostics(ds []Diagnostic) {

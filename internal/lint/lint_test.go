@@ -68,15 +68,12 @@ func TestWaiverValidation(t *testing.T) { AnalyzerTest(t, Waiver, "waiverbad") }
 // malformed directives in the waiverbad package must NOT suppress the
 // simdeterm findings on their lines.
 func TestMalformedWaiverDoesNotSuppress(t *testing.T) {
-	loader, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := testdataLoader(t)
 	pkg, err := loader.LoadDir("testdata/src/waiverbad", "peilinttest/waiverbad")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunAnalyzer(SimDeterm, pkg)
+	diags, err := analyzeSingle(loader, pkg, SimDeterm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +120,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{SnapComplete, "internal/sim", true}, // any package that snapshots
 		{SnapComplete, "internal/graph", true},
 		{LeakSafe, "internal/serve", true},
-		{LeakSafe, "internal/sim", false}, // no HTTP or goroutines inside the simulator
+		{LeakSafe, "internal/sim", false}, // no goroutines inside the simulator
 		{Waiver, "internal/graph", true},  // waiver validates everywhere
 		{Waiver, "cmd/peilint", true},
 	}

@@ -1,5 +1,5 @@
 // Shared transitive-reachability machinery for the fact-based
-// analyzers. simdeterm, hotalloc, statshandle, and leaksafe all answer
+// analyzers. simdeterm, hotalloc, and statshandle all answer
 // the same question — "does this function, through any chain of calls,
 // reach a forbidden operation?" — so they share one representation (a
 // reach: the operation plus a witness call chain) and one propagation

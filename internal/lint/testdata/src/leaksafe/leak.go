@@ -1,65 +1,26 @@
-// Golden suite for the leaksafe analyzer: response bodies must be
-// closed or handed off, goroutines need a lifecycle, and no mutex may
-// be held across an HTTP round trip — directly or through a helper
-// carrying an HTTPFact.
+// Golden suite for the leaksafe analyzer: goroutines need a lifecycle —
+// a ctx, a WaitGroup, or a channel, in the body or the named callee.
 package leaksafe
 
 import (
 	"context"
-	"net/http"
 	"sync"
 )
 
 type svc struct {
-	mu     sync.Mutex
-	client *http.Client
-	peers  []string
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
-// fetchOK closes its response: clean (and carries an HTTPFact).
-func (s *svc) fetchOK(url string) error {
-	resp, err := s.client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return nil
-}
-
-// fetchLeak drops the response without closing its body.
-func (s *svc) fetchLeak(url string) (int, error) {
-	resp, err := s.client.Get(url) // want `body is never closed`
-	if err != nil {
-		return 0, err
-	}
-	return resp.StatusCode, nil
-}
-
-// fetchHandoff returns the response: the caller owns the close.
-func (s *svc) fetchHandoff(url string) (*http.Response, error) {
-	resp, err := s.client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// probe leaks through the package-level http.Get as well.
-func probe(url string) error {
-	resp, err := http.Get(url) // want `body is never closed`
-	if err != nil {
-		return err
-	}
-	_ = resp.StatusCode
+func (s *svc) fetch(url string) error {
+	_ = url
 	return nil
 }
 
 // fireAndForget launches a goroutine nothing can stop or wait for.
 func (s *svc) fireAndForget(url string) {
 	go func() { // want `goroutine launched without a lifecycle`
-		_ = s.fetchOK(url)
+		_ = s.fetch(url)
 	}()
 }
 
@@ -76,7 +37,7 @@ func (s *svc) withWait(url string) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		_ = s.fetchOK(url)
+		_ = s.fetch(url)
 	}()
 }
 
@@ -107,26 +68,3 @@ func (s *svc) startWorker(ctx context.Context) {
 }
 
 func (s *svc) work(ctx context.Context) { <-ctx.Done() }
-
-// pollLocked performs the round trip with the mutex held.
-func (s *svc) pollLocked(url string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, _ = s.client.Get(url) // want `HTTP round trip \(http\.Client\.Get\) while holding s\.mu`
-}
-
-// refreshLocked hides the round trip behind a same-package helper; the
-// HTTPFact carries it into the held span anyway.
-func (s *svc) refreshLocked(url string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.fetchOK(url) // want `while holding s\.mu`
-}
-
-// pollUnlocked releases the lock before blocking: clean.
-func (s *svc) pollUnlocked() error {
-	s.mu.Lock()
-	target := s.peers[0]
-	s.mu.Unlock()
-	return s.fetchOK(target)
-}
