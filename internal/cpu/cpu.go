@@ -74,9 +74,9 @@ type Core struct {
 	mem MemPort
 	pmu PEIPort
 
-	stream   Stream //peilint:allow snapcomplete re-armed by Run with the rebuilt workload's stream; the generator's position restores via the workload snapshot
+	stream   Stream //peilint:allow snapcomplete re-armed by Run with the rebuilt workload's stream; the generator's position is coded by the workload's Snap
 	inflight int
-	finished bool //peilint:allow snapcomplete cleared by Run and re-derived as the restored stream drains
+	finished bool //peilint:allow snapcomplete cleared by Run and re-derived as the resumed stream drains
 	// blocked marks the issue stage stalled on a fence, barrier, or
 	// multi-cycle compute op; completions must not resume issue early.
 	blocked bool
@@ -95,7 +95,7 @@ type Core struct {
 	// OnFinished, if set, runs once when the stream is exhausted and
 	// all in-flight operations have drained.
 	OnFinished func()
-	notified   bool //peilint:allow snapcomplete re-derived with finished when the restored stream drains
+	notified   bool //peilint:allow snapcomplete re-derived with finished when the resumed stream drains
 }
 
 // NewCore creates a core.

@@ -6,60 +6,36 @@ import (
 	"pimsim/internal/snap"
 )
 
-// SnapshotTo serializes the core's retirement counters and issue-stage
-// clock state. At a quiescent phase boundary the core has finished its
+// Snap codes the core's retirement counters and issue-stage clock
+// state. At a quiescent phase boundary the core has finished its
 // (round-limited) stream and drained: no in-flight ops, no stalls, no
-// scheduled pump — all of which is asserted rather than serialized, so
-// a snapshot attempt mid-flight fails loudly.
-func (c *Core) SnapshotTo(w *snap.Writer) {
-	w.Section("CORE")
+// scheduled pump — all of which is asserted rather than serialized, on
+// the snapshotted core and on the restore target alike, so a snapshot
+// attempt mid-flight fails loudly. The stream is re-armed separately
+// via Run.
+func (c *Core) Snap(sc *snap.Coder) {
+	sc.Section("CORE")
 	if c.inflight != 0 || c.blocked || c.draining || c.pumpScheduled {
-		w.Fail(fmt.Errorf("%w: core %d not idle (inflight=%d blocked=%v draining=%v pump=%v)",
+		sc.Fail(fmt.Errorf("%w: core %d not idle (inflight=%d blocked=%v draining=%v pump=%v)",
 			snap.ErrNotQuiescent, c.ID, c.inflight, c.blocked, c.draining, c.pumpScheduled))
 		return
 	}
-	w.I64(c.curCycle)
-	w.Int(c.issuedThisCycle)
-	w.I64(c.Retired)
-	w.I64(c.RetiredPEIs)
-	w.I64(c.issued)
+	sc.I64(&c.curCycle)
+	sc.Int(&c.issuedThisCycle)
+	sc.I64(&c.Retired)
+	sc.I64(&c.RetiredPEIs)
+	sc.I64(&c.issued)
 }
 
-// RestoreFrom loads core state saved by SnapshotTo. The core must be
-// freshly built (or idle); the stream is re-armed separately via Run.
-func (c *Core) RestoreFrom(r *snap.Reader) {
-	r.Section("CORE")
-	if c.inflight != 0 || c.blocked || c.draining || c.pumpScheduled {
-		r.Fail(fmt.Errorf("%w: restore target core %d not idle", snap.ErrNotQuiescent, c.ID))
-		return
-	}
-	c.curCycle = r.I64()
-	c.issuedThisCycle = r.Int()
-	c.Retired = r.I64()
-	c.RetiredPEIs = r.I64()
-	c.issued = r.I64()
-}
-
-// SnapshotTo serializes the barrier's episode count. At a phase
-// boundary no participant is parked at the barrier (every core drained
-// past it), which is asserted.
-func (b *Barrier) SnapshotTo(w *snap.Writer) {
-	w.Section("BARR")
+// Snap codes the barrier's episode count. At a phase boundary no
+// participant is parked at the barrier (every core drained past it),
+// which is asserted on both sides — a waiter resumed into restored
+// state would double-arrive.
+func (b *Barrier) Snap(c *snap.Coder) {
+	c.Section("BARR")
 	if b.arrived != 0 || len(b.waiters) != 0 {
-		w.Fail(fmt.Errorf("%w: barrier has %d arrivals and %d waiters", snap.ErrNotQuiescent, b.arrived, len(b.waiters)))
+		c.Fail(fmt.Errorf("%w: barrier has %d arrivals and %d waiters", snap.ErrNotQuiescent, b.arrived, len(b.waiters)))
 		return
 	}
-	w.I64(b.Generations)
-}
-
-// RestoreFrom loads barrier state saved by SnapshotTo. The target
-// barrier must have no parked participants — a waiter resumed into
-// restored state would double-arrive.
-func (b *Barrier) RestoreFrom(r *snap.Reader) {
-	r.Section("BARR")
-	if b.arrived != 0 || len(b.waiters) != 0 {
-		r.Fail(fmt.Errorf("%w: restore target barrier has %d arrivals and %d waiters", snap.ErrNotQuiescent, b.arrived, len(b.waiters)))
-		return
-	}
-	b.Generations = r.I64()
+	c.I64(&b.Generations)
 }

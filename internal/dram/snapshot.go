@@ -6,53 +6,27 @@ import (
 	"pimsim/internal/snap"
 )
 
-// SnapshotTo serializes per-bank row-buffer state and the controller's
+// Snap codes per-bank row-buffer state and the controller's
 // command/refresh timing horizons. The request queue must be empty and
-// no pump scheduled — the controller's counters live in the shared
-// stats registry and are snapshotted there, and the free list is pure
-// recycling capacity with no timing effect, so neither appears here.
-func (c *Controller) SnapshotTo(w *snap.Writer) {
-	w.Section("DRAM")
+// no pump scheduled, on both sides — queued requests or a scheduled
+// pump would replay against the restored timing horizons. The
+// controller's counters live in the shared stats registry and are
+// snapshotted there, and the free list is pure recycling capacity with
+// no timing effect, so neither appears here.
+func (c *Controller) Snap(sc *snap.Coder) {
+	sc.Section("DRAM")
 	if len(c.queue) != 0 || c.pumpAt >= 0 {
-		w.Fail(fmt.Errorf("%w: dram controller has %d queued requests (pumpAt=%d)",
+		sc.Fail(fmt.Errorf("%w: dram controller has %d queued requests (pumpAt=%d)",
 			snap.ErrNotQuiescent, len(c.queue), c.pumpAt))
 		return
 	}
-	w.Int(len(c.banks))
+	sc.Expect("dram: controller banks", len(c.banks))
 	for i := range c.banks {
 		b := &c.banks[i]
-		w.Bool(b.open)
-		w.U64(b.openRow)
-		w.I64(b.readyAt)
+		sc.Bool(&b.open)
+		sc.U64(&b.openRow)
+		sc.I64(&b.readyAt)
 	}
-	w.I64(c.nextIssue)
-	w.I64(c.nextRefresh)
-}
-
-// RestoreFrom loads controller state saved by SnapshotTo. The target
-// controller must be quiescent: queued requests or a scheduled pump
-// would replay against the restored timing horizons.
-func (c *Controller) RestoreFrom(r *snap.Reader) {
-	r.Section("DRAM")
-	if len(c.queue) != 0 || c.pumpAt >= 0 {
-		r.Fail(fmt.Errorf("%w: restore target dram controller has %d queued requests (pumpAt=%d)",
-			snap.ErrNotQuiescent, len(c.queue), c.pumpAt))
-		return
-	}
-	banks := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if banks != len(c.banks) {
-		r.Fail(fmt.Errorf("dram: controller has %d banks, snapshot has %d", len(c.banks), banks))
-		return
-	}
-	for i := range c.banks {
-		b := &c.banks[i]
-		b.open = r.Bool()
-		b.openRow = r.U64()
-		b.readyAt = r.I64()
-	}
-	c.nextIssue = r.I64()
-	c.nextRefresh = r.I64()
+	sc.I64(&c.nextIssue)
+	sc.I64(&c.nextRefresh)
 }

@@ -467,7 +467,7 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 			break
 		}
 		var buf bytes.Buffer
-		if err := m.SnapshotTo(&buf, w.SnapshotTo); err != nil {
+		if err := m.SnapshotTo(&buf, w.Snap); err != nil {
 			return machine.Result{}, err
 		}
 		if err := st.Put(digest, phase+1, int64(m.K.Now()), buf.Bytes()); err != nil {

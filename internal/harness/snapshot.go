@@ -93,5 +93,5 @@ func restore(m *machine.Machine, w workloads.Workload, path string) error {
 		return err
 	}
 	defer f.Close()
-	return m.RestoreFrom(f, w.RestoreFrom)
+	return m.RestoreFrom(f, w.Snap)
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pimsim/internal/config"
 	"pimsim/internal/pim"
 	"pimsim/internal/workloads"
 )
@@ -26,10 +27,16 @@ func snapOptions(dir string) Options {
 }
 
 // runSnapCell runs one cell through a fresh runner with the given
-// snapshot dir ("" = unphased).
-func runSnapCell(t *testing.T, dir string, cell Cell) (*Runner, interface{ IPC() float64 }) {
+// snapshot dir ("" = unphased), on the default config adjusted by
+// mutate (nil = unchanged).
+func runSnapCell(t *testing.T, dir string, cell Cell, mutate func(*config.Config)) (*Runner, interface{ IPC() float64 }) {
 	t.Helper()
-	r := NewRunner(snapOptions(dir))
+	o := snapOptions(dir)
+	if mutate != nil {
+		o.Cfg = o.Cfg.Clone()
+		mutate(o.Cfg)
+	}
+	r := NewRunner(o)
 	res, err := r.RunCell(context.Background(), cell)
 	if err != nil {
 		t.Fatalf("cell %v (dir=%q): %v", cell, dir, err)
@@ -77,44 +84,58 @@ func TestPhasedMatchesUnphased(t *testing.T) {
 
 // TestResumeEquivalence is the warm-start acceptance test: restoring
 // from EVERY stored phase boundary must reproduce the cold run's result
-// exactly.
+// exactly. Besides the default config it runs with virtual memory (page
+// table and TLB state) and with balanced dispatch (the chain's pressure
+// averages), the two configs whose state the default leaves idle.
 func TestResumeEquivalence(t *testing.T) {
-	cell := Cell{"pr", workloads.Small, pim.LocalityAware}
-	coldDir := t.TempDir()
-	coldRunner, coldRes := runSnapCell(t, coldDir, cell)
-	rep := coldRunner.SnapshotReport()
-	if rep.Store.Misses == 0 || rep.Store.Hits != 0 {
-		t.Fatalf("cold run should miss, not hit: %+v", rep.Store)
-	}
-	blobs, err := filepath.Glob(filepath.Join(coldDir, "*.snap"))
-	if err != nil || len(blobs) == 0 {
-		t.Fatalf("cold run stored no snapshots (err=%v)", err)
-	}
-	for _, blob := range blobs {
-		// The subtest keeps the "seq-w0" leaf its name has always had.
-		t.Run(filepath.Base(blob)+"/seq-w0", func(t *testing.T) {
-			// A dir holding exactly one boundary forces the resume
-			// to start from that phase.
-			dir := t.TempDir()
-			data, err := os.ReadFile(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, filepath.Base(blob)), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			warmRunner, warmRes := runSnapCell(t, dir, cell)
-			if !reflect.DeepEqual(coldRes, warmRes) {
-				t.Fatalf("warm result diverged from cold\nwarm: %+v\ncold: %+v", warmRes, coldRes)
-			}
-			rep := warmRunner.SnapshotReport()
-			if rep.Store.Hits != 1 {
-				t.Fatalf("warm run should hit once: %+v", rep.Store)
-			}
-			if rep.CyclesSkipped == 0 {
-				t.Fatalf("warm run skipped no cycles: %+v", rep)
-			}
-		})
+	pr := Cell{"pr", workloads.Small, pim.LocalityAware}
+	for _, tc := range []struct {
+		cell   Cell
+		mutate func(*config.Config)
+	}{
+		{pr, nil},
+		{pr, func(c *config.Config) { c.EnableVM = true }},
+		// sc is a workload whose steering balanced dispatch changes.
+		{Cell{"sc", workloads.Small, pim.LocalityAware}, func(c *config.Config) { c.BalancedDispatch = true }},
+	} {
+		cell, mutate := tc.cell, tc.mutate
+		coldDir := t.TempDir()
+		coldRunner, coldRes := runSnapCell(t, coldDir, cell, mutate)
+		rep := coldRunner.SnapshotReport()
+		if rep.Store.Misses == 0 || rep.Store.Hits != 0 {
+			t.Fatalf("cold run should miss, not hit: %+v", rep.Store)
+		}
+		blobs, err := filepath.Glob(filepath.Join(coldDir, "*.snap"))
+		if err != nil || len(blobs) == 0 {
+			t.Fatalf("cold run stored no snapshots (err=%v)", err)
+		}
+		for _, blob := range blobs {
+			// The subtest keeps the "seq-w0" leaf its name has always
+			// had; the blob name's digest tells the configs apart.
+			t.Run(filepath.Base(blob)+"/seq-w0", func(t *testing.T) {
+				// A dir holding exactly one boundary forces the resume
+				// to start from that phase.
+				dir := t.TempDir()
+				data, err := os.ReadFile(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, filepath.Base(blob)), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				warmRunner, warmRes := runSnapCell(t, dir, cell, mutate)
+				if !reflect.DeepEqual(coldRes, warmRes) {
+					t.Fatalf("warm result diverged from cold\nwarm: %+v\ncold: %+v", warmRes, coldRes)
+				}
+				rep := warmRunner.SnapshotReport()
+				if rep.Store.Hits != 1 {
+					t.Fatalf("warm run should hit once: %+v", rep.Store)
+				}
+				if rep.CyclesSkipped == 0 {
+					t.Fatalf("warm run skipped no cycles: %+v", rep)
+				}
+			})
+		}
 	}
 }
 
@@ -129,7 +150,7 @@ func TestSnapshotBlobPinned(t *testing.T) {
 		wantSum  = "740acaf92205f358f403ab70fc72984f2a3acc458066124b3f3b0f9382531443"
 	)
 	dir := t.TempDir()
-	runSnapCell(t, dir, Cell{"bfs", workloads.Small, pim.LocalityAware})
+	runSnapCell(t, dir, Cell{"bfs", workloads.Small, pim.LocalityAware}, nil)
 	data, err := os.ReadFile(filepath.Join(dir, wantName))
 	if err != nil {
 		blobs, _ := filepath.Glob(filepath.Join(dir, "*.snap"))

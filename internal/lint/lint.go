@@ -1,7 +1,7 @@
 // Package lint is the project's static-analysis suite: six analyzers
 // that turn the simulator's determinism and hot-path invariants (byte-
 // identical tables at any parallelism, zero-allocation event kernel,
-// context-first public entry points, complete snapshot pairs,
+// context-first public entry points, complete Snap methods,
 // serving-layer goroutines with a lifecycle) into machine-checked law,
 // plus the waiver directive that documents every deliberate exception.
 //

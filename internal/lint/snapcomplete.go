@@ -1,26 +1,27 @@
 // The snapcomplete analyzer: checkpoint/warm-start correctness
-// (DESIGN.md §13) rests on hand-written SnapshotTo/RestoreFrom pairs,
-// and the failure mode is silent — a field added to a component struct
-// but missed in its snapshot methods corrupts warm starts and any
-// rollback built on them (the LazyPIM plan in ROADMAP.md) without
-// failing a single test, because the format's section tags only catch
-// *misaligned* layouts, not *incomplete* ones.
+// (DESIGN.md §13) rests on hand-written Snap methods, and the failure
+// mode is silent — a field added to a component struct but missed in
+// its Snap method corrupts warm starts and any rollback built on them
+// (the LazyPIM plan in ROADMAP.md) without failing a single test,
+// because the format's section tags only catch *misaligned* layouts,
+// not *incomplete* ones.
 //
 // The analyzer closes that gap structurally: for every type with a
-// SnapshotTo method, every mutable field — one assigned anywhere in the
-// package outside construction (New*/init) and outside RestoreFrom
-// itself — must be referenced by SnapshotTo, and restored (referenced)
-// by RestoreFrom. Fields that are deliberately not serialized — pools
-// (recycling capacity, not state), derived caches rebuilt on first use,
-// queues that quiescence guarantees empty — carry
-// `//peilint:allow snapcomplete <reason>` on their declaration line, so
-// every exemption is written down next to the field it exempts.
+// Snap method, every mutable field — one assigned anywhere in the
+// package outside construction (New*/init) and outside Snap itself —
+// must be referenced by Snap. One Snap method codes both directions,
+// so a reference there both saves and restores the field. Fields that
+// are deliberately not serialized — pools (recycling capacity, not
+// state), derived caches rebuilt on first use, queues that quiescence
+// guarantees empty — carry `//peilint:allow snapcomplete <reason>` on
+// their declaration line, so every exemption is written down next to
+// the field it exempts.
 //
 // Known imprecision, chosen deliberately: mutations through aliases
 // (p := &v.f; p.x = 1) and through methods on the field's type are not
 // seen, so such fields are only checked if also assigned directly.
 // Fields can be over-matched too — a reference to the field on *any*
-// instance counts — but SnapshotTo methods read their own receiver in
+// instance counts — but Snap methods code their own receiver in
 // practice, so this has not produced false negatives in the tree.
 
 package lint
@@ -32,30 +33,21 @@ import (
 	"strings"
 )
 
-// SnapComplete enforces snapshot coverage for every type with a
-// SnapshotTo method.
+// SnapComplete enforces snapshot coverage for every type with a Snap
+// method.
 var SnapComplete = &Analyzer{
 	Name: "snapcomplete",
-	Doc: "every type with a SnapshotTo method must restore from a " +
-		"RestoreFrom, and every mutable field (assigned outside New*/init) " +
-		"must be written in SnapshotTo and restored in RestoreFrom; " +
-		"deliberately unserialized fields (pools, derived caches, " +
-		"quiescence-empty queues) carry //peilint:allow snapcomplete on " +
-		"their declaration",
+	Doc: "every mutable field (assigned outside New*/init) of a type " +
+		"with a Snap method must be referenced by Snap; deliberately " +
+		"unserialized fields (pools, derived caches, quiescence-empty " +
+		"queues) carry //peilint:allow snapcomplete on their declaration",
 	Packages: nil, // any package that snapshots is covered
 	Run:      runSnapComplete,
 }
 
-// snapPair collects the snapshot methods of one named type.
-type snapPair struct {
-	named   *types.Named
-	snap    *ast.FuncDecl
-	restore *ast.FuncDecl
-}
-
 func runSnapComplete(pass *Pass) error {
-	pairs := collectSnapPairs(pass)
-	if len(pairs) == 0 {
+	snaps := collectSnapMethods(pass)
+	if len(snaps) == 0 {
 		return nil
 	}
 	mutations := collectFieldMutations(pass)
@@ -63,66 +55,40 @@ func runSnapComplete(pass *Pass) error {
 	edges := localEdges(pass, decls)
 
 	// Deterministic order: by type position.
-	named := make([]*types.Named, 0, len(pairs))
-	for n := range pairs {
+	named := make([]*types.Named, 0, len(snaps))
+	for n := range snaps {
 		named = append(named, n)
 	}
 	sort.Slice(named, func(i, j int) bool { return named[i].Obj().Pos() < named[j].Obj().Pos() })
 
 	for _, n := range named {
-		p := pairs[n]
-		typeName := n.Obj().Name()
-		if p.snap == nil {
-			// RestoreFrom without SnapshotTo: a half of the pair exists,
-			// so the author meant this type to checkpoint.
-			pass.Reportf(p.restore.Pos(),
-				"%s has RestoreFrom but no SnapshotTo: snapshot pairs must be written together", typeName)
-			continue
-		}
-		if p.restore == nil {
-			pass.Reportf(p.snap.Pos(),
-				"%s has SnapshotTo but no RestoreFrom: a snapshot nobody can load is dead weight, and a restore path added later will drift", typeName)
-			continue
-		}
 		st, ok := n.Underlying().(*types.Struct)
 		if !ok {
 			continue
 		}
-		inSnap := fieldsReferenced(pass, p.snap, st, decls, edges)
-		inRestore := fieldsReferenced(pass, p.restore, st, decls, edges)
+		inSnap := fieldsReferenced(pass, snaps[n], st, decls, edges)
 		for i := 0; i < st.NumFields(); i++ {
 			field := st.Field(i)
 			mutator, mutable := mutations[field]
-			if !mutable {
-				continue
-			}
-			if !inSnap[field] {
+			if mutable && !inSnap[field] {
 				pass.Reportf(field.Pos(),
-					"mutable field %s.%s (assigned in %s) is not written by SnapshotTo: a warm start would silently lose it — serialize it or waive with //peilint:allow snapcomplete <reason>",
-					typeName, field.Name(), mutator)
-			}
-			if !inRestore[field] {
-				pass.Reportf(field.Pos(),
-					"mutable field %s.%s (assigned in %s) is not restored by RestoreFrom: a warm start would silently lose it — restore it or waive with //peilint:allow snapcomplete <reason>",
-					typeName, field.Name(), mutator)
+					"mutable field %s.%s (assigned in %s) is not referenced by Snap: a warm start would silently lose it — code it or waive with //peilint:allow snapcomplete <reason>",
+					n.Obj().Name(), field.Name(), mutator)
 			}
 		}
 	}
 	return nil
 }
 
-// collectSnapPairs finds every named type in the package with a
-// SnapshotTo or RestoreFrom method (single-parameter, so unrelated
-// same-named methods don't trigger).
-func collectSnapPairs(pass *Pass) map[*types.Named]*snapPair {
-	pairs := make(map[*types.Named]*snapPair)
+// collectSnapMethods finds every named type in the package with a Snap
+// method (single-parameter, so unrelated same-named methods don't
+// trigger).
+func collectSnapMethods(pass *Pass) map[*types.Named]*ast.FuncDecl {
+	snaps := make(map[*types.Named]*ast.FuncDecl)
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			if fd.Name.Name != "SnapshotTo" && fd.Name.Name != "RestoreFrom" {
+			if !ok || fd.Recv == nil || fd.Body == nil || fd.Name.Name != "Snap" {
 				continue
 			}
 			if fd.Type.Params == nil || len(fd.Type.Params.List) != 1 {
@@ -132,28 +98,17 @@ func collectSnapPairs(pass *Pass) map[*types.Named]*snapPair {
 			if !ok {
 				continue
 			}
-			named := methodRecvNamed(f)
-			if named == nil || named.Obj().Pkg() != pass.Pkg {
-				continue
-			}
-			p := pairs[named]
-			if p == nil {
-				p = &snapPair{named: named}
-				pairs[named] = p
-			}
-			if fd.Name.Name == "SnapshotTo" {
-				p.snap = fd
-			} else {
-				p.restore = fd
+			if named := methodRecvNamed(f); named != nil && named.Obj().Pkg() == pass.Pkg {
+				snaps[named] = fd
 			}
 		}
 	}
-	return pairs
+	return snaps
 }
 
 // collectFieldMutations maps every struct field assigned anywhere in
-// the package — outside construction (New*, init) and outside
-// RestoreFrom — to the name of one function that assigns it. Assigning
+// the package — outside construction (New*, init) and outside Snap,
+// which assigns fields when it decodes — to the name of one function that assigns it. Assigning
 // through an index or a nested selector marks the outer field too:
 // v.lines[i].lru = x mutates the contents of lines.
 func collectFieldMutations(pass *Pass) map[*types.Var]string {
@@ -165,7 +120,7 @@ func collectFieldMutations(pass *Pass) map[*types.Var]string {
 				continue
 			}
 			name := fd.Name.Name
-			if strings.HasPrefix(strings.ToLower(name), "new") || name == "init" || name == "RestoreFrom" {
+			if strings.HasPrefix(strings.ToLower(name), "new") || name == "init" || name == "Snap" {
 				continue
 			}
 			label := name
@@ -212,13 +167,13 @@ func markFieldChain(pass *Pass, expr ast.Expr, label string, mutations map[*type
 	}
 }
 
-// fieldsReferenced returns the fields of st that the method references
-// — reads for SnapshotTo, writes for RestoreFrom; either direction
-// counts, since quiescence checks legitimately read a field without
-// serializing it (those fields are waived, not invisible). References
-// propagate through package-local callees: a RestoreFrom that rebuilds
-// counters via Set → intern, or asserts quiescence via Pending(), has
-// genuinely consulted the fields those helpers touch.
+// fieldsReferenced returns the fields of st that the Snap method
+// references, read or written; quiescence checks legitimately read a
+// field without serializing it (those fields are waived, not
+// invisible). References propagate through package-local callees: a
+// Snap that rebuilds counters via Set → intern, or asserts quiescence
+// via Pending(), has genuinely consulted the fields those helpers
+// touch.
 func fieldsReferenced(pass *Pass, fd *ast.FuncDecl, st *types.Struct, decls map[*types.Func]*ast.FuncDecl, edges map[*types.Func][]*types.Func) map[*types.Var]bool {
 	own := make(map[*types.Var]bool, st.NumFields())
 	for i := 0; i < st.NumFields(); i++ {

@@ -5,9 +5,9 @@ package hotalloc
 
 import "fmt"
 
-// SnapshotTo formats freely: it runs once per quiescent boundary, never
+// Snap formats freely: it runs once per quiescent boundary, never
 // inside the event loop.
-func (q *Queue) SnapshotTo() error {
+func (q *Queue) Snap() error {
 	return fmt.Errorf("snapshot of %s", q.name)
 }
 

@@ -1,20 +1,15 @@
-// Golden suite for the snapcomplete analyzer: complete pairs pass,
-// the seeded missing-field regression fires both ways, a field
-// serialized but not restored fires once, waived pool fields are
-// suppressed, and orphaned half-pairs are reported.
+// Golden suite for the snapcomplete analyzer: a complete Snap passes,
+// the seeded missing-field regression fires, and waived pool fields
+// are suppressed.
 package snapcomplete
 
-// W and R stand in for snap.Writer / snap.Reader.
-type W struct{ out []int64 }
+// C stands in for snap.Coder.
+type C struct{ out []int64 }
 
-func (w *W) I64(v int64) { w.out = append(w.out, v) }
+func (c *C) I64(v *int64) { c.out = append(c.out, *v) }
 
-type R struct{ in []int64 }
-
-func (r *R) I64() int64 { v := r.in[0]; r.in = r.in[1:]; return v }
-
-// Complete serializes and restores every mutable field; the never-
-// assigned cfg field is immutable and imposes no obligation.
+// Complete codes every mutable field; the never-assigned cfg field is
+// immutable and imposes no obligation.
 type Complete struct {
 	cfg   int64
 	clock int64
@@ -23,35 +18,19 @@ type Complete struct {
 
 func (c *Complete) Step() { c.clock++; c.hits++ }
 
-func (c *Complete) SnapshotTo(w *W) { w.I64(c.clock); w.I64(c.hits) }
-
-func (c *Complete) RestoreFrom(r *R) { c.clock = r.I64(); c.hits = r.I64() }
+func (c *Complete) Snap(sc *C) { sc.I64(&c.clock); sc.I64(&c.hits) }
 
 // Missing is the seeded regression: cursor is advanced by Step but
-// absent from both snapshot methods — the exact bug class that
-// corrupts warm starts silently.
+// absent from Snap — the exact bug class that corrupts warm starts
+// silently.
 type Missing struct {
 	clock  int64
-	cursor int64 // want `cursor.*not written by SnapshotTo` `cursor.*not restored by RestoreFrom`
+	cursor int64 // want `cursor.*not referenced by Snap`
 }
 
 func (m *Missing) Step() { m.clock++; m.cursor++ }
 
-func (m *Missing) SnapshotTo(w *W) { w.I64(m.clock) }
-
-func (m *Missing) RestoreFrom(r *R) { m.clock = r.I64() }
-
-// HalfRestored serializes seq but forgets to put it back.
-type HalfRestored struct {
-	clock int64
-	seq   int64 // want `seq.*not restored by RestoreFrom`
-}
-
-func (h *HalfRestored) Step() { h.clock++; h.seq++ }
-
-func (h *HalfRestored) SnapshotTo(w *W) { w.I64(h.clock); w.I64(h.seq) }
-
-func (h *HalfRestored) RestoreFrom(r *R) { h.clock = r.I64(); _ = r.I64() }
+func (m *Missing) Snap(c *C) { c.I64(&m.clock) }
 
 // Pooled waives its free list: pools recycle capacity, not state.
 type Pooled struct {
@@ -61,16 +40,4 @@ type Pooled struct {
 
 func (p *Pooled) Step() { p.clock++; p.free = append(p.free, p.clock) }
 
-func (p *Pooled) SnapshotTo(w *W) { w.I64(p.clock) }
-
-func (p *Pooled) RestoreFrom(r *R) { p.clock = r.I64() }
-
-// Orphan writes a snapshot nobody can load.
-type Orphan struct{ clock int64 }
-
-func (o *Orphan) SnapshotTo(w *W) { w.I64(o.clock) } // want `Orphan has SnapshotTo but no RestoreFrom`
-
-// Loner restores from a snapshot nobody writes.
-type Loner struct{ clock int64 }
-
-func (l *Loner) RestoreFrom(r *R) { l.clock = r.I64() } // want `Loner has RestoreFrom but no SnapshotTo`
+func (p *Pooled) Snap(c *C) { c.I64(&p.clock) }

@@ -1,17 +1,13 @@
 // Driver-level stale-waiver suite (no want comments — the driver test
 // asserts on Analyze's output directly): the scratch waiver suppresses
 // real snapcomplete findings and must NOT be reported; the directive
-// above RestoreFrom excuses nothing, and the hotalloc directive names
-// an analyzer that reports nothing in this package — both are stale.
+// above Snap excuses nothing, and the hotalloc directive names an
+// analyzer that reports nothing in this package — both are stale.
 package stalewaiver
 
-type W struct{ out []int64 }
+type C struct{ out []int64 }
 
-func (w *W) I64(v int64) { w.out = append(w.out, v) }
-
-type R struct{ in []int64 }
-
-func (r *R) I64() int64 { v := r.in[0]; r.in = r.in[1:]; return v }
+func (c *C) I64(v *int64) { c.out = append(c.out, *v) }
 
 type Box struct {
 	clock   int64
@@ -20,10 +16,8 @@ type Box struct {
 
 func (b *Box) Step() { b.clock++; b.scratch = b.scratch[:0] }
 
-func (b *Box) SnapshotTo(w *W) { w.I64(b.clock) }
-
-//peilint:allow snapcomplete stale by construction: the restore below is complete
-func (b *Box) RestoreFrom(r *R) { b.clock = r.I64() }
+//peilint:allow snapcomplete stale by construction: Snap below is complete
+func (b *Box) Snap(c *C) { c.I64(&b.clock) }
 
 //peilint:allow hotalloc stale by construction: hotalloc reports nothing here
 func (b *Box) Format() { _ = b.clock }

@@ -27,69 +27,50 @@ func (m *Machine) Quiesce() error {
 // Quiesce()d (SnapshotTo re-checks and fails otherwise); the run can
 // continue past the boundary. extra, if non-nil, appends caller sections
 // (e.g. workload generator state) to the same stream.
-func (m *Machine) SnapshotTo(wr io.Writer, extra func(*snap.Writer)) error {
+func (m *Machine) SnapshotTo(wr io.Writer, extra func(*snap.Coder)) error {
 	if err := m.Quiesce(); err != nil {
 		return err
 	}
-	w := snap.NewWriter(wr)
-	m.K.SnapshotTo(w)
-	m.Reg.SnapshotTo(w)
-	m.Store.SnapshotTo(w)
-	w.Int(len(m.Cores))
-	for _, c := range m.Cores {
-		c.SnapshotTo(w)
-	}
-	m.Hier.SnapshotTo(w)
-	m.Chain.SnapshotTo(w)
-	m.PMU.SnapshotTo(w)
-	if m.vml != nil {
-		m.vml.pt.SnapshotTo(w)
-		for _, t := range m.vml.tlbs {
-			t.SnapshotTo(w)
-		}
-	}
-	if extra != nil {
-		extra(w)
-	}
-	return w.Err()
+	c := snap.NewEncoder(wr)
+	m.snap(c, extra)
+	return c.Flush()
 }
 
 // RestoreFrom loads a snapshot into a freshly built machine of the
 // identical configuration (same config, mode, and workload layout).
 // Counter values land in the registry by name, so final totals match
-// the cold run's exactly. extra mirrors SnapshotTo's.
-func (m *Machine) RestoreFrom(rd io.Reader, extra func(*snap.Reader)) error {
+// the cold run's exactly. extra decodes what SnapshotTo's extra wrote.
+func (m *Machine) RestoreFrom(rd io.Reader, extra func(*snap.Coder)) error {
 	if err := m.Quiesce(); err != nil {
 		return fmt.Errorf("snap: restore target not idle: %w", err)
 	}
-	r, err := snap.NewReader(rd)
+	c, err := snap.NewDecoder(rd)
 	if err != nil {
 		return err
 	}
-	m.K.RestoreFrom(r)
-	m.Reg.RestoreFrom(r)
-	m.Store.RestoreFrom(r)
-	cores := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+	m.snap(c, extra)
+	return c.Err()
+}
+
+// snap walks every component in stream order, for both directions.
+func (m *Machine) snap(c *snap.Coder, extra func(*snap.Coder)) {
+	m.K.Snap(c)
+	m.Reg.Snap(c)
+	m.Store.Snap(c)
+	c.Expect("machine: cores", len(m.Cores))
+	for _, core := range m.Cores {
+		core.Snap(c)
 	}
-	if cores != len(m.Cores) {
-		return fmt.Errorf("snap: machine has %d cores, snapshot has %d", len(m.Cores), cores)
-	}
-	for _, c := range m.Cores {
-		c.RestoreFrom(r)
-	}
-	m.Hier.RestoreFrom(r)
-	m.Chain.RestoreFrom(r)
-	m.PMU.RestoreFrom(r)
+	m.Hier.Snap(c)
+	m.Chain.Snap(c)
+	m.PMU.Snap(c)
 	if m.vml != nil {
-		m.vml.pt.RestoreFrom(r)
+		m.vml.pt.Snap(c)
 		for _, t := range m.vml.tlbs {
-			t.RestoreFrom(r)
+			t.Snap(c)
 		}
 	}
 	if extra != nil {
-		extra(r)
+		extra(c)
 	}
-	return r.Err()
 }

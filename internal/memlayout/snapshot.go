@@ -1,35 +1,15 @@
 package memlayout
 
-import (
-	"fmt"
+import "pimsim/internal/snap"
 
-	"pimsim/internal/snap"
-)
-
-// SnapshotTo serializes the allocator's high-water mark and every
-// allocated byte. Layout (which addresses hold what) is not recorded —
-// it is a pure function of the workload's deterministic Streams()
-// construction, which a resuming run replays before overlaying these
-// bytes.
-func (s *Store) SnapshotTo(w *snap.Writer) {
-	w.Section("STOR")
-	w.U64(s.next)
-	w.Bytes(s.mem[:s.next])
-}
-
-// RestoreFrom overlays snapshot bytes onto a store whose allocations
-// must already match (same workload, same params, same construction
-// order). A high-water-mark mismatch means the resuming run was not
-// built identically and fails the restore.
-func (s *Store) RestoreFrom(r *snap.Reader) {
-	r.Section("STOR")
-	next := r.U64()
-	if r.Err() != nil {
-		return
-	}
-	if next != s.next {
-		r.Fail(fmt.Errorf("memlayout: allocation high-water mark %#x, snapshot has %#x (layout mismatch)", s.next, next))
-		return
-	}
-	r.BytesInto(s.mem[:s.next])
+// Snap codes the allocator's high-water mark and every allocated byte.
+// Layout (which addresses hold what) is not recorded — it is a pure
+// function of the workload's deterministic Streams() construction,
+// which a resuming run replays before overlaying these bytes. The
+// high-water mark is geometry: a mismatch means the resuming run was
+// not built identically and fails the restore.
+func (s *Store) Snap(c *snap.Coder) {
+	c.Section("STOR")
+	c.Expect("memlayout: allocation high-water mark", int(s.next))
+	c.Bytes(s.mem[:s.next])
 }

@@ -125,13 +125,13 @@ type Kernel struct {
 	// base is the cycle mapped to the ring's current origin; the ring
 	// holds exactly the pending events with base <= when < base+ringWindow
 	// (invariant: base <= now, so nothing schedulable lands behind it).
-	base      Cycle              //peilint:allow snapcomplete re-anchored to the restored cycle by RestoreFrom (base <= now invariant holds by construction)
+	base      Cycle
 	ring      [ringWindow]bucket //peilint:allow snapcomplete quiescence-empty: a snapshot with pending events fails, so there is nothing to serialize
 	occ       [occWords]uint64   //peilint:allow snapcomplete occupancy bitmap (one bit per bucket) of the quiescence-empty ring
 	ringCount int
 
 	far []farEvent // min-heap on (when, seq)
-	seq uint64     //peilint:allow snapcomplete zeroed by RestoreFrom: orders same-cycle events, of which quiescence leaves none
+	seq uint64
 
 	// Executed counts events dispatched since construction; useful for
 	// rough simulation-effort reporting.

@@ -6,7 +6,7 @@ import (
 	"pimsim/internal/snap"
 )
 
-// This file implements the kernel-layer half of checkpoint snapshots.
+// This file implements the kernel-layer part of checkpoint snapshots.
 // Snapshots are only defined at quiescence — the calendar queue empty —
 // so no pending event, ring bucket, or far-heap entry is ever
 // serialized. What the kernel contributes to
@@ -16,47 +16,29 @@ import (
 // at now, which is sound because migrate() preserves global same-cycle
 // FIFO regardless of the ring's origin.
 
-// SnapshotTo serializes the kernel's clock state. It fails if events
-// are pending: snapshots are defined only at quiescence.
-func (k *Kernel) SnapshotTo(w *snap.Writer) {
-	w.Section("CLCK")
+// Snap codes the kernel's clock state. It fails if events are pending,
+// on either side: snapshots are defined only at quiescence.
+func (k *Kernel) Snap(c *snap.Coder) {
+	c.Section("CLCK")
 	if n := k.Pending(); n != 0 {
-		w.Fail(fmt.Errorf("%w: kernel has %d pending events", snap.ErrNotQuiescent, n))
+		c.Fail(fmt.Errorf("%w: kernel has %d pending events", snap.ErrNotQuiescent, n))
 		return
 	}
-	w.I64(k.now)
-	w.U64(k.Executed)
-}
-
-// RestoreFrom loads clock state into an empty kernel.
-func (k *Kernel) RestoreFrom(r *snap.Reader) {
-	r.Section("CLCK")
-	if n := k.Pending(); n != 0 {
-		r.Fail(fmt.Errorf("%w: restore target kernel has %d pending events", snap.ErrNotQuiescent, n))
-		return
+	c.I64(&k.now)
+	c.U64(&k.Executed)
+	if c.Decoding() {
+		k.base = k.now
+		k.seq = 0
 	}
-	k.now = r.I64()
-	k.base = k.now
-	k.Executed = r.U64()
-	k.seq = 0
 }
 
-// SnapshotTo serializes the link's occupancy horizon and traffic
-// counters. nextFree is kept exactly (it may lag now at quiescence;
-// restoring it preserves QueueDelay arithmetic and the Busy invariant).
-func (l *Link) SnapshotTo(w *snap.Writer) {
-	w.Section("LINK")
-	w.I64(l.nextFree)
-	w.U64(l.BytesTransferred)
-	w.U64(l.FlitsTransferred)
-	w.I64(l.Busy)
-}
-
-// RestoreFrom loads link state.
-func (l *Link) RestoreFrom(r *snap.Reader) {
-	r.Section("LINK")
-	l.nextFree = r.I64()
-	l.BytesTransferred = r.U64()
-	l.FlitsTransferred = r.U64()
-	l.Busy = r.I64()
+// Snap codes the link's occupancy horizon and traffic counters.
+// nextFree is kept exactly (it may lag now at quiescence; restoring it
+// preserves QueueDelay arithmetic and the Busy invariant).
+func (l *Link) Snap(c *snap.Coder) {
+	c.Section("LINK")
+	c.I64(&l.nextFree)
+	c.U64(&l.BytesTransferred)
+	c.U64(&l.FlitsTransferred)
+	c.I64(&l.Busy)
 }

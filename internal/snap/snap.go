@@ -4,13 +4,17 @@
 // tags and a version header, plus a content-addressed on-disk blob
 // store with a byte-budget LRU (store.go).
 //
-// Every stateful component of the simulator implements a
-// Snapshot(*snap.Writer) / Restore(*snap.Reader) pair against this
-// package. The format is deliberately strict: sections are tagged and
-// verified on read, counts are written before variable-length payloads,
-// and any mismatch (wrong tag, short read, version skew) poisons the
-// reader so a corrupt or mismatched blob fails loudly instead of
-// resuming a subtly wrong machine.
+// Every stateful component of the simulator has one Snap(*snap.Coder)
+// method that hands each of its fields to the Coder by pointer. An
+// encoding Coder reads the field and writes it; a decoding Coder reads
+// the stream and sets the field. So each layout is spelled once, for
+// both save and restore, and the two directions cannot drift apart.
+// The format is deliberately strict: sections are tagged and verified
+// on read, counts are written before variable-length payloads, decoded
+// bools and enums must hold a value the encoder could have written, and
+// any mismatch (wrong tag, short read, version skew, geometry change)
+// poisons the Coder so a corrupt or mismatched blob fails loudly
+// instead of resuming a subtly wrong machine.
 package snap
 
 import (
@@ -19,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // magic identifies a snapshot stream; the trailing digit is the major
@@ -30,137 +35,45 @@ var magic = [8]byte{'P', 'E', 'I', 'S', 'N', 'A', 'P', '1'}
 // invalidates old blobs instead of misreading them.
 const Version uint32 = 1
 
-// Writer serializes snapshot records to an underlying io.Writer with a
-// sticky error: after the first failure every call is a no-op and Err
-// reports the cause.
-type Writer struct {
-	w   io.Writer
-	err error
-	buf [8]byte
-}
-
-// NewWriter writes the magic and version header and returns a Writer.
-func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w}
-	if _, err := w.Write(magic[:]); err != nil {
-		sw.err = err
-		return sw
-	}
-	sw.U32(Version)
-	return sw
-}
-
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Fail poisons the writer with err (for callers that detect an
-// unserializable state mid-snapshot, e.g. in-flight transactions).
-func (w *Writer) Fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
-
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	if _, err := w.w.Write(b); err != nil {
-		w.err = err
-	}
-}
-
-// Section writes a 4-character section tag. Readers verify tags, so a
-// layout drift between Snapshot and Restore fails at the first
-// misaligned section instead of silently transposing state.
-func (w *Writer) Section(tag string) {
-	if len(tag) != 4 {
-		w.Fail(fmt.Errorf("snap: section tag %q must be 4 bytes", tag))
-		return
-	}
-	w.write([]byte(tag))
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
-}
-
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes a little-endian int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as an int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes a float64 as its IEEE-754 bits.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// F32 writes a float32 as its IEEE-754 bits.
-func (w *Writer) F32(v float32) { w.U32(math.Float32bits(v)) }
-
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
-	w.U64(uint64(len(b)))
-	w.write(b)
-}
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
-
-// I64s writes a length-prefixed []int64.
-func (w *Writer) I64s(xs []int64) {
-	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.I64(x)
-	}
-}
-
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(xs []uint64) {
-	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.U64(x)
-	}
-}
-
-// maxSliceLen bounds length prefixes read back from a blob, so a
-// corrupt stream cannot provoke a multi-gigabyte allocation.
+// maxSliceLen bounds length prefixes read back from a blob.
 const maxSliceLen = 1 << 32
 
-// Reader deserializes snapshot records with the same sticky-error
-// discipline as Writer.
-type Reader struct {
-	r   io.Reader
+// flushAt is the encoder's buffer size: encoded fields collect there
+// and reach the underlying writer one chunk at a time, not one Write
+// per field.
+const flushAt = 64 << 10
+
+// readChunk caps how far a decoder allocates ahead of the bytes it has
+// actually read, so a corrupt length prefix cannot provoke an
+// allocation larger than the stream behind it.
+const readChunk = 64 << 10
+
+// Coder encodes or decodes one snapshot stream. Errors are sticky:
+// after the first failure every call is a no-op and Err reports the
+// cause. A failed decode leaves the field it was handed unchanged.
+type Coder struct {
+	w   io.Writer // set when encoding
+	out []byte    // encoded bytes not yet handed to w
+	r   io.Reader // set when decoding
 	err error
 	buf [8]byte
 }
 
-// NewReader validates the magic and version header and returns a
-// Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	sr := &Reader{r: r}
+// NewEncoder starts a stream with the magic and version header and
+// returns an encoding Coder writing to w. The stream is complete once
+// Flush returns.
+func NewEncoder(w io.Writer) *Coder {
+	c := &Coder{w: w, out: make([]byte, 0, flushAt)}
+	c.write(magic[:])
+	v := Version
+	c.U32(&v)
+	return c
+}
+
+// NewDecoder validates the magic and version header read from r and
+// returns a decoding Coder.
+func NewDecoder(r io.Reader) (*Coder, error) {
+	c := &Coder{r: r}
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, fmt.Errorf("snap: reading magic: %w", err)
@@ -168,167 +81,272 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if m != magic {
 		return nil, fmt.Errorf("snap: bad magic %q (not a snapshot stream)", m[:])
 	}
-	if v := sr.U32(); v != Version {
+	var v uint32
+	c.U32(&v)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if v != Version {
 		return nil, fmt.Errorf("snap: format version %d, want %d", v, Version)
 	}
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	return sr, nil
+	return c, nil
 }
 
-// Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
+// Decoding reports whether the Coder restores state. Components whose
+// layout really differs by direction branch on it once.
+func (c *Coder) Decoding() bool { return c.r != nil }
 
-// Fail poisons the reader with err (for callers that detect a state
-// mismatch mid-restore, e.g. a geometry change).
-func (r *Reader) Fail(err error) {
-	if r.err == nil {
-		r.err = err
+// Err returns the first error encountered, if any. An encoder reports
+// write errors only as its buffer is flushed.
+func (c *Coder) Err() error { return c.err }
+
+// Fail poisons the Coder with err (for components that detect an
+// uncodable state mid-stream, e.g. in-flight transactions).
+func (c *Coder) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-func (r *Reader) read(b []byte) bool {
-	if r.err != nil {
+// Flush hands the encoder's buffered bytes to the underlying writer
+// and returns the first error encountered, if any.
+func (c *Coder) Flush() error {
+	if c.r == nil {
+		c.flush()
+	}
+	return c.err
+}
+
+func (c *Coder) flush() {
+	c.emit(c.out)
+	c.out = c.out[:0]
+}
+
+func (c *Coder) emit(b []byte) {
+	if c.err != nil {
+		return
+	}
+	if _, err := c.w.Write(b); err != nil {
+		c.err = err
+	}
+}
+
+// room makes space for n more bytes in the encoder's buffer.
+func (c *Coder) room(n int) {
+	if len(c.out)+n > cap(c.out) {
+		c.flush()
+	}
+}
+
+// write buffers b; a payload larger than the buffer goes straight to
+// the underlying writer.
+func (c *Coder) write(b []byte) {
+	c.room(len(b))
+	if len(b) > cap(c.out) {
+		c.emit(b)
+		return
+	}
+	c.out = append(c.out, b...)
+}
+
+// read fills b from the stream. Every byte a decoder asks for is part
+// of the layout, so running out of stream is always unexpected.
+func (c *Coder) read(b []byte) bool {
+	if c.err != nil {
 		return false
 	}
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
+	if _, err := io.ReadFull(c.r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		c.err = err
 		return false
 	}
 	return true
 }
 
-// Section reads a 4-byte tag and errors unless it matches.
-func (r *Reader) Section(tag string) {
-	var got [4]byte
-	if !r.read(got[:]) {
+// Section codes a 4-character section tag; decoding fails unless the
+// stream holds the same tag, so a layout drift fails at the first
+// misaligned section instead of silently transposing state.
+func (c *Coder) Section(tag string) {
+	if len(tag) != 4 {
+		c.Fail(fmt.Errorf("snap: section tag %q must be 4 bytes", tag))
 		return
 	}
-	if string(got[:]) != tag {
-		r.Fail(fmt.Errorf("snap: section %q, want %q (layout mismatch)", got[:], tag))
+	if c.r == nil {
+		c.room(len(tag))
+		c.out = append(c.out, tag...)
+		return
+	}
+	if c.read(c.buf[:4]) && string(c.buf[:4]) != tag {
+		c.Fail(fmt.Errorf("snap: section %q, want %q (layout mismatch)", c.buf[:4], tag))
 	}
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.read(r.buf[:1]) {
-		return 0
+// Enum codes one byte holding a value below n (a bool, a MESI state).
+// Decoding rejects a byte the encoder could not have written.
+func (c *Coder) Enum(v *uint8, n uint8) {
+	if c.r == nil {
+		c.room(1)
+		c.out = append(c.out, *v)
+		return
 	}
-	return r.buf[0]
+	if !c.read(c.buf[:1]) {
+		return
+	}
+	if c.buf[0] >= n {
+		c.Fail(fmt.Errorf("snap: byte %d out of range, want < %d", c.buf[0], n))
+		return
+	}
+	*v = c.buf[0]
 }
 
-// Bool reads a boolean byte.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if !r.read(r.buf[:4]) {
-		return 0
+// Bool codes a boolean as one byte, 0 or 1.
+func (c *Coder) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
 	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
+	c.Enum(&b, 2)
+	*v = b == 1
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if !r.read(r.buf[:8]) {
-		return 0
+// U32 codes a little-endian uint32.
+func (c *Coder) U32(v *uint32) {
+	if c.r == nil {
+		c.room(4)
+		c.out = binary.LittleEndian.AppendUint32(c.out, *v)
+	} else if c.read(c.buf[:4]) {
+		*v = binary.LittleEndian.Uint32(c.buf[:4])
 	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
 }
 
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int64-encoded int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// F64 reads an IEEE-754 float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// F32 reads an IEEE-754 float32.
-func (r *Reader) F32() float32 { return math.Float32frombits(r.U32()) }
-
-// Len reads a length prefix, rejecting implausible values.
-func (r *Reader) Len() int {
-	n := r.U64()
-	if n > maxSliceLen {
-		r.Fail(fmt.Errorf("snap: implausible length %d", n))
-		return 0
+// U64 codes a little-endian uint64.
+func (c *Coder) U64(v *uint64) {
+	if c.r == nil {
+		c.room(8)
+		c.out = binary.LittleEndian.AppendUint64(c.out, *v)
+	} else if c.read(c.buf[:8]) {
+		*v = binary.LittleEndian.Uint64(c.buf[:8])
 	}
-	return int(n)
 }
 
-// Bytes reads a length-prefixed byte slice.
-func (r *Reader) Bytes() []byte {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
+// I64 codes a little-endian int64.
+func (c *Coder) I64(v *int64) {
+	u := uint64(*v)
+	c.U64(&u)
+	*v = int64(u)
+}
+
+// Int codes an int as an int64.
+func (c *Coder) Int(v *int) {
+	i := int64(*v)
+	c.I64(&i)
+	*v = int(i)
+}
+
+// F64 codes a float64 as its IEEE-754 bits.
+func (c *Coder) F64(v *float64) {
+	u := math.Float64bits(*v)
+	c.U64(&u)
+	*v = math.Float64frombits(u)
+}
+
+// F32 codes a float32 as its IEEE-754 bits.
+func (c *Coder) F32(v *float32) {
+	u := math.Float32bits(*v)
+	c.U32(&u)
+	*v = math.Float32frombits(u)
+}
+
+// Len codes a count that sizes what follows. Decoding rejects
+// implausible values.
+func (c *Coder) Len(n *int) {
+	u := uint64(*n)
+	c.U64(&u)
+	if u > maxSliceLen {
+		c.Fail(fmt.Errorf("snap: implausible length %d", u))
+		return
 	}
-	b := make([]byte, n)
-	if !r.read(b) {
-		return nil
+	*n = int(u)
+}
+
+// Expect codes a value its owner already knows, such as a geometry:
+// encoding writes v, decoding reads the recorded value and fails unless
+// it equals v. what names the value in the error.
+func (c *Coder) Expect(what string, v int) {
+	got := v
+	c.Int(&got)
+	if got != v {
+		c.Fail(fmt.Errorf("snap: %s is %d, snapshot has %d", what, v, got))
+	}
+}
+
+// ExpectBool is Expect for a boolean, such as whether an optional
+// component exists.
+func (c *Coder) ExpectBool(what string, v bool) {
+	got := v
+	c.Bool(&got)
+	if got != v {
+		c.Fail(fmt.Errorf("snap: %s is %v, snapshot has %v", what, v, got))
+	}
+}
+
+// String codes a length-prefixed string. Decoding allocates only as
+// the payload is read.
+func (c *Coder) String(s *string) {
+	n := len(*s)
+	c.Len(&n)
+	if c.r == nil {
+		c.room(len(*s))
+		c.out = append(c.out, *s...)
+		return
+	}
+	if b := c.readN(n); c.err == nil {
+		*s = string(b)
+	}
+}
+
+// readN reads an n-byte payload, growing the buffer only as data
+// arrives: a forged length prefix fails with io.ErrUnexpectedEOF at the
+// end of the stream instead of allocating what the prefix claims.
+func (c *Coder) readN(n int) []byte {
+	b := make([]byte, 0, min(n, readChunk))
+	for len(b) < n && c.err == nil {
+		k := min(n-len(b), readChunk)
+		b = slices.Grow(b, k)
+		if c.read(b[len(b) : len(b)+k]) {
+			b = b[:len(b)+k]
+		}
 	}
 	return b
 }
 
-// BytesInto reads a length-prefixed byte payload into dst, which must
-// be exactly the recorded length.
-func (r *Reader) BytesInto(dst []byte) {
-	n := r.Len()
-	if r.err != nil {
-		return
+// Bytes codes a length-prefixed payload in place: decoding requires the
+// recorded length to equal len(b) and fills b.
+func (c *Coder) Bytes(b []byte) {
+	c.Expect("payload length", len(b))
+	if c.r == nil {
+		c.write(b)
+	} else {
+		c.read(b)
 	}
-	if n != len(dst) {
-		r.Fail(fmt.Errorf("snap: payload length %d, want %d", n, len(dst)))
-		return
-	}
-	r.read(dst)
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// I64s reads a length-prefixed []int64.
-func (r *Reader) I64s() []int64 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	xs := make([]int64, n)
+// I64s codes a length-prefixed []int64 in place, like Bytes.
+func (c *Coder) I64s(xs []int64) {
+	c.Expect("slice length", len(xs))
 	for i := range xs {
-		xs[i] = r.I64()
-	}
-	return xs
-}
-
-// I64sInto reads a length-prefixed []int64 into dst, which must be
-// exactly the recorded length.
-func (r *Reader) I64sInto(dst []int64) {
-	n := r.Len()
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.Fail(fmt.Errorf("snap: slice length %d, want %d", n, len(dst)))
-		return
-	}
-	for i := range dst {
-		dst[i] = r.I64()
+		c.I64(&xs[i])
 	}
 }
 
-// U64s reads a length-prefixed []uint64.
-func (r *Reader) U64s() []uint64 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	xs := make([]uint64, n)
+// U64s codes a length-prefixed []uint64 in place, like Bytes.
+func (c *Coder) U64s(xs []uint64) {
+	c.Expect("slice length", len(xs))
 	for i := range xs {
-		xs[i] = r.U64()
+		c.U64(&xs[i])
 	}
-	return xs
 }
 
 // ErrNotQuiescent is the sentinel components wrap when asked to

@@ -8,17 +8,17 @@ import (
 	"pimsim/internal/snap"
 )
 
-// snapshotOf serializes a component into a fresh snap stream and hands
-// back a reader positioned after the header.
-func snapshotOf(t *testing.T, write func(*snap.Writer)) *snap.Reader {
+// snapshotOf encodes a component into a fresh snap stream and hands
+// back a decoder positioned after the header.
+func snapshotOf(t *testing.T, write func(*snap.Coder)) *snap.Coder {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+	w := snap.NewEncoder(&buf)
 	write(w)
-	if err := w.Err(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	r, err := snap.NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := snap.NewDecoder(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRegistrySnapshotRestoreRoundTrip(t *testing.T) {
 	src.Add("alpha.hits", 42)
 	src.Add("vault.0.accesses", -3)
 
-	rd := snapshotOf(t, src.SnapshotTo)
+	rd := snapshotOf(t, src.Snap)
 
 	// The target interns in a different order, holds a pre-restore
 	// Handle, carries a stale value, and owns a counter the snapshot
@@ -47,7 +47,7 @@ func TestRegistrySnapshotRestoreRoundTrip(t *testing.T) {
 	dst.Add("alpha.hits", 999) // stale; restore must overwrite
 	dst.Add("dst.only", 5)     // absent from the stream; must survive
 
-	dst.RestoreFrom(rd)
+	dst.Snap(rd)
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,9 @@ func TestRegistrySnapshotOrderIndependentBytes(t *testing.T) {
 
 	dump := func(r *Registry) []byte {
 		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
-		r.SnapshotTo(w)
-		if err := w.Err(); err != nil {
+		w := snap.NewEncoder(&buf)
+		r.Snap(w)
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -105,10 +105,10 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 5, 5, 42, 1000, -7} {
 		src.Observe(v)
 	}
-	rd := snapshotOf(t, src.SnapshotTo)
+	rd := snapshotOf(t, src.Snap)
 	dst := NewHistogram(1, 10, 100)
 	dst.Observe(3) // pre-existing state; restore must replace it
-	dst.RestoreFrom(rd)
+	dst.Snap(rd)
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("histogram round trip diverged:\nsrc %+v\ndst %+v", src, dst)
 	}
 
-	rd2 := snapshotOf(t, src.SnapshotTo)
+	rd2 := snapshotOf(t, src.Snap)
 	other := NewHistogram(1, 10, 100, 1000)
-	other.RestoreFrom(rd2)
+	other.Snap(rd2)
 	if rd2.Err() == nil {
 		t.Fatal("bounds mismatch restored without error")
 	}

@@ -1,100 +1,72 @@
 package vm
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"pimsim/internal/snap"
 )
 
-// SnapshotTo serializes the page table. Translations live in maps, so
-// they are written in sorted-vpn order — map iteration order must never
-// reach the byte stream (the blob digest is content-addressed).
-func (pt *PageTable) SnapshotTo(w *snap.Writer) {
-	w.Section("PGTB")
-	w.U64(pt.next)
-	vpns := make([]uint64, 0, len(pt.entries))
-	for vpn := range pt.entries {
-		vpns = append(vpns, vpn)
+// Snap codes the page table. Translations live in maps, so encoding
+// writes them in sorted-vpn order — map iteration order must never
+// reach the byte stream (the blob digest is content-addressed) — and
+// decoding replaces the maps with the snapshot's contents.
+func (pt *PageTable) Snap(c *snap.Coder) {
+	c.Section("PGTB")
+	c.U64(&pt.next)
+	if c.Decoding() {
+		var n int
+		c.Len(&n)
+		pt.entries = make(map[uint64]uint64)
+		for i := 0; i < n && c.Err() == nil; i++ {
+			var vpn, pfn uint64
+			c.U64(&vpn)
+			c.U64(&pfn)
+			pt.entries[vpn] = pfn
+		}
+		c.Len(&n)
+		pt.readOnly = make(map[uint64]bool)
+		for i := 0; i < n && c.Err() == nil; i++ {
+			var vpn uint64
+			c.U64(&vpn)
+			pt.readOnly[vpn] = true
+		}
+		return
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	w.Int(len(vpns))
+	vpns := sortedKeys(pt.entries)
+	n := len(vpns)
+	c.Len(&n)
 	for _, vpn := range vpns {
-		w.U64(vpn)
-		w.U64(pt.entries[vpn])
+		pfn := pt.entries[vpn]
+		c.U64(&vpn)
+		c.U64(&pfn)
 	}
 	// Protect only ever stores true, so every key is a read-only page.
-	ros := make([]uint64, 0, len(pt.readOnly))
-	for vpn := range pt.readOnly {
-		ros = append(ros, vpn)
-	}
-	sort.Slice(ros, func(i, j int) bool { return ros[i] < ros[j] })
-	w.U64s(ros)
+	ros := sortedKeys(pt.readOnly)
+	c.U64s(ros)
 }
 
-// RestoreFrom replaces the page table's contents with the snapshot's.
-func (pt *PageTable) RestoreFrom(r *snap.Reader) {
-	r.Section("PGTB")
-	pt.next = r.U64()
-	n := r.Int()
-	if r.Err() != nil {
-		return
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	pt.entries = make(map[uint64]uint64, n)
-	for i := 0; i < n; i++ {
-		vpn := r.U64()
-		pfn := r.U64()
-		if r.Err() != nil {
-			return
-		}
-		pt.entries[vpn] = pfn
-	}
-	ros := r.U64s()
-	if r.Err() != nil {
-		return
-	}
-	pt.readOnly = make(map[uint64]bool, len(ros))
-	for _, vpn := range ros {
-		pt.readOnly[vpn] = true
-	}
+	slices.Sort(keys)
+	return keys
 }
 
-// SnapshotTo serializes the TLB: every slot with its LRU stamp, the LRU
-// clock, and the hit/miss counters.
-func (t *TLB) SnapshotTo(w *snap.Writer) {
-	w.Section("TLB ")
-	w.Int(t.entries)
-	w.U64(t.clock)
-	w.I64(t.Hits)
-	w.I64(t.Misses)
+// Snap codes the TLB of identical capacity: every slot with its LRU
+// stamp, the LRU clock, and the hit/miss counters.
+func (t *TLB) Snap(c *snap.Coder) {
+	c.Section("TLB ")
+	c.Expect("vm: TLB entries", t.entries)
+	c.U64(&t.clock)
+	c.I64(&t.Hits)
+	c.I64(&t.Misses)
 	for i := range t.slots {
 		s := &t.slots[i]
-		w.Bool(s.valid)
-		w.U64(s.vpn)
-		w.U64(s.pfn)
-		w.U64(s.lru)
-	}
-}
-
-// RestoreFrom loads TLB state into a TLB of identical capacity.
-func (t *TLB) RestoreFrom(r *snap.Reader) {
-	r.Section("TLB ")
-	entries := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if entries != t.entries {
-		r.Fail(fmt.Errorf("vm: TLB has %d entries, snapshot has %d", t.entries, entries))
-		return
-	}
-	t.clock = r.U64()
-	t.Hits = r.I64()
-	t.Misses = r.I64()
-	for i := range t.slots {
-		s := &t.slots[i]
-		s.valid = r.Bool()
-		s.vpn = r.U64()
-		s.pfn = r.U64()
-		s.lru = r.U64()
+		c.Bool(&s.valid)
+		c.U64(&s.vpn)
+		c.U64(&s.pfn)
+		c.U64(&s.lru)
 	}
 }

@@ -149,8 +149,7 @@ func (w *hashjoin) Streams(m *machine.Machine) []cpu.Stream {
 	w.initPhases(1, nil)
 	// The match counter lives host-side (PEI completion callbacks), so it
 	// must ride in the snapshot alongside the machine state.
-	w.snapExtra = func(sw *snap.Writer) { sw.I64(w.hits) }
-	w.restoreExtra = func(sr *snap.Reader) { w.hits = sr.I64() }
+	w.snapExtra = func(c *snap.Coder) { c.I64(&w.hits) }
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		lo, hi := PartitionRange(w.sRows, w.p.Threads, t)

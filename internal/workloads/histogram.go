@@ -98,8 +98,7 @@ func (w *histogram) Streams(m *machine.Machine) []cpu.Stream {
 	blocks := w.n / 16
 	barrier := cpu.NewBarrier(w.p.Threads)
 	w.initPhases(1, barrier)
-	w.snapExtra = func(sw *snap.Writer) { snapU64Grid(sw, w.local) }
-	w.restoreExtra = func(sr *snap.Reader) { restoreU64Grid(sr, w.local) }
+	w.snapExtra = func(c *snap.Coder) { snapU64Grid(c, w.local) }
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		lo, hi := PartitionRange(blocks, w.p.Threads, t)

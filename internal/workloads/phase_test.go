@@ -10,13 +10,6 @@ import (
 	"pimsim/internal/pim"
 )
 
-// TestPhasedVerifyAllWorkloads proves a checkpoint round-trip in the
-// middle of the run preserves functional correctness for every
-// workload: simulate to the midpoint boundary, serialize, restore into
-// a second freshly built machine, finish the run there, and Verify on
-// the second machine. Workloads with a single superstep have no
-// interior boundary; for them the snapshot/restore leg is skipped and
-// the phased driver alone is exercised.
 // TestRestorePoolHygiene pins the pool discipline across Restore:
 // transaction pools are recycling capacity, never serialized, so
 // restoring a snapshot into a machine whose pools are already populated
@@ -46,7 +39,7 @@ func TestRestorePoolHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.SnapshotTo(&buf, w.SnapshotTo); err != nil {
+	if err := m.SnapshotTo(&buf, w.Snap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +57,7 @@ func TestRestorePoolHygiene(t *testing.T) {
 	if err := m2.Drive(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), w2.RestoreFrom); err != nil {
+	if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), w2.Snap); err != nil {
 		t.Fatalf("restore into a used machine: %v", err)
 	}
 	w2.SetRoundLimit(0)
@@ -83,6 +76,13 @@ func TestRestorePoolHygiene(t *testing.T) {
 	}
 }
 
+// TestPhasedVerifyAllWorkloads proves a checkpoint round-trip in the
+// middle of the run preserves functional correctness for every
+// workload: simulate to the midpoint boundary, serialize, restore into
+// a second freshly built machine, finish the run there, and Verify on
+// the second machine. Workloads with a single superstep have no
+// interior boundary; for them the snapshot/restore leg is skipped and
+// the phased driver alone is exercised.
 func TestPhasedVerifyAllWorkloads(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range Names {
@@ -109,7 +109,7 @@ func TestPhasedVerifyAllWorkloads(t *testing.T) {
 			if mid > 0 {
 				drive(m, w, mid)
 				var buf bytes.Buffer
-				if err := m.SnapshotTo(&buf, w.SnapshotTo); err != nil {
+				if err := m.SnapshotTo(&buf, w.Snap); err != nil {
 					t.Fatalf("snapshot at phase %d: %v", mid, err)
 				}
 
@@ -117,7 +117,7 @@ func TestPhasedVerifyAllWorkloads(t *testing.T) {
 				w2 := MustNew(name, p)
 				m2 := machine.MustNew(config.Scaled(), pim.LocalityAware)
 				streams2 := w2.Streams(m2)
-				if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), w2.RestoreFrom); err != nil {
+				if err := m2.RestoreFrom(bytes.NewReader(buf.Bytes()), w2.Snap); err != nil {
 					t.Fatalf("restore at phase %d: %v", mid, err)
 				}
 				w2.SetRoundLimit(0)

@@ -116,8 +116,7 @@ func (w *radix) Streams(m *machine.Machine) []cpu.Stream {
 	// scatterCursor needs no snapshot: beforeRound recomputes it from
 	// offsets at the start of every scatter round, and phase boundaries
 	// only fall between rounds.
-	w.snapExtra = func(sw *snap.Writer) { snapU64Grid(sw, w.local) }
-	w.restoreExtra = func(sr *snap.Reader) { restoreU64Grid(sr, w.local) }
+	w.snapExtra = func(c *snap.Coder) { snapU64Grid(c, w.local) }
 	streams := make([]cpu.Stream, w.p.Threads)
 	for t := 0; t < w.p.Threads; t++ {
 		blo, bhi := PartitionRange(totalBlocks, w.p.Threads, t)

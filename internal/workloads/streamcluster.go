@@ -122,20 +122,11 @@ func (w *streamcluster) Streams(m *machine.Machine) []cpu.Stream {
 	w.initPhases(w.centers, nil)
 	// The chunk distances live host-side (PEI completion callbacks);
 	// the shape is deterministic, so values stream without lengths.
-	w.snapExtra = func(sw *snap.Writer) {
-		for _, pc := range w.partial {
-			for _, cs := range pc {
-				for _, v := range cs {
-					sw.F32(v)
-				}
-			}
-		}
-	}
-	w.restoreExtra = func(sr *snap.Reader) {
+	w.snapExtra = func(c *snap.Coder) {
 		for _, pc := range w.partial {
 			for _, cs := range pc {
 				for i := range cs {
-					cs[i] = sr.F32()
+					c.F32(&cs[i])
 				}
 			}
 		}

@@ -110,17 +110,10 @@ func (w *svm) Streams(m *machine.Machine) []cpu.Stream {
 		w.partials[i] = make([]float64, w.features/4)
 	}
 	w.initPhases(1, nil)
-	w.snapExtra = func(sw *snap.Writer) {
-		for _, row := range w.partials {
-			for _, v := range row {
-				sw.F64(v)
-			}
-		}
-	}
-	w.restoreExtra = func(sr *snap.Reader) {
+	w.snapExtra = func(c *snap.Coder) {
 		for _, row := range w.partials {
 			for i := range row {
-				row[i] = sr.F64()
+				c.F64(&row[i])
 			}
 		}
 	}

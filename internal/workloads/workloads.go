@@ -98,7 +98,7 @@ type Workload interface {
 	Verify(m *machine.Machine) error
 
 	// A run can be cut at superstep boundaries for checkpointing.
-	// Between phases the machine drains to quiescence; SnapshotTo then
+	// Between phases the machine drains to quiescence; Snap then
 	// captures the only state that lives outside the simulated machine —
 	// the generators' positions and any host-side accumulators PEI
 	// completion callbacks write into. Every workload gets these methods
@@ -112,12 +112,12 @@ type Workload interface {
 	// checkpointable boundary; raising the cap and re-arming the cores
 	// resumes generation exactly where it stopped.
 	SetRoundLimit(limit int)
-	// SnapshotTo appends the workload's generator state to a machine
-	// snapshot stream. Only valid at a drained phase boundary.
-	SnapshotTo(w *snap.Writer)
-	// RestoreFrom loads generator state into a freshly built workload
-	// whose Streams have been constructed on the restore target.
-	RestoreFrom(r *snap.Reader)
+	// Snap codes the workload's generator state as the tail of a
+	// machine snapshot stream: appended when encoding, loaded when
+	// decoding into a freshly built workload whose Streams have been
+	// constructed on the restore target. Only valid at a drained phase
+	// boundary.
+	Snap(c *snap.Coder)
 }
 
 // Names lists all workloads in the paper's order.
