@@ -14,7 +14,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -466,11 +465,9 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 		if last {
 			break
 		}
-		var buf bytes.Buffer
-		if err := m.SnapshotTo(&buf, w.Snap); err != nil {
-			return machine.Result{}, err
-		}
-		if err := st.Put(digest, phase+1, int64(m.K.Now()), buf.Bytes()); err != nil {
+		if err := st.Put(digest, phase+1, int64(m.K.Now()), func(out io.Writer) error {
+			return m.SnapshotTo(out, w.Snap)
+		}); err != nil {
 			return machine.Result{}, err
 		}
 	}

@@ -5,13 +5,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"pimsim/internal/config"
+	"pimsim/internal/machine"
 	"pimsim/internal/pim"
+	"pimsim/internal/snap"
 	"pimsim/internal/workloads"
 )
 
@@ -136,6 +139,130 @@ func TestResumeEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// deepestBlob returns the deepest blob runSnapCell stored for cell in
+// dir, read through a store of its own so the run's counters stay put.
+func deepestBlob(t *testing.T, r *Runner, dir string, cell Cell) snap.Blob {
+	t.Helper()
+	st, err := snap.NewStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := snapshotDigest(r.Opts.Cfg, cell.Workload, r.params(cell.Size), cell.Mode)
+	b, ok := st.Best(digest)
+	if !ok {
+		t.Fatalf("no blob stored for %v", cell)
+	}
+	return b
+}
+
+// countReader counts the Read calls made on it.
+type countReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// countWriter counts the Write calls made on it.
+type countWriter struct {
+	w      io.Writer
+	writes int
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.w.Write(p)
+}
+
+// TestSnapshotIOChunks pins the I/O shape of warm starts: restoring a
+// real phase blob reads it, and storing it again through Store.Put
+// writes it, in 64 KiB chunks rather than one call per field.
+func TestSnapshotIOChunks(t *testing.T) {
+	dir := t.TempDir()
+	cell := Cell{"bfs", workloads.Small, pim.LocalityAware}
+	r, _ := runSnapCell(t, dir, cell, nil)
+	blob := deepestBlob(t, r, dir, cell)
+	data, err := os.ReadFile(blob.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 64 << 10
+	max := (len(data)+chunk-1)/chunk + 2
+
+	w, err := workloads.New(cell.Workload, r.params(cell.Size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.New(r.Opts.Cfg, cell.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Streams(m)
+	cr := &countReader{r: bytes.NewReader(data)}
+	if err := m.RestoreFrom(cr, w.Snap); err != nil {
+		t.Fatal(err)
+	}
+	if cr.reads > max {
+		t.Fatalf("%d reads to restore a %d-byte blob, want <= %d", cr.reads, len(data), max)
+	}
+
+	st, err := snap.NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cw *countWriter
+	if err := st.Put(blob.Digest, blob.Phase, blob.Cycle, func(out io.Writer) error {
+		cw = &countWriter{w: out}
+		return m.SnapshotTo(cw, w.Snap)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if cw.writes > max {
+		t.Fatalf("%d writes to store a %d-byte blob, want <= %d", cw.writes, len(data), max)
+	}
+	again, ok := st.Best(blob.Digest)
+	if !ok {
+		t.Fatal("Put stored no blob")
+	}
+	if got, err := os.ReadFile(again.Path); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("restored-then-stored blob differs from the original (%d vs %d bytes, %v)", len(got), len(data), err)
+	}
+}
+
+// TestUnusableBlobRunsCold truncates a cell's deepest blob: the rerun
+// must drop it, run cold to the cold result, and store the blob anew.
+func TestUnusableBlobRunsCold(t *testing.T) {
+	dir := t.TempDir()
+	cell := Cell{"pr", workloads.Small, pim.LocalityAware}
+	coldRunner, coldRes := runSnapCell(t, dir, cell, nil)
+	blob := deepestBlob(t, coldRunner, dir, cell)
+	want, err := os.ReadFile(blob.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(blob.Path, blob.Size/2); err != nil {
+		t.Fatal(err)
+	}
+	rerun, res := runSnapCell(t, dir, cell, nil)
+	if !reflect.DeepEqual(res, coldRes) {
+		t.Fatalf("rerun over a torn blob diverged from cold\nrerun: %+v\ncold:  %+v", res, coldRes)
+	}
+	rep := rerun.SnapshotReport()
+	if rep.Store.Hits != 1 || rep.CyclesSkipped != 0 {
+		t.Fatalf("rerun should find the torn blob and then run cold: %+v", rep)
+	}
+	got, err := os.ReadFile(blob.Path)
+	if err != nil {
+		t.Fatalf("torn blob was not rewritten: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rewritten blob is %d bytes, want the cold run's %d", len(got), len(want))
 	}
 }
 

@@ -18,6 +18,7 @@
 package snap
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,18 +44,19 @@ const maxSliceLen = 1 << 32
 // per field.
 const flushAt = 64 << 10
 
-// readChunk caps how far a decoder allocates ahead of the bytes it has
-// actually read, so a corrupt length prefix cannot provoke an
-// allocation larger than the stream behind it.
+// readChunk is the decoder's read-buffer size, and caps how far it
+// allocates ahead of the bytes it has actually read, so a corrupt
+// length prefix cannot provoke an allocation larger than the stream
+// behind it.
 const readChunk = 64 << 10
 
 // Coder encodes or decodes one snapshot stream. Errors are sticky:
 // after the first failure every call is a no-op and Err reports the
 // cause. A failed decode leaves the field it was handed unchanged.
 type Coder struct {
-	w   io.Writer // set when encoding
-	out []byte    // encoded bytes not yet handed to w
-	r   io.Reader // set when decoding
+	w   io.Writer     // set when encoding
+	out []byte        // encoded bytes not yet handed to w
+	r   *bufio.Reader // set when decoding
 	err error
 	buf [8]byte
 }
@@ -71,11 +73,13 @@ func NewEncoder(w io.Writer) *Coder {
 }
 
 // NewDecoder validates the magic and version header read from r and
-// returns a decoding Coder.
+// returns a decoding Coder. It reads r in readChunk-sized chunks, not
+// one Read per field, so it may consume bytes past the end of the
+// snapshot stream: r must hold this stream alone.
 func NewDecoder(r io.Reader) (*Coder, error) {
-	c := &Coder{r: r}
+	c := &Coder{r: bufio.NewReaderSize(r, readChunk)}
 	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
+	if _, err := io.ReadFull(c.r, m[:]); err != nil {
 		return nil, fmt.Errorf("snap: reading magic: %w", err)
 	}
 	if m != magic {

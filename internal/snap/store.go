@@ -2,11 +2,13 @@ package snap
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -22,6 +24,8 @@ type Blob struct {
 	Cycle  int64
 	Path   string
 	Size   int64
+
+	atime time.Time // mtime when listed: the LRU's access time
 }
 
 var blobName = regexp.MustCompile(`^([0-9a-f]+)-p(\d+)-c(\d+)\.snap$`)
@@ -62,14 +66,19 @@ func NewStore(dir string, budget int64) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// list returns every blob in the store, unsorted.
-func (s *Store) list() []Blob {
+// list returns the store's blobs whose names start with prefix ("" for
+// all), unsorted. Other entries are skipped by name alone, before any
+// parsing or stat.
+func (s *Store) list(prefix string) []Blob {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil
 	}
 	var blobs []Blob
 	for _, e := range ents {
+		if !strings.HasPrefix(e.Name(), prefix) {
+			continue
+		}
 		m := blobName.FindStringSubmatch(e.Name())
 		if m == nil {
 			continue
@@ -86,23 +95,22 @@ func (s *Store) list() []Blob {
 			Cycle:  cycle,
 			Path:   filepath.Join(s.dir, e.Name()),
 			Size:   info.Size(),
+			atime:  info.ModTime(),
 		})
 	}
 	return blobs
 }
 
 // Best returns the deepest (highest-phase) snapshot stored for digest,
-// counting a hit or miss. A hit refreshes the blob's access time so the
-// LRU keeps warm prefixes resident.
+// counting a hit or miss. Only entries named for digest are examined.
+// A hit refreshes the blob's access time so the LRU keeps warm prefixes
+// resident.
 func (s *Store) Best(digest string) (Blob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best Blob
 	found := false
-	for _, b := range s.list() {
-		if b.Digest != digest {
-			continue
-		}
+	for _, b := range s.list(digest + "-p") {
 		if !found || b.Phase > best.Phase {
 			best, found = b, true
 		}
@@ -117,32 +125,39 @@ func (s *Store) Best(digest string) (Blob, bool) {
 	return best, true
 }
 
-// Put stores data as the snapshot for (digest, phase, cycle), then
-// evicts least-recently-used blobs beyond the byte budget. The write
-// goes through a temp file + rename so concurrent readers never see a
-// torn blob.
-func (s *Store) Put(digest string, phase int, cycle int64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Put stores the snapshot for (digest, phase, cycle) that write
+// produces, then evicts least-recently-used blobs beyond the byte
+// budget. write streams straight into a temp file in the store's
+// directory, which is renamed into place only if write and the close
+// succeed, so readers never see a torn blob and a failed write leaves
+// nothing behind. The store's lock is held only for the rename, the
+// counters and eviction, so concurrent Puts write their files in
+// parallel.
+func (s *Store) Put(digest string, phase int, cycle int64, write func(io.Writer) error) error {
 	name := fmt.Sprintf("%s-p%d-c%d.snap", digest, phase, cycle)
 	tmp, err := os.CreateTemp(s.dir, name+".tmp*")
 	if err != nil {
 		return fmt.Errorf("snap: store put: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	err = write(tmp)
+	info, serr := tmp.Stat()
+	if err == nil {
+		err = serr
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("snap: store put: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snap: store put: %w", err)
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("snap: store put: %w", err)
 	}
-	s.bytesWritten += int64(len(data))
+	s.bytesWritten += info.Size()
 	s.evict()
 	return nil
 }
@@ -155,7 +170,7 @@ func (s *Store) evict() {
 	if s.budget <= 0 {
 		return
 	}
-	blobs := s.list()
+	blobs := s.list("")
 	var used int64
 	for _, b := range blobs {
 		used += b.Size
@@ -164,13 +179,8 @@ func (s *Store) evict() {
 		return
 	}
 	sort.Slice(blobs, func(i, j int) bool {
-		mi, ei := os.Stat(blobs[i].Path)
-		mj, ej := os.Stat(blobs[j].Path)
-		if ei != nil || ej != nil {
-			return blobs[i].Path < blobs[j].Path
-		}
-		if !mi.ModTime().Equal(mj.ModTime()) {
-			return mi.ModTime().Before(mj.ModTime())
+		if !blobs[i].atime.Equal(blobs[j].atime) {
+			return blobs[i].atime.Before(blobs[j].atime)
 		}
 		return blobs[i].Path < blobs[j].Path
 	})
@@ -196,7 +206,7 @@ func (s *Store) Stats() StoreStats {
 		BytesWritten: s.bytesWritten,
 		Evictions:    s.evictions,
 	}
-	for _, b := range s.list() {
+	for _, b := range s.list("") {
 		st.Entries++
 		st.Bytes += b.Size
 	}

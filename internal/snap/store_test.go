@@ -1,11 +1,24 @@
 package snap
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
+
+// put stores data as the blob for (digest, phase, cycle).
+func put(s *Store, digest string, phase int, cycle int64, data []byte) error {
+	return s.Put(digest, phase, cycle, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
 
 func TestStoreBestPicksDeepestPhase(t *testing.T) {
 	s, err := NewStore(t.TempDir(), 0)
@@ -17,11 +30,11 @@ func TestStoreBestPicksDeepestPhase(t *testing.T) {
 		t.Fatal("empty store claimed a blob")
 	}
 	for phase, cycle := range map[int]int64{1: 100, 3: 900, 2: 400} {
-		if err := s.Put(digest, phase, cycle, []byte{byte(phase)}); err != nil {
+		if err := put(s, digest, phase, cycle, []byte{byte(phase)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Put("0123ef", 9, 999, []byte("x")) // different digest must not win
+	put(s, "0123ef", 9, 999, []byte("x")) // different digest must not win
 
 	b, ok := s.Best(digest)
 	if !ok || b.Phase != 3 || b.Cycle != 900 || b.Digest != digest {
@@ -47,7 +60,7 @@ func TestStoreEvictsLRUBeyondBudget(t *testing.T) {
 	}
 	blob := make([]byte, 100)
 	for i, d := range []string{"aaaa", "bbbb", "cccc"} {
-		if err := s.Put(d, 1, 10, blob); err != nil {
+		if err := put(s, d, 1, 10, blob); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct mtimes so LRU order is deterministic on coarse
@@ -56,7 +69,7 @@ func TestStoreEvictsLRUBeyondBudget(t *testing.T) {
 		os.Chtimes(filepath.Join(s.Dir(), d+"-p1-c10.snap"), ts, ts)
 	}
 	// 300 bytes resident vs a 256 budget: the oldest blob goes.
-	s.Put("dddd", 1, 10, []byte{})
+	put(s, "dddd", 1, 10, []byte{})
 	st := s.Stats()
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions: %+v", st)
@@ -77,7 +90,7 @@ func TestStoreBestRefreshesAccessTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put("aaaa", 1, 10, []byte("x"))
+	put(s, "aaaa", 1, 10, []byte("x"))
 	old := time.Now().Add(-time.Hour)
 	path := filepath.Join(s.Dir(), "aaaa-p1-c10.snap")
 	os.Chtimes(path, old, old)
@@ -106,5 +119,94 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	}
 	if _, ok := s.Best("zzzz"); ok {
 		t.Fatal("temp file served as a blob")
+	}
+}
+
+func TestStorePutFailureLeavesNothing(t *testing.T) {
+	s, err := NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := put(s, "aaaa", 1, 10, []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().BytesWritten
+	boom := errors.New("encoder failed")
+	err = s.Put("bbbb", 2, 20, func(w io.Writer) error {
+		w.Write([]byte("half a blob"))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Put returned %v, want the callback's error", err)
+	}
+	ents, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "aaaa-p1-c10.snap" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("failed Put left files behind: %v", names)
+	}
+	if got := s.Stats().BytesWritten; got != before {
+		t.Fatalf("BytesWritten %d after a failed Put, want %d", got, before)
+	}
+	if _, ok := s.Best("bbbb"); ok {
+		t.Fatal("Best served the blob of a failed Put")
+	}
+}
+
+func TestStoreBestMatchesWholeDigest(t *testing.T) {
+	s, err := NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := put(s, "aaaab", 1, 10, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := s.Best("aaaa"); ok {
+		t.Fatalf("Best(aaaa) served %s", b.Path)
+	}
+	if b, ok := s.Best("aaaab"); !ok || b.Digest != "aaaab" {
+		t.Fatalf("Best(aaaab) = %+v, %v", b, ok)
+	}
+}
+
+// TestStoreConcurrent runs Put, Best and Stats from many goroutines
+// over a budgeted store; run it under -race.
+func TestStoreConcurrent(t *testing.T) {
+	s, err := NewStore(t.TempDir(), 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			data := bytes.Repeat([]byte{byte(g)}, 512)
+			for i := 0; i < 20; i++ {
+				digest := fmt.Sprintf("%04x", g*100+i%5)
+				if err := put(s, digest, i, int64(i), data); err != nil {
+					t.Error(err)
+					return
+				}
+				s.Best(digest)
+				s.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Hits+st.Misses != 8*20 {
+		t.Fatalf("lookups %d, want %d: %+v", st.Hits+st.Misses, 8*20, st)
+	}
+	if st.BytesWritten != 8*20*512 {
+		t.Fatalf("bytes written %d, want %d", st.BytesWritten, 8*20*512)
+	}
+	if st.Bytes > 4<<10 {
+		t.Fatalf("store over budget: %+v", st)
 	}
 }
