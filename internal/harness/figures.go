@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"pimsim/internal/config"
@@ -18,12 +19,6 @@ import (
 // then assembles rows serially in declared order — so rendered tables
 // are byte-identical at any Options.Parallelism.
 
-// graphSweep lists the nine Figure 2/8 graphs, scaled by the runner's
-// scale factor.
-func (r *Runner) graphSweep() []graph.DatasetSpec {
-	return graph.Figure2Graphs
-}
-
 // Fig2 reproduces Figure 2: PageRank speedup of always-in-memory atomic
 // add (PIM-Only) over the idealized host, across the nine graphs.
 func (r *Runner) Fig2(ctx context.Context) (*Table, error) {
@@ -35,7 +30,7 @@ func (r *Runner) Fig2(ctx context.Context) (*Table, error) {
 			fmt.Sprintf("graphs are R-MAT stand-ins scaled 1/%d (DESIGN.md §3)", r.Opts.Scale),
 		},
 	}
-	specs := r.graphSweep()
+	specs := graph.Figure2Graphs
 	type pair struct{ host, mem machine.Result }
 	out := make([]pair, len(specs))
 	err := r.forEach(ctx, len(specs), func(ctx context.Context, i int) error {
@@ -74,7 +69,7 @@ type fourModes struct {
 
 // runFourModes simulates every configured workload under all four modes
 // at the given size, fanning out through the pool. Figures 6, 7, and 12
-// share these cells via the runner's cache.
+// share these cells through the runner's memo.
 func (r *Runner) runFourModes(ctx context.Context, tag string, size workloads.Size) ([]fourModes, error) {
 	out := make([]fourModes, len(r.Opts.Workloads))
 	err := r.forEach(ctx, len(out), func(ctx context.Context, i int) error {
@@ -168,7 +163,7 @@ func (r *Runner) Fig8(ctx context.Context) (*Table, error) {
 			"paper: PIM% grows from 0.3% (soc-Slashdot0811) to 87% (cit-Patents)",
 		},
 	}
-	specs := r.graphSweep()
+	specs := graph.Figure2Graphs
 	type triple struct{ host, mem, la machine.Result }
 	out := make([]triple, len(specs))
 	err := r.forEach(ctx, len(specs), func(ctx context.Context, i int) error {
@@ -365,6 +360,8 @@ func (r *Runner) Fig11b(ctx context.Context) (*Table, error) {
 		1)
 }
 
+// pcuSweep runs the Locality-Aware medium cells at every value and
+// reports speedup over the column at def, which values must include.
 func (r *Runner) pcuSweep(ctx context.Context, title string, values []int, set func(*config.Config, int), def int) (*Table, error) {
 	t := &Table{
 		Title:  title,
@@ -373,23 +370,10 @@ func (r *Runner) pcuSweep(ctx context.Context, title string, values []int, set f
 	}
 	size := workloads.Medium
 	names := r.Opts.Workloads
-	base := make([]machine.Result, len(names))
-	err := r.forEach(ctx, len(names), func(ctx context.Context, i int) error {
-		res, err := r.RunWorkload(ctx, names[i], r.params(size), pim.LocalityAware,
-			func(c *config.Config) { set(c, def) }, false)
-		if err != nil {
-			return err
-		}
-		base[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	// One flat (value × workload) grid keeps the pool saturated across
 	// sweep points.
 	grid := make([]machine.Result, len(values)*len(names))
-	err = r.forEach(ctx, len(grid), func(ctx context.Context, j int) error {
+	err := r.forEach(ctx, len(grid), func(ctx context.Context, j int) error {
 		v, name := values[j/len(names)], names[j%len(names)]
 		r.logf("pcu sweep: value %d, %s", v, name)
 		res, err := r.RunWorkload(ctx, name, r.params(size), pim.LocalityAware,
@@ -403,6 +387,7 @@ func (r *Runner) pcuSweep(ctx context.Context, title string, values []int, set f
 	if err != nil {
 		return nil, err
 	}
+	base := grid[slices.Index(values, def)*len(names):]
 	for vi, v := range values {
 		var sps []float64
 		minS, maxS := 0.0, 0.0

@@ -280,18 +280,19 @@ func (c Cell) key() string {
 	return fmt.Sprintf("%s/%s/%s", c.Workload, c.Size, c.Mode)
 }
 
-// cellRun is one in-flight or completed cached simulation. Waiters block
-// on done; res/err are immutable once done is closed.
+// cellRun is one in-flight or completed memoized simulation. Waiters
+// block on done; res/err are immutable once done is closed.
 type cellRun struct {
 	done chan struct{}
 	res  machine.Result
 	err  error
 }
 
-// Runner executes and caches cells so figures sharing runs (6, 7, 12)
-// pay for each simulation once. It is safe for concurrent use: the cell
-// cache is singleflight — a cell requested while already simulating is
-// not re-run, the second requester blocks on the in-flight run.
+// Runner executes and memoizes runs so figures sharing design points pay
+// for each simulation once. It is safe for concurrent use: the memo is
+// singleflight, keyed by a run's content digest — a run requested while
+// an identical one is simulating is not re-run, the second requester
+// blocks on the in-flight run. The memo lives as long as the runner.
 type Runner struct {
 	Opts Options
 
@@ -318,7 +319,7 @@ func NewRunner(opts Options) *Runner {
 }
 
 // Simulations reports how many machine simulations this runner has
-// started (cache hits excluded).
+// started (runs served from the memo excluded).
 func (r *Runner) Simulations() int64 { return r.simulations.Load() }
 
 // logf emits one progress line to Options.Verbose (goroutine-safe).
@@ -340,11 +341,47 @@ func (r *Runner) params(size workloads.Size) workloads.Params {
 	}
 }
 
-// RunCell simulates one cell (cached, singleflight). Concurrent requests
-// for the same cell simulate exactly once; the waiters return the leader's
-// result, or ctx.Err() if their own context ends first.
+// RunCell simulates one cell on the runner's unmutated config.
 func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
-	key := c.key()
+	res, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode, nil, false)
+	if err != nil {
+		err = fmt.Errorf("harness: %s: %w", c.key(), err)
+	}
+	return res, err
+}
+
+// RunWorkload simulates one workload on a fresh machine. It is the only
+// path a single-workload run takes: cells and their graph and
+// config-mutating variants, pei.RunWorkloadContext and pei.RunJob all
+// come through here. mutate, if non-nil, adjusts a clone of the runner's
+// config before the machine is built; verify checks the functional
+// results against the workload's golden implementation after the run.
+//
+// Runs are memoized, singleflight, on their runDigest plus verify: a
+// mutate that leaves the config equal shares the unmutated run, and
+// concurrent requests for one digest simulate exactly once. Waiters
+// return the leader's result (shared: read-only), or ctx.Err() if their
+// own context ends first. Failed (often: cancelled) runs are evicted so
+// a later request re-simulates instead of replaying the error.
+//
+// A run is a sequence of phases cut at the workload's superstep
+// boundaries. Without a snapshot store it is one phase — Start, Drive,
+// CheckDone, Finish, exactly machine.RunContext. With a store it is
+// Rounds() phases: the run resumes from the deepest stored boundary and
+// writes every interior boundary back (see snapshot.go).
+func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Params, mode pim.Mode, mutate func(*config.Config), verify bool) (res machine.Result, err error) {
+	if verify && p.OpBudget > 0 {
+		return machine.Result{}, fmt.Errorf("harness: cannot verify a budget-truncated run")
+	}
+	if err := ctx.Err(); err != nil {
+		return machine.Result{}, err
+	}
+	cfg := r.Opts.Cfg.Clone()
+	if mutate != nil {
+		mutate(cfg)
+	}
+	digest := runDigest(cfg, name, p, mode)
+	key := fmt.Sprintf("%s/verify=%t", digest, verify)
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -359,54 +396,25 @@ func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
 	r.cache[key] = e
 	r.mu.Unlock()
 
-	res, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode, nil, false)
-	if err != nil {
-		// Failed (often: cancelled) runs are evicted so a later request
-		// re-simulates instead of replaying the error.
-		err = fmt.Errorf("harness: %s: %w", key, err)
-		r.mu.Lock()
-		delete(r.cache, key)
-		r.mu.Unlock()
-	}
-	e.res, e.err = res, err
-	close(e.done)
-	if err == nil {
-		r.logf("  %-18s %12d cycles  %5.1f%% PIM", key, res.Cycles, 100*res.PIMFraction())
-	}
-	return res, err
-}
-
-// RunWorkload simulates one workload on a fresh machine. It is the only
-// path a single-workload run takes: cells and their graph and
-// config-mutating variants, pei.RunWorkloadContext and pei.RunJob all
-// come through here. mutate, if non-nil, adjusts a clone of the runner's
-// config before the machine is built; verify checks the functional
-// results against the workload's golden implementation after the run.
-//
-// A run is a sequence of phases cut at the workload's superstep
-// boundaries. Without a snapshot store it is one phase — Start, Drive,
-// CheckDone, Finish, exactly machine.RunContext. With a store it is
-// Rounds() phases: the run resumes from the deepest stored boundary and
-// writes every interior boundary back (see snapshot.go).
-func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Params, mode pim.Mode, mutate func(*config.Config), verify bool) (machine.Result, error) {
-	if verify && p.OpBudget > 0 {
-		return machine.Result{}, fmt.Errorf("harness: cannot verify a budget-truncated run")
-	}
-	if err := ctx.Err(); err != nil {
-		return machine.Result{}, err
-	}
+	cell := fmt.Sprintf("%s/%s/%s", name, p.Size, mode)
+	defer func() {
+		if err != nil {
+			r.mu.Lock()
+			delete(r.cache, key)
+			r.mu.Unlock()
+		} else {
+			r.logf("  %-18s %12d cycles  %5.1f%% PIM", cell, res.Cycles, 100*res.PIMFraction())
+		}
+		e.res, e.err = res, err
+		close(e.done)
+	}()
 	n := r.simulations.Add(1)
 	var simulated int64 // cycles driven in this run; stays 0 on failure
 	if r.Opts.Progress != nil {
-		cell := fmt.Sprintf("%s/%s/%s", name, p.Size, mode)
 		r.Opts.Progress(Progress{Cell: cell, Simulations: n})
 		defer func() {
 			r.Opts.Progress(Progress{Cell: cell, Done: true, Cycles: simulated, Simulations: n})
 		}()
-	}
-	cfg := r.Opts.Cfg.Clone()
-	if mutate != nil {
-		mutate(cfg)
 	}
 	st, err := r.snapStore()
 	if err != nil {
@@ -429,10 +437,8 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 	}
 
 	rounds, phase := 1, 0
-	var digest string
 	if st != nil {
 		rounds = w.Rounds()
-		digest = snapshotDigest(cfg, name, p, mode)
 		if blob, ok := st.Best(digest); ok {
 			if err := restore(m, w, blob.Path); err != nil {
 				// A torn or stale blob must not poison the run: drop it and
@@ -474,7 +480,7 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 	if err := m.CheckDone(streams); err != nil {
 		return machine.Result{}, err
 	}
-	res := m.Finish()
+	res = m.Finish()
 	if st != nil {
 		r.cyclesSimulated.Add(int64(res.Cycles) - start)
 		r.cyclesSkipped.Add(start)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"pimsim/internal/config"
 	"pimsim/internal/pim"
 	"pimsim/internal/workloads"
 )
@@ -93,6 +95,95 @@ func TestFig7SharesRunsWithFig6(t *testing.T) {
 	}
 	if len(r.cache) != before {
 		t.Fatalf("fig7 re-ran cells: cache %d -> %d", before, len(r.cache))
+	}
+}
+
+// TestMemoSharing pins the memo's key: a mutate that leaves the config
+// equal shares the plain cell, one that changes it does not, and a
+// verified run is never served from an unverified entry.
+func TestMemoSharing(t *testing.T) {
+	r := NewRunner(tinyOptions())
+	c := Cell{"atf", workloads.Small, pim.LocalityAware}
+	plain, err := r.RunCell(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode,
+		func(cfg *config.Config) { cfg.OperandBufferEntries = r.Opts.Cfg.OperandBufferEntries }, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 1 || !reflect.DeepEqual(same, plain) {
+		t.Fatalf("config-preserving mutate: %d simulations, want 1 and the plain result", n)
+	}
+	if _, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode,
+		func(cfg *config.Config) { cfg.OperandBufferEntries++ }, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 2 {
+		t.Fatalf("config-changing mutate: %d simulations, want 2", n)
+	}
+
+	p := r.params(c.Size)
+	p.OpBudget = 0 // verification needs a complete run
+	unverified, err := r.RunWorkload(ctx, c.Workload, p, c.Mode, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified, err := r.RunWorkload(ctx, c.Workload, p, c.Mode, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 4 {
+		t.Fatalf("verified run after an unverified one: %d simulations, want 4", n)
+	}
+	if !reflect.DeepEqual(verified, unverified) {
+		t.Fatal("verification changed the result")
+	}
+}
+
+// TestMemoSimulationCounts pins how many machines figures that revisit
+// design points build on a 2-workload runner: Fig 11's default column is
+// its own baseline, and Fig 8 reuses Fig 2's PIM-Only runs.
+func TestMemoSimulationCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("graph sweep is slow")
+	}
+	o := tinyOptions()
+	o.Scale = 2048
+	o.OpBudget = 3_000
+	render := func(r *Runner, figs ...func(*Runner) (*Table, error)) string {
+		var buf bytes.Buffer
+		for _, f := range figs {
+			tb, err := f(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.Render(&buf)
+		}
+		return buf.String()
+	}
+	fig2 := func(r *Runner) (*Table, error) { return r.Fig2(ctx) }
+	fig8 := func(r *Runner) (*Table, error) { return r.Fig8(ctx) }
+	var shared string // the last case's tables: Fig 2 and Fig 8 on one runner
+	for _, tc := range []struct {
+		name string
+		figs []func(*Runner) (*Table, error)
+		want int64
+	}{
+		{"fig11a", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.Fig11a(ctx) }}, 10},
+		{"fig11b", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.Fig11b(ctx) }}, 6},
+		{"fig2+fig8", []func(*Runner) (*Table, error){fig2, fig8}, 36},
+	} {
+		r := NewRunner(o)
+		out := render(r, tc.figs...)
+		if n := r.Simulations(); n != tc.want {
+			t.Errorf("%s: %d simulations, want %d", tc.name, n, tc.want)
+		}
+		shared = out
+	}
+	if fresh := render(NewRunner(o), fig2) + render(NewRunner(o), fig8); shared != fresh {
+		t.Fatalf("shared runner rendered differently from fresh ones:\n--- shared ---\n%s--- fresh ---\n%s", shared, fresh)
 	}
 }
 

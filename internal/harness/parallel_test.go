@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"pimsim/internal/config"
+	"pimsim/internal/machine"
 	"pimsim/internal/pim"
 	"pimsim/internal/workloads"
 )
@@ -25,6 +27,9 @@ func renderFigures(t *testing.T, o Options) string {
 		func() (*Table, error) { return r.Fig7(ctx, workloads.Small) },
 		func() (*Table, error) { return r.Fig12(ctx, workloads.Small) },
 		func() (*Table, error) { return r.Fig9(ctx) },
+		func() (*Table, error) { return r.Fig2(ctx) },
+		func() (*Table, error) { return r.Fig8(ctx) },
+		func() (*Table, error) { return r.Fig11a(ctx) },
 	} {
 		tb, err := f()
 		if err != nil {
@@ -53,8 +58,10 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunCellSingleflight: many concurrent requests for the same cell
-// must simulate exactly once, and every requester sees the same result.
+// TestRunCellSingleflight: many concurrent requests for the same run —
+// half through RunCell, half through RunWorkload with a mutate that
+// leaves the config equal — must simulate exactly once, and every
+// requester sees the same result.
 func TestRunCellSingleflight(t *testing.T) {
 	r := NewRunner(tinyOptions())
 	c := Cell{"atf", workloads.Small, pim.HostOnly}
@@ -66,7 +73,14 @@ func TestRunCellSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := r.RunCell(ctx, c)
+			var res machine.Result
+			var err error
+			if i%2 == 0 {
+				res, err = r.RunCell(ctx, c)
+			} else {
+				res, err = r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode,
+					func(cfg *config.Config) { cfg.PCUExecWidth = r.Opts.Cfg.PCUExecWidth }, false)
+			}
 			if err != nil {
 				t.Error(err)
 				return

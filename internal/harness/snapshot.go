@@ -21,10 +21,11 @@ import (
 // content-addressed blob store, and a later run of the same cell resumes
 // from the deepest stored boundary instead of simulating from cycle 0.
 
-// snapshotDigest content-addresses a cell: everything that determines
-// the simulated trajectory — final machine config, workload identity and
-// parameters, PEI mode — plus the snapshot format version.
-func snapshotDigest(cfg *config.Config, name string, p workloads.Params, mode pim.Mode) string {
+// runDigest content-addresses a run: everything that determines the
+// simulated trajectory — final machine config, workload identity and
+// parameters, PEI mode — plus the snapshot format version. It keys both
+// the runner's memo and the snapshot store.
+func runDigest(cfg *config.Config, name string, p workloads.Params, mode pim.Mode) string {
 	blob, err := json.Marshal(struct {
 		Version  uint32
 		Cfg      *config.Config
@@ -34,7 +35,7 @@ func snapshotDigest(cfg *config.Config, name string, p workloads.Params, mode pi
 	}{snap.Version, cfg, name, p, mode.String()})
 	if err != nil {
 		// Params and Config are plain data; marshal cannot fail.
-		panic(fmt.Sprintf("harness: snapshot digest: %v", err))
+		panic(fmt.Sprintf("harness: run digest: %v", err))
 	}
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:16])

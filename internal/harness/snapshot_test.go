@@ -150,7 +150,7 @@ func deepestBlob(t *testing.T, r *Runner, dir string, cell Cell) snap.Blob {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := snapshotDigest(r.Opts.Cfg, cell.Workload, r.params(cell.Size), cell.Mode)
+	digest := runDigest(r.Opts.Cfg, cell.Workload, r.params(cell.Size), cell.Mode)
 	b, ok := st.Best(digest)
 	if !ok {
 		t.Fatalf("no blob stored for %v", cell)

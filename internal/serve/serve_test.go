@@ -549,6 +549,32 @@ func TestEndToEndRealJob(t *testing.T) {
 	}
 }
 
+// TestExperimentJobMatchesReproduce: a served experiment job renders
+// the bytes pei.Reproduce renders for the same options, workload order
+// included (it is the table's row order).
+func TestExperimentJobMatchesReproduce(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	spec := pei.JobSpec{Experiment: "fig6", Scale: 4096, OpBudget: 1000, Workloads: []string{"pr", "bfs"}}
+	status, v := submit(t, ts, spec)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d", status)
+	}
+	if final := waitTerminal(t, ts, v.ID); final.State != StateDone {
+		t.Fatalf("job ended %s (%s)", final.State, final.Error)
+	}
+	_, served := getBody(t, ts.URL+"/v1/jobs/"+v.ID+"/result")
+
+	opts := pei.DefaultReproduceOptions()
+	opts.Scale, opts.OpBudget, opts.Workloads = spec.Scale, spec.OpBudget, spec.Workloads
+	var want bytes.Buffer
+	if err := pei.Reproduce(context.Background(), spec.Experiment, opts, &want); err != nil {
+		t.Fatal(err)
+	}
+	if served != want.String() {
+		t.Fatalf("served result differs from pei.Reproduce:\n--- served\n%s\n--- Reproduce\n%s", served, want.String())
+	}
+}
+
 // TestWarmStartAcrossRestart is the serve-level warm-start acceptance
 // test: two servers sharing one snapshot store (a daemon restart in
 // miniature — the result cache is per-process, the snapshot dir is

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"pimsim/internal/harness"
@@ -188,6 +187,9 @@ func (s JobSpec) Normalize() (JobSpec, *Config, error) {
 				return s, nil, fmt.Errorf("pei: unknown workload %q (valid: %s)", name, strings.Join(WorkloadNames, ", "))
 			}
 		}
+		// Workload-only knobs are meaningless here; zero them so they
+		// don't split the cache key.
+		s.Size, s.Mode, s.Threads, s.Seed, s.Verify = "", "", 0, 0, false
 	case JobWorkload:
 		if s.Experiment != "" {
 			return s, nil, fmt.Errorf("pei: workload job cannot also set an experiment")
@@ -241,14 +243,14 @@ func validWorkload(name string) bool {
 // the same digest produce byte-identical results, so the digest is the
 // result-cache key. Execution knobs that cannot change output
 // (parallelism) are deliberately absent; override spellings that
-// resolve to the same config collapse to one digest.
+// resolve to the same config collapse to one digest. Workloads keep
+// their order, which is the row order of the rendered tables.
 func (s JobSpec) Digest() (string, error) {
 	n, cfg, err := s.Normalize()
 	if err != nil {
 		return "", err
 	}
 	n.Overrides = nil // cfg carries their effect
-	sort.Strings(n.Workloads)
 	payload, err := json.Marshal(struct {
 		Spec   JobSpec `json:"spec"`
 		Config *Config `json:"config"`

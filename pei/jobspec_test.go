@@ -81,6 +81,24 @@ func TestJobSpecDigestStability(t *testing.T) {
 		t.Fatal("no-op overrides changed the digest")
 	}
 
+	// Workload-only fields mean nothing to an experiment job.
+	e, err := pei.JobSpec{Experiment: "fig2"}.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, same := range []pei.JobSpec{
+		{Experiment: "fig2", Seed: 3},
+		{Experiment: "fig2", Size: "large", Mode: "pim", Threads: 2, Verify: true},
+	} {
+		d, err := same.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != e {
+			t.Errorf("spec %+v should digest like a plain fig2 job", same)
+		}
+	}
+
 	for _, different := range []pei.JobSpec{
 		{Workload: "bfs", Mode: "pim"},
 		{Workload: "bfs", Scale: 128},
@@ -96,6 +114,27 @@ func TestJobSpecDigestStability(t *testing.T) {
 		if d == a {
 			t.Errorf("spec %+v should digest differently", different)
 		}
+	}
+}
+
+// TestJobSpecWorkloadOrder: an experiment job's workload order is its
+// table row order, so Digest must neither reorder the caller's slice nor
+// collapse two orders into one digest.
+func TestJobSpecWorkloadOrder(t *testing.T) {
+	spec := pei.JobSpec{Experiment: "fig6", Workloads: []string{"pr", "bfs"}}
+	a, err := spec.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec.Workloads, []string{"pr", "bfs"}) {
+		t.Fatalf("Digest reordered the spec's workloads: %v", spec.Workloads)
+	}
+	b, err := pei.JobSpec{Experiment: "fig6", Workloads: []string{"bfs", "pr"}}.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("two workload orders share one digest")
 	}
 }
 

@@ -271,8 +271,8 @@ func bySize(f func(*harness.Runner, context.Context, workloads.Size) (*harness.T
 }
 
 // experiments is the registry Reproduce dispatches on, in paper order.
-// "all" is implicit: it runs every entry on one shared runner so figures
-// 6, 7, 10, and 12 reuse cached simulation cells.
+// "all" is implicit: it runs every entry on one shared runner, so every
+// design point two experiments share simulates once.
 var experiments = []experiment{
 	{"fig2", func(ctx context.Context, r *harness.Runner, w io.Writer) error {
 		return renderer(w)(r.Fig2(ctx))
@@ -330,8 +330,8 @@ func Experiments() []string {
 // Reproduce runs one named experiment (see Experiments for the valid
 // names) and renders its tables to w. Cells execute concurrently per
 // opts.Parallelism; cancelling ctx aborts the sweep promptly with
-// ctx.Err(). "all" runs every experiment on one shared runner so figures
-// 6, 7, 10, and 12 reuse simulation cells.
+// ctx.Err(). "all" runs every experiment on one shared runner, whose
+// memo simulates each design point the experiments share once.
 func Reproduce(ctx context.Context, name string, opts ReproduceOptions, w io.Writer) error {
 	_, err := ReproduceWithReport(ctx, name, opts, w)
 	return err
