@@ -97,20 +97,8 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("workload        %s (%s inputs, scale 1/%d, %d threads)\n", *workload, size, *scale, nThreads)
-	fmt.Printf("mode            %s\n", res.Mode)
-	fmt.Printf("cycles          %d\n", res.Cycles)
-	fmt.Printf("ops retired     %d (IPC %.3f)\n", res.Retired, res.IPC())
-	fmt.Printf("PEIs            %d (%d host, %d memory, %.1f%% PIM)\n",
-		res.PEIHost+res.PEIMem, res.PEIHost, res.PEIMem, 100*res.PIMFraction())
-	fmt.Printf("off-chip bytes  %d\n", res.OffchipBytes)
-	fmt.Printf("DRAM accesses   %d\n", res.DRAMAccesses)
-	fmt.Printf("energy (nJ)     %.0f (caches %.0f, DRAM %.0f, links %.0f, TSV %.0f, PCU %.0f, PMU %.0f)\n",
-		res.Energy.Total(), res.Energy.Caches, res.Energy.DRAM, res.Energy.Offchip,
-		res.Energy.TSV, res.Energy.PCU, res.Energy.PMU)
-	if *verify {
-		fmt.Println("verification    OK")
-	}
+	spec := pei.JobSpec{Workload: *workload, Size: size.String(), Scale: *scale, Threads: nThreads, Verify: *verify}
+	pei.WriteWorkloadReport(os.Stdout, spec, res)
 	if *stats {
 		fmt.Println()
 		keys := make([]string, 0, len(res.Stats))

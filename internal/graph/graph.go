@@ -1,8 +1,8 @@
 // Package graph provides the graph substrate the five graph-processing
 // workloads run on: a compact CSR representation, an R-MAT power-law
 // generator standing in for the paper's real-world social/web graphs
-// (DESIGN.md §3), named dataset recipes matching the nine graphs of
-// Figures 2 and 8, and an edge-list exchange format.
+// (DESIGN.md §3), and named dataset recipes matching the nine graphs of
+// Figures 2 and 8.
 package graph
 
 import (

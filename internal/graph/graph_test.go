@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -109,43 +108,6 @@ func TestMaxDegreeVertex(t *testing.T) {
 	g, _ := FromEdgeList(4, []int32{0, 1, 1, 1}, []int32{1, 0, 2, 3})
 	if got := g.MaxDegreeVertex(); got != 1 {
 		t.Fatalf("MaxDegreeVertex = %d, want 1", got)
-	}
-}
-
-func TestEdgeListRoundTrip(t *testing.T) {
-	g := RMAT(256, 2048, 5)
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip size %d/%d vs %d/%d",
-			g2.NumVertices(), g2.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		a, b := g.Successors(v), g2.Successors(v)
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d degree mismatch", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d successor mismatch", v)
-			}
-		}
-	}
-}
-
-func TestReadEdgeListHeaderless(t *testing.T) {
-	g, err := ReadEdgeList(bytes.NewBufferString("0 3\n3 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 4 || g.NumEdges() != 2 {
-		t.Fatalf("inferred size %d/%d", g.NumVertices(), g.NumEdges())
 	}
 }
 

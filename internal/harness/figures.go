@@ -14,10 +14,37 @@ import (
 	"pimsim/internal/workloads"
 )
 
-// Every figure fans its independent simulations out through the runner's
-// worker pool (forEach) and collects them into index-addressed slices,
-// then assembles rows serially in declared order — so rendered tables
-// are byte-identical at any Options.Parallelism.
+// Every figure except Figure 9 declares its simulations as a grid of
+// cells (rows: workloads or graphs; columns: modes or design variants)
+// and runs it through Runner.grid, then assembles rows serially in
+// declared order — so rendered tables are byte-identical at any
+// Options.Parallelism.
+
+// A grid column is a partial Cell, its mode and config mutation; each
+// row fills in the input. fourModes are the four system configurations
+// of §7.
+var fourModes = []Cell{{Mode: pim.IdealHost}, {Mode: pim.HostOnly}, {Mode: pim.PIMOnly}, {Mode: pim.LocalityAware}}
+
+// byWorkload runs every configured workload at size (rows) under each
+// of cols.
+func (r *Runner) byWorkload(ctx context.Context, size workloads.Size, cols []Cell) ([][]machine.Result, error) {
+	return r.grid(ctx, len(r.Opts.Workloads), len(cols), func(i, j int) Cell {
+		c := cols[j]
+		c.Workload, c.Size = r.Opts.Workloads[i], size
+		return c
+	})
+}
+
+// byGraph runs PageRank on each of the nine Figure 2/8 graphs (rows)
+// under each of cols.
+func (r *Runner) byGraph(ctx context.Context, cols []Cell) ([][]machine.Result, error) {
+	specs := graph.Figure2Graphs
+	return r.grid(ctx, len(specs), len(cols), func(i, j int) Cell {
+		c := cols[j]
+		c.Workload, c.Size, c.Graph = "pr", workloads.Large, &specs[i]
+		return c
+	})
+}
 
 // Fig2 reproduces Figure 2: PageRank speedup of always-in-memory atomic
 // add (PIM-Only) over the idealized host, across the nine graphs.
@@ -30,74 +57,15 @@ func (r *Runner) Fig2(ctx context.Context) (*Table, error) {
 			fmt.Sprintf("graphs are R-MAT stand-ins scaled 1/%d (DESIGN.md §3)", r.Opts.Scale),
 		},
 	}
-	specs := graph.Figure2Graphs
-	type pair struct{ host, mem machine.Result }
-	out := make([]pair, len(specs))
-	err := r.forEach(ctx, len(specs), func(ctx context.Context, i int) error {
-		spec := specs[i]
-		r.logf("fig2: %s", spec.Name)
-		host, err := r.runGraphWorkload(ctx, "pr", spec, pim.IdealHost)
-		if err != nil {
-			return err
-		}
-		mem, err := r.runGraphWorkload(ctx, "pr", spec, pim.PIMOnly)
-		if err != nil {
-			return err
-		}
-		out[i] = pair{host, mem}
-		return nil
-	})
+	res, err := r.byGraph(ctx, []Cell{{Mode: pim.IdealHost}, {Mode: pim.PIMOnly}})
 	if err != nil {
 		return nil, err
 	}
-	for i, spec := range specs {
-		t.Rows = append(t.Rows, []string{
-			spec.Name,
-			fmt.Sprint(out[i].host.Cycles),
-			fmt.Sprint(out[i].mem.Cycles),
-			fmtF(speedup(out[i].host, out[i].mem)),
-		})
+	for i, spec := range graph.Figure2Graphs {
+		host, mem := res[i][0], res[i][1]
+		t.Rows = append(t.Rows, []string{spec.Name, fmt.Sprint(host.Cycles), fmt.Sprint(mem.Cycles), fmtF(speedup(host, mem))})
 	}
 	return t, nil
-}
-
-// fourModes holds one workload's results under the four system
-// configurations of §7.
-type fourModes struct {
-	ideal, host, mem, la machine.Result
-}
-
-// runFourModes simulates every configured workload under all four modes
-// at the given size, fanning out through the pool. Figures 6, 7, and 12
-// share these cells through the runner's memo.
-func (r *Runner) runFourModes(ctx context.Context, tag string, size workloads.Size) ([]fourModes, error) {
-	out := make([]fourModes, len(r.Opts.Workloads))
-	err := r.forEach(ctx, len(out), func(ctx context.Context, i int) error {
-		name := r.Opts.Workloads[i]
-		r.logf("%s/%s: %s", tag, size, name)
-		ideal, err := r.RunCell(ctx, Cell{name, size, pim.IdealHost})
-		if err != nil {
-			return err
-		}
-		h, err := r.RunCell(ctx, Cell{name, size, pim.HostOnly})
-		if err != nil {
-			return err
-		}
-		p, err := r.RunCell(ctx, Cell{name, size, pim.PIMOnly})
-		if err != nil {
-			return err
-		}
-		l, err := r.RunCell(ctx, Cell{name, size, pim.LocalityAware})
-		if err != nil {
-			return err
-		}
-		out[i] = fourModes{ideal, h, p, l}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig6 reproduces Figure 6: speedups of Host-Only, PIM-Only, and
@@ -109,18 +77,18 @@ func (r *Runner) Fig6(ctx context.Context, size workloads.Size) (*Table, error) 
 		Header:    []string{"workload", "Host-Only", "PIM-Only", "Locality-Aware", "PIM%"},
 		BarColumn: 3,
 	}
-	cells, err := r.runFourModes(ctx, "fig6", size)
+	res, err := r.byWorkload(ctx, size, fourModes)
 	if err != nil {
 		return nil, err
 	}
 	var host, mem, la []float64
 	for i, name := range r.Opts.Workloads {
-		c := cells[i]
-		sh, sp, sl := speedup(c.ideal, c.host), speedup(c.ideal, c.mem), speedup(c.ideal, c.la)
+		c := res[i]
+		sh, sp, sl := speedup(c[0], c[1]), speedup(c[0], c[2]), speedup(c[0], c[3])
 		host = append(host, sh)
 		mem = append(mem, sp)
 		la = append(la, sl)
-		t.Rows = append(t.Rows, []string{name, fmtF(sh), fmtF(sp), fmtF(sl), fmtPct(c.la.PIMFraction())})
+		t.Rows = append(t.Rows, []string{name, fmtF(sh), fmtF(sp), fmtF(sl), fmtPct(c[3].PIMFraction())})
 	}
 	t.Rows = append(t.Rows, []string{"GM", fmtF(geomean(host)), fmtF(geomean(mem)), fmtF(geomean(la)), ""})
 	return t, nil
@@ -134,19 +102,19 @@ func (r *Runner) Fig7(ctx context.Context, size workloads.Size) (*Table, error) 
 		Header: []string{"workload", "Host-Only", "PIM-Only", "Locality-Aware"},
 		Notes:  []string{"paper: PIM-Only ≪ 1 on large inputs, up to 502x on small (SC)"},
 	}
-	norm := func(base, x machine.Result) float64 {
-		if base.OffchipBytes == 0 {
-			return 0
-		}
-		return float64(x.OffchipBytes) / float64(base.OffchipBytes)
-	}
-	cells, err := r.runFourModes(ctx, "fig7", size)
+	res, err := r.byWorkload(ctx, size, fourModes)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range r.Opts.Workloads {
-		c := cells[i]
-		t.Rows = append(t.Rows, []string{name, fmtF(norm(c.ideal, c.host)), fmtF(norm(c.ideal, c.mem)), fmtF(norm(c.ideal, c.la))})
+		c := res[i]
+		norm := func(x machine.Result) string {
+			if c[0].OffchipBytes == 0 {
+				return fmtF(0)
+			}
+			return fmtF(float64(x.OffchipBytes) / float64(c[0].OffchipBytes))
+		}
+		t.Rows = append(t.Rows, []string{name, norm(c[1]), norm(c[2]), norm(c[3])})
 	}
 	return t, nil
 }
@@ -163,37 +131,13 @@ func (r *Runner) Fig8(ctx context.Context) (*Table, error) {
 			"paper: PIM% grows from 0.3% (soc-Slashdot0811) to 87% (cit-Patents)",
 		},
 	}
-	specs := graph.Figure2Graphs
-	type triple struct{ host, mem, la machine.Result }
-	out := make([]triple, len(specs))
-	err := r.forEach(ctx, len(specs), func(ctx context.Context, i int) error {
-		spec := specs[i]
-		r.logf("fig8: %s", spec.Name)
-		host, err := r.runGraphWorkload(ctx, "pr", spec, pim.HostOnly)
-		if err != nil {
-			return err
-		}
-		mem, err := r.runGraphWorkload(ctx, "pr", spec, pim.PIMOnly)
-		if err != nil {
-			return err
-		}
-		la, err := r.runGraphWorkload(ctx, "pr", spec, pim.LocalityAware)
-		if err != nil {
-			return err
-		}
-		out[i] = triple{host, mem, la}
-		return nil
-	})
+	res, err := r.byGraph(ctx, fourModes[1:])
 	if err != nil {
 		return nil, err
 	}
-	for i, spec := range specs {
-		t.Rows = append(t.Rows, []string{
-			spec.Name,
-			fmtF(speedup(out[i].host, out[i].mem)),
-			fmtF(speedup(out[i].host, out[i].la)),
-			fmtPct(out[i].la.PIMFraction()),
-		})
+	for i, spec := range graph.Figure2Graphs {
+		host, mem, la := res[i][0], res[i][1], res[i][2]
+		t.Rows = append(t.Rows, []string{spec.Name, fmtF(speedup(host, mem)), fmtF(speedup(host, la)), fmtPct(la.PIMFraction())})
 	}
 	return t, nil
 }
@@ -312,31 +256,19 @@ func (r *Runner) Fig10(ctx context.Context) (*Table, error) {
 		Header: []string{"workload", "LA_cycles", "LA+BD_cycles", "speedup"},
 		Notes:  []string{"paper: up to +25%, biggest on SC/SVM (read-dominated, large inputs)"},
 	}
-	type pair struct{ la, bd machine.Result }
-	out := make([]pair, len(r.Opts.Workloads))
-	err := r.forEach(ctx, len(out), func(ctx context.Context, i int) error {
-		name := r.Opts.Workloads[i]
-		r.logf("fig10: %s", name)
-		la, err := r.RunCell(ctx, Cell{name, workloads.Large, pim.LocalityAware})
-		if err != nil {
-			return err
-		}
-		bd, err := r.RunWorkload(ctx, name, r.params(workloads.Large), pim.LocalityAware,
-			func(c *config.Config) { c.BalancedDispatch = true }, false)
-		if err != nil {
-			return err
-		}
-		out[i] = pair{la, bd}
-		return nil
+	res, err := r.byWorkload(ctx, workloads.Large, []Cell{
+		{Mode: pim.LocalityAware},
+		{Mode: pim.LocalityAware, Mutate: func(c *config.Config) { c.BalancedDispatch = true }},
 	})
 	if err != nil {
 		return nil, err
 	}
 	var all []float64
 	for i, name := range r.Opts.Workloads {
-		s := speedup(out[i].la, out[i].bd)
+		la, bd := res[i][0], res[i][1]
+		s := speedup(la, bd)
 		all = append(all, s)
-		t.Rows = append(t.Rows, []string{name, fmt.Sprint(out[i].la.Cycles), fmt.Sprint(out[i].bd.Cycles), fmtF(s)})
+		t.Rows = append(t.Rows, []string{name, fmt.Sprint(la.Cycles), fmt.Sprint(bd.Cycles), fmtF(s)})
 	}
 	t.Rows = append(t.Rows, []string{"GM", "", "", fmtF(geomean(all))})
 	return t, nil
@@ -360,50 +292,15 @@ func (r *Runner) Fig11b(ctx context.Context) (*Table, error) {
 		1)
 }
 
-// pcuSweep runs the Locality-Aware medium cells at every value and
-// reports speedup over the column at def, which values must include.
+// pcuSweep reports the Locality-Aware medium cells at every value as a
+// speedup over the design set to def.
 func (r *Runner) pcuSweep(ctx context.Context, title string, values []int, set func(*config.Config, int), def int) (*Table, error) {
 	t := &Table{
 		Title:  title,
 		Header: []string{"value", "GM_speedup", "min", "max"},
 		Notes:  []string{"paper: 4-entry buffers buy >30% over 1-entry; width beyond 1 is negligible"},
 	}
-	size := workloads.Medium
-	names := r.Opts.Workloads
-	// One flat (value × workload) grid keeps the pool saturated across
-	// sweep points.
-	grid := make([]machine.Result, len(values)*len(names))
-	err := r.forEach(ctx, len(grid), func(ctx context.Context, j int) error {
-		v, name := values[j/len(names)], names[j%len(names)]
-		r.logf("pcu sweep: value %d, %s", v, name)
-		res, err := r.RunWorkload(ctx, name, r.params(size), pim.LocalityAware,
-			func(c *config.Config) { set(c, v) }, false)
-		if err != nil {
-			return err
-		}
-		grid[j] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	base := grid[slices.Index(values, def)*len(names):]
-	for vi, v := range values {
-		var sps []float64
-		minS, maxS := 0.0, 0.0
-		for i := range names {
-			s := speedup(base[i], grid[vi*len(names)+i])
-			sps = append(sps, s)
-			if i == 0 || s < minS {
-				minS = s
-			}
-			if i == 0 || s > maxS {
-				maxS = s
-			}
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(v), fmtF(geomean(sps)), fmtF(minS), fmtF(maxS)})
-	}
-	return t, nil
+	return r.sensitivity(ctx, t, workloads.Medium, func(c *config.Config) { set(c, def) }, sweep(values, set), true)
 }
 
 // Sec76 reproduces §7.6: the performance cost of the real PMU versus
@@ -414,40 +311,56 @@ func (r *Runner) Sec76(ctx context.Context) (*Table, error) {
 		Header: []string{"variant", "GM_speedup"},
 		Notes:  []string{"paper: ideal directory +0.13%, ideal monitor +0.31% - both negligible"},
 	}
-	size := workloads.Medium
-	variants := []struct {
-		name   string
-		mutate func(*config.Config)
-	}{
-		{"ideal directory", func(c *config.Config) { c.IdealDirectory = true; c.DirectoryLatency = 0 }},
-		{"ideal monitor", func(c *config.Config) { c.IdealMonitor = true; c.MonitorLatency = 0 }},
-		{"both ideal", func(c *config.Config) {
-			c.IdealDirectory = true
-			c.DirectoryLatency = 0
-			c.IdealMonitor = true
-			c.MonitorLatency = 0
-		}},
+	idealDir := func(c *config.Config) { c.IdealDirectory = true; c.DirectoryLatency = 0 }
+	idealMon := func(c *config.Config) { c.IdealMonitor = true; c.MonitorLatency = 0 }
+	return r.sensitivity(ctx, t, workloads.Medium, nil, []variant{
+		{"ideal directory", idealDir},
+		{"ideal monitor", idealMon},
+		{"both ideal", func(c *config.Config) { idealDir(c); idealMon(c) }},
+	}, false)
+}
+
+// variant is one design point of a sensitivity table: its row label
+// and the config change it makes (nil: the runner's config).
+type variant struct {
+	name   string
+	mutate func(*config.Config)
+}
+
+// sweep builds one variant per value, labelled by the value.
+func sweep[T any](values []T, set func(*config.Config, T)) []variant {
+	vs := make([]variant, len(values))
+	for k, v := range values {
+		vs[k] = variant{fmt.Sprint(v), func(c *config.Config) { set(c, v) }}
 	}
-	names := r.Opts.Workloads
-	sps := make([]float64, len(variants)*len(names))
-	err := r.forEach(ctx, len(sps), func(ctx context.Context, j int) error {
-		v, name := variants[j/len(names)], names[j%len(names)]
-		baseRes, err := r.RunCell(ctx, Cell{name, size, pim.LocalityAware})
-		if err != nil {
-			return err
-		}
-		res, err := r.RunWorkload(ctx, name, r.params(size), pim.LocalityAware, v.mutate, false)
-		if err != nil {
-			return err
-		}
-		sps[j] = speedup(baseRes, res)
-		return nil
-	})
+	return vs
+}
+
+// sensitivity appends one row per variant to t: the geometric-mean
+// speedup over base across the configured workloads (size inputs,
+// Locality-Aware), plus the per-workload min and max when minMax is
+// set. Its grid has the base design in column 0 and one column per
+// variant; a variant whose config equals base shares base's runs
+// through the memo.
+func (r *Runner) sensitivity(ctx context.Context, t *Table, size workloads.Size, base func(*config.Config), vs []variant, minMax bool) (*Table, error) {
+	cols := []Cell{{Mode: pim.LocalityAware, Mutate: base}}
+	for _, v := range vs {
+		cols = append(cols, Cell{Mode: pim.LocalityAware, Mutate: v.mutate})
+	}
+	res, err := r.byWorkload(ctx, size, cols)
 	if err != nil {
 		return nil, err
 	}
-	for vi, v := range variants {
-		t.Rows = append(t.Rows, []string{v.name, fmtF(geomean(sps[vi*len(names) : (vi+1)*len(names)]))})
+	for k, v := range vs {
+		sps := make([]float64, len(res))
+		for i := range res {
+			sps[i] = speedup(res[i][0], res[i][k+1])
+		}
+		row := []string{v.name, fmtF(geomean(sps))}
+		if minMax {
+			row = append(row, fmtF(slices.Min(sps)), fmtF(slices.Max(sps)))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
@@ -460,19 +373,19 @@ func (r *Runner) Fig12(ctx context.Context, size workloads.Size) (*Table, error)
 		Header: []string{"workload", "Host-Only", "PIM-Only", "Locality-Aware"},
 		Notes:  []string{"paper: Locality-Aware lowest across all sizes; PIM-Only pays 2.2x DRAM on small"},
 	}
-	cells, err := r.runFourModes(ctx, "fig12", size)
+	res, err := r.byWorkload(ctx, size, fourModes)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range r.Opts.Workloads {
-		c := cells[i]
+		c := res[i]
 		norm := func(x machine.Result) string {
-			if c.ideal.Energy.Total() == 0 {
+			if c[0].Energy.Total() == 0 {
 				return "0"
 			}
-			return fmtF(x.Energy.Total() / c.ideal.Energy.Total())
+			return fmtF(x.Energy.Total() / c[0].Energy.Total())
 		}
-		t.Rows = append(t.Rows, []string{name, norm(c.host), norm(c.mem), norm(c.la)})
+		t.Rows = append(t.Rows, []string{name, norm(c[1]), norm(c[2]), norm(c[3])})
 	}
 	return t, nil
 }

@@ -30,6 +30,28 @@ func goldenOptions() Options {
 	return o
 }
 
+// checkGolden compares rendered tables against testdata/<name>, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted\n--- got ---\n%s--- want ---\n%s", name, got, want)
+	}
+}
+
 // TestFig6SmallGolden pins the rendered Figure 6 (small inputs) and
 // Figure 2 tables. The Figure 6 golden was captured before the
 // calendar-queue scheduler and counter-handle refactor; Figure 2
@@ -53,23 +75,34 @@ func TestFig6SmallGolden(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			tb.Render(&buf)
-
-			golden := filepath.Join("testdata", fig.golden)
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("read golden (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s drifted\n--- got ---\n%s--- want ---\n%s", fig.golden, buf.Bytes(), want)
-			}
+			checkGolden(t, fig.golden, buf.Bytes())
 		})
 	}
+}
+
+// TestAblationsGolden pins the seven tables of the ablations experiment
+// (the six ablations and the HMC 2.0 comparison) on the default scaled
+// machine with scale-4096 inputs and a 1,000-op budget. The golden was
+// generated before the sensitivity tables shared one grid, so it is the
+// reference any reshaping of how they run must match. Regenerate with
+// `go test ./internal/harness -run AblationsGolden -update`.
+func TestAblationsGolden(t *testing.T) {
+	o := Default()
+	o.Scale = 4096
+	o.OpBudget = 1_000
+	r := NewRunner(o)
+	var buf bytes.Buffer
+	for _, f := range []func(context.Context) (*Table, error){
+		r.AblationIgnoreBit, r.AblationPartialTagWidth,
+		r.AblationDirectorySize, r.AblationDispatchWindow,
+		r.AblationInterleave, r.AblationPrefetcher,
+		r.ComparisonHMC2,
+	} {
+		tb, err := f(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Render(&buf)
+	}
+	checkGolden(t, "ablations.golden", buf.Bytes())
 }

@@ -269,11 +269,18 @@ func (t *Table) bars() []string {
 	return out
 }
 
-// Cell identifies one (workload, size, mode) run.
+// Cell is one run of a figure's grid: a workload at an input size under
+// one system configuration, on the runner's config.
 type Cell struct {
 	Workload string
 	Size     workloads.Size
 	Mode     pim.Mode
+	// Graph, if non-nil, replaces the workload's Table 3 input graph
+	// (Figures 2 and 8 run PageRank on each named dataset).
+	Graph *graph.DatasetSpec
+	// Mutate, if non-nil, adjusts a clone of the runner's config before
+	// the machine is built (design variants, ablations).
+	Mutate func(*config.Config)
 }
 
 func (c Cell) key() string {
@@ -341,9 +348,12 @@ func (r *Runner) params(size workloads.Size) workloads.Params {
 	}
 }
 
-// RunCell simulates one cell on the runner's unmutated config.
+// RunCell simulates one cell through RunWorkload, so it shares the memo
+// with every other run of the same design point.
 func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
-	res, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode, nil, false)
+	p := r.params(c.Size)
+	p.Graph = c.Graph
+	res, err := r.RunWorkload(ctx, c.Workload, p, c.Mode, c.Mutate, false)
 	if err != nil {
 		err = fmt.Errorf("harness: %s: %w", c.key(), err)
 	}
@@ -494,11 +504,28 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 	return res, nil
 }
 
-// runGraphWorkload runs a graph workload on a specific named dataset.
-func (r *Runner) runGraphWorkload(ctx context.Context, name string, spec graph.DatasetSpec, mode pim.Mode) (machine.Result, error) {
-	p := r.params(workloads.Large)
-	p.Graph = &spec
-	return r.RunWorkload(ctx, name, p, mode, nil, false)
+// grid simulates a rows × cols table of cells on the worker pool and
+// returns res[i][j] for cell(i, j). It is the one fan-out every figure
+// but Figure 9 uses. The flat order is column-major: the row index (the
+// workload or graph) varies fastest, so concurrent workers run
+// different inputs under one design point rather than one input under
+// several. Row-major order puts two machines of the same large input in
+// flight at once and raises peak RSS by about a fifth.
+func (r *Runner) grid(ctx context.Context, rows, cols int, cell func(i, j int) Cell) ([][]machine.Result, error) {
+	res := make([][]machine.Result, rows)
+	for i := range res {
+		res[i] = make([]machine.Result, cols)
+	}
+	err := r.forEach(ctx, rows*cols, func(ctx context.Context, k int) error {
+		i, j := k%rows, k/rows
+		var err error
+		res[i][j], err = r.RunCell(ctx, cell(i, j))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // forEach runs fn(ctx, i) for every i in [0, n) on the runner's worker

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -48,7 +49,7 @@ func TestTableRender(t *testing.T) {
 
 func TestRunCellCaches(t *testing.T) {
 	r := NewRunner(tinyOptions())
-	c := Cell{"atf", workloads.Small, pim.HostOnly}
+	c := Cell{Workload: "atf", Size: workloads.Small, Mode: pim.HostOnly}
 	a, err := r.RunCell(ctx, c)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestFig7SharesRunsWithFig6(t *testing.T) {
 // verified run is never served from an unverified entry.
 func TestMemoSharing(t *testing.T) {
 	r := NewRunner(tinyOptions())
-	c := Cell{"atf", workloads.Small, pim.LocalityAware}
+	c := Cell{Workload: "atf", Size: workloads.Small, Mode: pim.LocalityAware}
 	plain, err := r.RunCell(ctx, c)
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +143,38 @@ func TestMemoSharing(t *testing.T) {
 	}
 }
 
+// TestGridColumnMajor pins the grid's order rule: the row index varies
+// fastest, so a serial Figure 6 starts every workload under Ideal-Host
+// before any under Host-Only, and the pool never runs two modes of one
+// input side by side.
+func TestGridColumnMajor(t *testing.T) {
+	o := tinyOptions()
+	o.Parallelism = 1
+	var started []string
+	o.Progress = func(p Progress) {
+		if !p.Done {
+			started = append(started, p.Cell)
+		}
+	}
+	if _, err := NewRunner(o).Fig6(ctx, workloads.Small); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, m := range []pim.Mode{pim.IdealHost, pim.HostOnly, pim.PIMOnly, pim.LocalityAware} {
+		for _, w := range o.Workloads {
+			want = append(want, fmt.Sprintf("%s/%s/%s", w, workloads.Small, m))
+		}
+	}
+	if !reflect.DeepEqual(started, want) {
+		t.Fatalf("start order\n got %v\nwant %v", started, want)
+	}
+}
+
 // TestMemoSimulationCounts pins how many machines figures that revisit
-// design points build on a 2-workload runner: Fig 11's default column is
-// its own baseline, and Fig 8 reuses Fig 2's PIM-Only runs.
+// design points build on a 2-workload runner: a sensitivity table's
+// base column and its default variants share runs (Fig 11's default
+// column is its own baseline, IgnoreBit's default row costs nothing),
+// and Fig 8 reuses Fig 2's PIM-Only runs.
 func TestMemoSimulationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("graph sweep is slow")
@@ -173,6 +203,9 @@ func TestMemoSimulationCounts(t *testing.T) {
 	}{
 		{"fig11a", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.Fig11a(ctx) }}, 10},
 		{"fig11b", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.Fig11b(ctx) }}, 6},
+		{"ignorebit", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.AblationIgnoreBit(ctx) }}, 4},
+		{"partialtag", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.AblationPartialTagWidth(ctx) }}, 10},
+		{"sec7.6", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.Sec76(ctx) }}, 8},
 		{"fig2+fig8", []func(*Runner) (*Table, error){fig2, fig8}, 36},
 	} {
 		r := NewRunner(o)

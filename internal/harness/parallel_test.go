@@ -64,7 +64,7 @@ func TestParallelDeterminism(t *testing.T) {
 // requester sees the same result.
 func TestRunCellSingleflight(t *testing.T) {
 	r := NewRunner(tinyOptions())
-	c := Cell{"atf", workloads.Small, pim.HostOnly}
+	c := Cell{Workload: "atf", Size: workloads.Small, Mode: pim.HostOnly}
 	const requesters = 8
 	results := make([]int64, requesters)
 	var wg sync.WaitGroup
@@ -137,7 +137,7 @@ func TestCancelledCellNotCached(t *testing.T) {
 	r := NewRunner(tinyOptions())
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := Cell{"atf", workloads.Small, pim.HostOnly}
+	c := Cell{Workload: "atf", Size: workloads.Small, Mode: pim.HostOnly}
 	if _, err := r.RunCell(cctx, c); err == nil {
 		t.Fatal("expected cancellation error")
 	}

@@ -30,19 +30,13 @@ func snapOptions(dir string) Options {
 }
 
 // runSnapCell runs one cell through a fresh runner with the given
-// snapshot dir ("" = unphased), on the default config adjusted by
-// mutate (nil = unchanged).
-func runSnapCell(t *testing.T, dir string, cell Cell, mutate func(*config.Config)) (*Runner, interface{ IPC() float64 }) {
+// snapshot dir ("" = unphased).
+func runSnapCell(t *testing.T, dir string, cell Cell) (*Runner, interface{ IPC() float64 }) {
 	t.Helper()
-	o := snapOptions(dir)
-	if mutate != nil {
-		o.Cfg = o.Cfg.Clone()
-		mutate(o.Cfg)
-	}
-	r := NewRunner(o)
+	r := NewRunner(snapOptions(dir))
 	res, err := r.RunCell(context.Background(), cell)
 	if err != nil {
-		t.Fatalf("cell %v (dir=%q): %v", cell, dir, err)
+		t.Fatalf("cell %s (dir=%q): %v", cell.key(), dir, err)
 	}
 	return r, res
 }
@@ -57,7 +51,7 @@ func runSnapCell(t *testing.T, dir string, cell Cell, mutate func(*config.Config
 func TestPhasedMatchesUnphased(t *testing.T) {
 	for _, wl := range []string{"pr", "bfs", "rp"} {
 		for _, mode := range []pim.Mode{pim.HostOnly, pim.LocalityAware} {
-			cell := Cell{wl, workloads.Small, mode}
+			cell := Cell{Workload: wl, Size: workloads.Small, Mode: mode}
 			t.Run(cell.key(), func(t *testing.T) {
 				o := snapOptions("")
 				o.Workloads = []string{wl}
@@ -91,19 +85,17 @@ func TestPhasedMatchesUnphased(t *testing.T) {
 // table and TLB state) and with balanced dispatch (the chain's pressure
 // averages), the two configs whose state the default leaves idle.
 func TestResumeEquivalence(t *testing.T) {
-	pr := Cell{"pr", workloads.Small, pim.LocalityAware}
-	for _, tc := range []struct {
-		cell   Cell
-		mutate func(*config.Config)
-	}{
-		{pr, nil},
-		{pr, func(c *config.Config) { c.EnableVM = true }},
+	pr := Cell{Workload: "pr", Size: workloads.Small, Mode: pim.LocalityAware}
+	prVM := pr
+	prVM.Mutate = func(c *config.Config) { c.EnableVM = true }
+	for _, cell := range []Cell{
+		pr,
+		prVM,
 		// sc is a workload whose steering balanced dispatch changes.
-		{Cell{"sc", workloads.Small, pim.LocalityAware}, func(c *config.Config) { c.BalancedDispatch = true }},
+		{Workload: "sc", Size: workloads.Small, Mode: pim.LocalityAware, Mutate: func(c *config.Config) { c.BalancedDispatch = true }},
 	} {
-		cell, mutate := tc.cell, tc.mutate
 		coldDir := t.TempDir()
-		coldRunner, coldRes := runSnapCell(t, coldDir, cell, mutate)
+		coldRunner, coldRes := runSnapCell(t, coldDir, cell)
 		rep := coldRunner.SnapshotReport()
 		if rep.Store.Misses == 0 || rep.Store.Hits != 0 {
 			t.Fatalf("cold run should miss, not hit: %+v", rep.Store)
@@ -126,7 +118,7 @@ func TestResumeEquivalence(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(dir, filepath.Base(blob)), data, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				warmRunner, warmRes := runSnapCell(t, dir, cell, mutate)
+				warmRunner, warmRes := runSnapCell(t, dir, cell)
 				if !reflect.DeepEqual(coldRes, warmRes) {
 					t.Fatalf("warm result diverged from cold\nwarm: %+v\ncold: %+v", warmRes, coldRes)
 				}
@@ -153,7 +145,7 @@ func deepestBlob(t *testing.T, r *Runner, dir string, cell Cell) snap.Blob {
 	digest := runDigest(r.Opts.Cfg, cell.Workload, r.params(cell.Size), cell.Mode)
 	b, ok := st.Best(digest)
 	if !ok {
-		t.Fatalf("no blob stored for %v", cell)
+		t.Fatalf("no blob stored for %s", cell.key())
 	}
 	return b
 }
@@ -185,8 +177,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // writes it, in 64 KiB chunks rather than one call per field.
 func TestSnapshotIOChunks(t *testing.T) {
 	dir := t.TempDir()
-	cell := Cell{"bfs", workloads.Small, pim.LocalityAware}
-	r, _ := runSnapCell(t, dir, cell, nil)
+	cell := Cell{Workload: "bfs", Size: workloads.Small, Mode: pim.LocalityAware}
+	r, _ := runSnapCell(t, dir, cell)
 	blob := deepestBlob(t, r, dir, cell)
 	data, err := os.ReadFile(blob.Path)
 	if err != nil {
@@ -239,8 +231,8 @@ func TestSnapshotIOChunks(t *testing.T) {
 // must drop it, run cold to the cold result, and store the blob anew.
 func TestUnusableBlobRunsCold(t *testing.T) {
 	dir := t.TempDir()
-	cell := Cell{"pr", workloads.Small, pim.LocalityAware}
-	coldRunner, coldRes := runSnapCell(t, dir, cell, nil)
+	cell := Cell{Workload: "pr", Size: workloads.Small, Mode: pim.LocalityAware}
+	coldRunner, coldRes := runSnapCell(t, dir, cell)
 	blob := deepestBlob(t, coldRunner, dir, cell)
 	want, err := os.ReadFile(blob.Path)
 	if err != nil {
@@ -249,7 +241,7 @@ func TestUnusableBlobRunsCold(t *testing.T) {
 	if err := os.Truncate(blob.Path, blob.Size/2); err != nil {
 		t.Fatal(err)
 	}
-	rerun, res := runSnapCell(t, dir, cell, nil)
+	rerun, res := runSnapCell(t, dir, cell)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Fatalf("rerun over a torn blob diverged from cold\nrerun: %+v\ncold:  %+v", res, coldRes)
 	}
@@ -277,7 +269,7 @@ func TestSnapshotBlobPinned(t *testing.T) {
 		wantSum  = "740acaf92205f358f403ab70fc72984f2a3acc458066124b3f3b0f9382531443"
 	)
 	dir := t.TempDir()
-	runSnapCell(t, dir, Cell{"bfs", workloads.Small, pim.LocalityAware}, nil)
+	runSnapCell(t, dir, Cell{Workload: "bfs", Size: workloads.Small, Mode: pim.LocalityAware})
 	data, err := os.ReadFile(filepath.Join(dir, wantName))
 	if err != nil {
 		blobs, _ := filepath.Glob(filepath.Join(dir, "*.snap"))

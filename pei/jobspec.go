@@ -322,13 +322,14 @@ func RunJob(ctx context.Context, spec JobSpec, w io.Writer, opts RunJobOptions) 
 	if err != nil {
 		return err
 	}
-	writeWorkloadReport(w, spec, res)
+	WriteWorkloadReport(w, spec, res)
 	return nil
 }
 
-// writeWorkloadReport renders a single-workload result as the aligned
-// key/value report peisim prints.
-func writeWorkloadReport(w io.Writer, spec JobSpec, res Result) {
+// WriteWorkloadReport renders a single-workload result as the aligned
+// key/value report of a workload job and of peisim. It reads the run's
+// description from spec (Workload, Size, Scale, Threads, Verify).
+func WriteWorkloadReport(w io.Writer, spec JobSpec, res Result) {
 	fmt.Fprintf(w, "workload        %s (%s inputs, scale 1/%d, %d threads)\n",
 		spec.Workload, spec.Size, spec.Scale, spec.Threads)
 	fmt.Fprintf(w, "mode            %s\n", res.Mode)

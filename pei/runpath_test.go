@@ -50,7 +50,7 @@ func runPathJob(t *testing.T, store *SnapshotStore, name string) (JobSpec, strin
 
 func wantReport(spec JobSpec, res Result) string {
 	var buf bytes.Buffer
-	writeWorkloadReport(&buf, spec, res)
+	WriteWorkloadReport(&buf, spec, res)
 	return buf.String()
 }
 
