@@ -14,10 +14,10 @@ import (
 	"pimsim/internal/workloads"
 )
 
-// Every figure except Figure 9 declares its simulations as a grid of
-// cells (rows: workloads or graphs; columns: modes or design variants)
-// and runs it through Runner.grid, then assembles rows serially in
-// declared order — so rendered tables are byte-identical at any
+// Every figure declares its simulations as a grid of cells (rows:
+// workloads, graphs or pairs; columns: modes or design variants) and
+// runs it through Runner.grid, then assembles rows serially in declared
+// order — so rendered tables are byte-identical at any
 // Options.Parallelism.
 
 // A grid column is a partial Cell, its mode and config mutation; each
@@ -142,6 +142,10 @@ func (r *Runner) Fig8(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
+// mixSeed seeds the RNG that draws Figure 9's workload mixes; every
+// golden table was generated from this draw sequence.
+const mixSeed = 12345
+
 // Fig9 reproduces Figure 9: randomly mixed multiprogrammed pairs, each
 // application on half the cores, measuring IPC-sum speedup of
 // Locality-Aware and PIM-Only over Host-Only. Rows are sorted by
@@ -154,55 +158,37 @@ func (r *Runner) Fig9(ctx context.Context) (*Table, error) {
 	}
 	sizes := []workloads.Size{workloads.Small, workloads.Medium, workloads.Large}
 	// The mixes are drawn serially before fan-out so the RNG sequence —
-	// and therefore the mix list — is identical at any parallelism. The
-	// seed lives in the run configuration (Options.MixSeed), not here.
-	rng := rand.New(rand.NewSource(r.Opts.MixSeed))
-	type mixSpec struct {
-		w1, w2 string
-		s1, s2 workloads.Size
-		mix    string
-	}
-	mixes := make([]mixSpec, r.Opts.Pairs)
-	for p := range mixes {
-		m := mixSpec{
-			w1: r.Opts.Workloads[rng.Intn(len(r.Opts.Workloads))],
-			w2: r.Opts.Workloads[rng.Intn(len(r.Opts.Workloads))],
-		}
+	// and therefore the mix list — is identical at any parallelism.
+	rng := rand.New(rand.NewSource(mixSeed))
+	pairs := make([]Cell, r.Opts.Pairs)
+	for p := range pairs {
+		w1 := r.Opts.Workloads[rng.Intn(len(r.Opts.Workloads))]
+		w2 := r.Opts.Workloads[rng.Intn(len(r.Opts.Workloads))]
 		// Preserve the seed's historical draw order: w1, w2, s1, s2.
-		m.s1 = sizes[rng.Intn(len(sizes))]
-		m.s2 = sizes[rng.Intn(len(sizes))]
-		m.mix = fmt.Sprintf("%s-%s+%s-%s", m.w1, m.s1, m.w2, m.s2)
-		mixes[p] = m
+		s1 := sizes[rng.Intn(len(sizes))]
+		s2 := sizes[rng.Intn(len(sizes))]
+		seed := 2 * int64(p)
+		pairs[p] = Cell{Workload: w1, Size: s1, Seed: seed + 1, With: &Cell{Workload: w2, Size: s2, Seed: seed + 2}}
+	}
+	modes := fourModes[1:] // Host-Only, PIM-Only, Locality-Aware
+	res, err := r.grid(ctx, len(pairs), len(modes), func(i, j int) Cell {
+		c := pairs[i]
+		c.Mode = modes[j].Mode
+		return c
+	})
+	if err != nil {
+		return nil, err
 	}
 	type row struct {
 		mix  string
 		pimS float64
 		laS  float64
 	}
-	rows := make([]row, len(mixes))
-	err := r.forEach(ctx, len(mixes), func(ctx context.Context, p int) error {
-		m := mixes[p]
-		r.logf("fig9 %d/%d: %s", p+1, r.Opts.Pairs, m.mix)
-		run := func(mode pim.Mode) (machine.Result, error) {
-			return r.runPair(ctx, m.w1, m.s1, m.w2, m.s2, int64(p), mode)
-		}
-		host, err := run(pim.HostOnly)
-		if err != nil {
-			return err
-		}
-		mem, err := run(pim.PIMOnly)
-		if err != nil {
-			return err
-		}
-		la, err := run(pim.LocalityAware)
-		if err != nil {
-			return err
-		}
-		rows[p] = row{mix: m.mix, pimS: mem.IPC() / host.IPC(), laS: la.IPC() / host.IPC()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	rows := make([]row, len(pairs))
+	for p, c := range pairs {
+		host, mem, la := res[p][0], res[p][1], res[p][2]
+		mix := fmt.Sprintf("%s-%s+%s-%s", c.Workload, c.Size, c.With.Workload, c.With.Size)
+		rows[p] = row{mix: mix, pimS: mem.IPC() / host.IPC(), laS: la.IPC() / host.IPC()}
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].laS < rows[j].laS })
 	better := 0
@@ -214,38 +200,6 @@ func (r *Runner) Fig9(ctx context.Context) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("Locality-Aware ≥ both baselines in %d/%d mixes", better, len(rows)))
 	return t, nil
-}
-
-// runPair runs two workloads concurrently, each on half the cores.
-func (r *Runner) runPair(ctx context.Context, w1 string, s1 workloads.Size, w2 string, s2 workloads.Size, seed int64, mode pim.Mode) (machine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return machine.Result{}, err
-	}
-	r.simulations.Add(1)
-	cfg := r.Opts.Cfg
-	half := cfg.Cores / 2
-	if half == 0 {
-		half = 1
-	}
-	p1 := r.params(s1)
-	p1.Threads = half
-	p1.Seed = seed*2 + 1
-	p2 := r.params(s2)
-	p2.Threads = cfg.Cores - half
-	p2.Seed = seed*2 + 2
-	a, err := workloads.New(w1, p1)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	b, err := workloads.New(w2, p2)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	m, err := machine.New(cfg, mode)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	return m.RunContext(ctx, append(a.Streams(m), b.Streams(m)...))
 }
 
 // Fig10 reproduces Figure 10: speedup of balanced dispatch (§7.4) on

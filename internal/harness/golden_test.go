@@ -52,11 +52,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestFig6SmallGolden pins the rendered Figure 6 (small inputs) and
-// Figure 2 tables. The Figure 6 golden was captured before the
-// calendar-queue scheduler and counter-handle refactor; Figure 2
+// TestFig6SmallGolden pins the rendered Figure 6 (small inputs),
+// Figure 2 and Figure 9 tables. The Figure 6 golden was captured before
+// the calendar-queue scheduler and counter-handle refactor; Figure 2
 // exercises the graph workloads' access patterns (and so different
-// PEI/response interleavings). Simulated timing must stay byte-identical
+// PEI/response interleavings); the Figure 9 golden was captured while
+// its pairs still ran outside RunWorkload, so it pins that folding two
+// programs into one run changed no cycle. Simulated timing must stay byte-identical
 // across internal scheduler changes. Regenerate deliberately with
 // `go test ./internal/harness -run Fig6SmallGolden -update` after a
 // change that is *supposed* to alter simulated behavior.
@@ -67,6 +69,7 @@ func TestFig6SmallGolden(t *testing.T) {
 	}{
 		{"fig6_small.golden", func(r *Runner) (*Table, error) { return r.Fig6(context.Background(), workloads.Small) }},
 		{"fig2_small.golden", func(r *Runner) (*Table, error) { return r.Fig2(context.Background()) }},
+		{"fig9.golden", func(r *Runner) (*Table, error) { return r.Fig9(context.Background()) }},
 	} {
 		t.Run(fig.golden, func(t *testing.T) {
 			tb, err := fig.run(NewRunner(goldenOptions()))

@@ -5,11 +5,14 @@
 // point returning a renderable Table; cmd/peibench drives them from the
 // command line and bench_test.go drives scaled-down versions.
 //
-// Cells execute on a worker pool (Options.Parallelism, default
-// GOMAXPROCS): every simulated machine is fully self-contained, so
-// independent (workload, size, mode) cells run concurrently while table
-// rows are always assembled in declared order — output is byte-identical
-// at any parallelism level. Every entry point takes a context.Context;
+// Every figure declares its simulations as a grid of Cells and runs it
+// on one worker pool (Options.Parallelism, default GOMAXPROCS). Every
+// simulation, Figure 9's multiprogrammed pairs included, goes through
+// Runner.RunWorkload, which builds its workloads and machine and
+// memoizes the run by content digest. Every simulated machine is fully
+// self-contained, so cells run concurrently while table rows are always
+// assembled in declared order — output is byte-identical at any
+// parallelism level. Every entry point takes a context.Context;
 // cancelling it aborts in-flight simulations promptly.
 package harness
 
@@ -51,11 +54,6 @@ type Options struct {
 	Workloads []string
 	// Pairs is the multiprogrammed-workload count for Figure 9.
 	Pairs int
-	// MixSeed seeds the RNG that draws Figure 9's workload mixes
-	// (<= 0 means DefaultMixSeed). Recording the seed in the run
-	// configuration — rather than burying a literal at the draw site —
-	// is what makes the mix list reproducible across processes.
-	MixSeed int64
 	// Parallelism is the number of cells simulated concurrently
 	// (<= 0 means runtime.GOMAXPROCS(0)). Tables are identical at every
 	// level: cells are isolated machines and rows are assembled in
@@ -86,7 +84,9 @@ type Options struct {
 // Options.Progress (live experiment feedback: peiserved streams these
 // over SSE).
 type Progress struct {
-	// Cell names the run as "workload/size/mode".
+	// Cell names the run as "workload/size/mode". A run on a named
+	// graph puts the graph in place of the size, and a multiprogrammed
+	// run joins its programs with "+": "bfs/small+hj/large/Host-Only".
 	Cell string `json:"cell"`
 	// Done is false when the simulation starts, true when it finishes.
 	Done bool `json:"done"`
@@ -99,10 +99,6 @@ type Progress struct {
 	Simulations int64 `json:"simulations"`
 }
 
-// DefaultMixSeed is the historical Figure 9 mix seed; every golden
-// table was generated from this draw sequence.
-const DefaultMixSeed = 12345
-
 // Default returns laptop-scale options.
 func Default() Options {
 	return Options{
@@ -111,7 +107,6 @@ func Default() Options {
 		OpBudget:  60_000,
 		Workloads: workloads.Names,
 		Pairs:     40,
-		MixSeed:   DefaultMixSeed,
 	}
 }
 
@@ -127,9 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Pairs <= 0 {
 		o.Pairs = 40
-	}
-	if o.MixSeed <= 0 {
-		o.MixSeed = DefaultMixSeed
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -281,10 +273,36 @@ type Cell struct {
 	// Mutate, if non-nil, adjusts a clone of the runner's config before
 	// the machine is built (design variants, ablations).
 	Mutate func(*config.Config)
+	// Seed perturbs the synthetic input (workloads.Params.Seed).
+	Seed int64
+	// With, if non-nil, runs a second program beside this one: the cell
+	// takes the first max(Cores/2, 1) cores and With the rest (Figure
+	// 9's multiprogrammed pairs). Only With's workload, size, graph and
+	// seed are read.
+	With *Cell
 }
 
-func (c Cell) key() string {
-	return fmt.Sprintf("%s/%s/%s", c.Workload, c.Size, c.Mode)
+// Program is one workload of a run, with the parameters it is built
+// from. A run of several programs gives each its Params.Threads cores,
+// in order.
+type Program struct {
+	Workload string
+	Params   workloads.Params
+}
+
+// label names a run in -v lines, Progress events and errors:
+// "workload/size" per program, with the graph in place of the size when
+// one is set, joined by "+", then "/mode".
+func label(progs []Program, mode pim.Mode) string {
+	parts := make([]string, len(progs))
+	for i, p := range progs {
+		input := p.Params.Size.String()
+		if p.Params.Graph != nil {
+			input = p.Params.Graph.Name
+		}
+		parts[i] = p.Workload + "/" + input
+	}
+	return strings.Join(parts, "+") + "/" + mode.String()
 }
 
 // cellRun is one in-flight or completed memoized simulation. Waiters
@@ -348,24 +366,37 @@ func (r *Runner) params(size workloads.Size) workloads.Params {
 	}
 }
 
+// program is the run of c's own workload on the whole machine.
+func (r *Runner) program(c Cell) Program {
+	p := r.params(c.Size)
+	p.Graph, p.Seed = c.Graph, c.Seed
+	return Program{c.Workload, p}
+}
+
 // RunCell simulates one cell through RunWorkload, so it shares the memo
 // with every other run of the same design point.
 func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
-	p := r.params(c.Size)
-	p.Graph = c.Graph
-	res, err := r.RunWorkload(ctx, c.Workload, p, c.Mode, c.Mutate, false)
+	progs := []Program{r.program(c)}
+	if c.With != nil {
+		half := max(r.Opts.Cfg.Cores/2, 1)
+		progs = append(progs, r.program(*c.With))
+		progs[0].Params.Threads = half
+		progs[1].Params.Threads = r.Opts.Cfg.Cores - half
+	}
+	res, err := r.RunWorkload(ctx, progs, c.Mode, c.Mutate, false)
 	if err != nil {
-		err = fmt.Errorf("harness: %s: %w", c.key(), err)
+		err = fmt.Errorf("harness: %s: %w", label(progs, c.Mode), err)
 	}
 	return res, err
 }
 
-// RunWorkload simulates one workload on a fresh machine. It is the only
-// path a single-workload run takes: cells and their graph and
-// config-mutating variants, pei.RunWorkloadContext and pei.RunJob all
-// come through here. mutate, if non-nil, adjusts a clone of the runner's
-// config before the machine is built; verify checks the functional
-// results against the workload's golden implementation after the run.
+// RunWorkload builds each program's workload (progs must not be empty) and
+// runs them side by side on one fresh machine, as one workloads.Mix. It is the only path a run
+// takes: cells and their graph, config-mutating and multiprogrammed
+// variants, pei.RunWorkloadContext and pei.RunJob all come through here.
+// mutate, if non-nil, adjusts a clone of the runner's config before the
+// machine is built; verify checks the functional results against each
+// workload's golden implementation after the run.
 //
 // Runs are memoized, singleflight, on their runDigest plus verify: a
 // mutate that leaves the config equal shares the unmutated run, and
@@ -374,14 +405,16 @@ func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
 // own context ends first. Failed (often: cancelled) runs are evicted so
 // a later request re-simulates instead of replaying the error.
 //
-// A run is a sequence of phases cut at the workload's superstep
+// A run is a sequence of phases cut at the workloads' superstep
 // boundaries. Without a snapshot store it is one phase — Start, Drive,
 // CheckDone, Finish, exactly machine.RunContext. With a store it is
 // Rounds() phases: the run resumes from the deepest stored boundary and
 // writes every interior boundary back (see snapshot.go).
-func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Params, mode pim.Mode, mutate func(*config.Config), verify bool) (res machine.Result, err error) {
-	if verify && p.OpBudget > 0 {
-		return machine.Result{}, fmt.Errorf("harness: cannot verify a budget-truncated run")
+func (r *Runner) RunWorkload(ctx context.Context, progs []Program, mode pim.Mode, mutate func(*config.Config), verify bool) (res machine.Result, err error) {
+	for _, p := range progs {
+		if verify && p.Params.OpBudget > 0 {
+			return machine.Result{}, fmt.Errorf("harness: cannot verify a budget-truncated run")
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return machine.Result{}, err
@@ -390,7 +423,7 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 	if mutate != nil {
 		mutate(cfg)
 	}
-	digest := runDigest(cfg, name, p, mode)
+	digest := runDigest(cfg, progs, mode)
 	key := fmt.Sprintf("%s/verify=%t", digest, verify)
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
@@ -406,7 +439,7 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 	r.cache[key] = e
 	r.mu.Unlock()
 
-	cell := fmt.Sprintf("%s/%s/%s", name, p.Size, mode)
+	cell := label(progs, mode)
 	defer func() {
 		if err != nil {
 			r.mu.Lock()
@@ -431,9 +464,12 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 		return machine.Result{}, err
 	}
 	build := func() (*machine.Machine, workloads.Workload, []cpu.Stream, error) {
-		w, err := workloads.New(name, p)
-		if err != nil {
-			return nil, nil, nil, err
+		w := make(workloads.Mix, len(progs))
+		for i, p := range progs {
+			var err error
+			if w[i], err = workloads.New(p.Workload, p.Params); err != nil {
+				return nil, nil, nil, err
+			}
 		}
 		m, err := machine.New(cfg, mode)
 		if err != nil {
@@ -504,74 +540,41 @@ func (r *Runner) RunWorkload(ctx context.Context, name string, p workloads.Param
 	return res, nil
 }
 
-// grid simulates a rows × cols table of cells on the worker pool and
-// returns res[i][j] for cell(i, j). It is the one fan-out every figure
-// but Figure 9 uses. The flat order is column-major: the row index (the
-// workload or graph) varies fastest, so concurrent workers run
-// different inputs under one design point rather than one input under
-// several. Row-major order puts two machines of the same large input in
-// flight at once and raises peak RSS by about a fifth.
+// grid simulates a rows × cols table of cells on the runner's worker
+// pool (Options.Parallelism goroutines) and returns res[i][j] for
+// cell(i, j). It is the one fan-out every figure uses. The flat order is
+// column-major: the row index (the workload, graph or pair) varies
+// fastest, so concurrent workers run different inputs under one design
+// point rather than one input under several. Row-major order puts two
+// machines of the same large input in flight at once and raises peak
+// RSS by about a fifth.
+//
+// On the first failing cell or on ctx cancellation the remaining cells
+// are abandoned. A cancelled ctx returns its error; otherwise the
+// lowest-index error wins, preferring a real failure over the
+// context.Canceled that cells still running report once the pool is
+// cancelled on the failure's behalf.
 func (r *Runner) grid(ctx context.Context, rows, cols int, cell func(i, j int) Cell) ([][]machine.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	res := make([][]machine.Result, rows)
 	for i := range res {
 		res[i] = make([]machine.Result, cols)
 	}
-	err := r.forEach(ctx, rows*cols, func(ctx context.Context, k int) error {
-		i, j := k%rows, k/rows
-		var err error
-		res[i][j], err = r.RunCell(ctx, cell(i, j))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// forEach runs fn(ctx, i) for every i in [0, n) on the runner's worker
-// pool (Options.Parallelism goroutines). fn must write its result into
-// index-addressed storage so the caller can assemble output in declared
-// order. On the first fn error or on ctx cancellation the remaining
-// work is abandoned. A cancelled ctx returns its error; otherwise the
-// lowest-index error wins, preferring a real failure over the
-// context.Canceled that cells still running report once the pool is
-// cancelled on the failure's behalf.
-func (r *Runner) forEach(ctx context.Context, n int, fn func(context.Context, int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers := r.Opts.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	n := rows * cols
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
 	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(r.Opts.Parallelism, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n || cctx.Err() != nil {
-					return
-				}
-				if err := fn(cctx, i); err != nil {
-					errs[i] = err
+			for k := int(next.Add(1) - 1); k < n && cctx.Err() == nil; k = int(next.Add(1) - 1) {
+				i, j := k%rows, k/rows
+				if res[i][j], errs[k] = r.RunCell(cctx, cell(i, j)); errs[k] != nil {
 					cancel()
 					return
 				}
@@ -580,18 +583,21 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(context.Context, in
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	var first error
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
+			return nil, err
 		}
 		if first == nil {
 			first = err
 		}
 	}
-	return first
+	if first != nil {
+		return nil, first
+	}
+	return res, nil
 }
 
 // speedup formats a/b as a speedup of b over a.

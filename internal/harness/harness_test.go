@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -109,7 +110,7 @@ func TestMemoSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode,
+	same, err := r.RunWorkload(ctx, []Program{r.program(c)}, c.Mode,
 		func(cfg *config.Config) { cfg.OperandBufferEntries = r.Opts.Cfg.OperandBufferEntries }, false)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestMemoSharing(t *testing.T) {
 	if n := r.Simulations(); n != 1 || !reflect.DeepEqual(same, plain) {
 		t.Fatalf("config-preserving mutate: %d simulations, want 1 and the plain result", n)
 	}
-	if _, err := r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode,
+	if _, err := r.RunWorkload(ctx, []Program{r.program(c)}, c.Mode,
 		func(cfg *config.Config) { cfg.OperandBufferEntries++ }, false); err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +126,13 @@ func TestMemoSharing(t *testing.T) {
 		t.Fatalf("config-changing mutate: %d simulations, want 2", n)
 	}
 
-	p := r.params(c.Size)
-	p.OpBudget = 0 // verification needs a complete run
-	unverified, err := r.RunWorkload(ctx, c.Workload, p, c.Mode, nil, false)
+	full := []Program{r.program(c)}
+	full[0].Params.OpBudget = 0 // verification needs a complete run
+	unverified, err := r.RunWorkload(ctx, full, c.Mode, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, err := r.RunWorkload(ctx, c.Workload, p, c.Mode, nil, true)
+	verified, err := r.RunWorkload(ctx, full, c.Mode, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,8 @@ func TestGridColumnMajor(t *testing.T) {
 // design points build on a 2-workload runner: a sensitivity table's
 // base column and its default variants share runs (Fig 11's default
 // column is its own baseline, IgnoreBit's default row costs nothing),
-// and Fig 8 reuses Fig 2's PIM-Only runs.
+// a second Fig 9 is served from the memo, and Fig 8 reuses Fig 2's
+// PIM-Only runs.
 func TestMemoSimulationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("graph sweep is slow")
@@ -195,6 +197,7 @@ func TestMemoSimulationCounts(t *testing.T) {
 	}
 	fig2 := func(r *Runner) (*Table, error) { return r.Fig2(ctx) }
 	fig8 := func(r *Runner) (*Table, error) { return r.Fig8(ctx) }
+	fig9 := func(r *Runner) (*Table, error) { return r.Fig9(ctx) }
 	var shared string // the last case's tables: Fig 2 and Fig 8 on one runner
 	for _, tc := range []struct {
 		name string
@@ -206,6 +209,7 @@ func TestMemoSimulationCounts(t *testing.T) {
 		{"ignorebit", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.AblationIgnoreBit(ctx) }}, 4},
 		{"partialtag", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.AblationPartialTagWidth(ctx) }}, 10},
 		{"sec7.6", []func(*Runner) (*Table, error){func(r *Runner) (*Table, error) { return r.Sec76(ctx) }}, 8},
+		{"fig9 twice", []func(*Runner) (*Table, error){fig9, fig9}, 3 * int64(o.Pairs)},
 		{"fig2+fig8", []func(*Runner) (*Table, error){fig2, fig8}, 36},
 	} {
 		r := NewRunner(o)
@@ -217,6 +221,51 @@ func TestMemoSimulationCounts(t *testing.T) {
 	}
 	if fresh := render(NewRunner(o), fig2) + render(NewRunner(o), fig8); shared != fresh {
 		t.Fatalf("shared runner rendered differently from fresh ones:\n--- shared ---\n%s--- fresh ---\n%s", shared, fresh)
+	}
+}
+
+// TestFig9GridColumnMajor: Figure 9 is a pairs × modes grid, so a
+// serial run starts every pair under Host-Only, then under PIM-Only,
+// then under Locality-Aware, and each run's label names both programs
+// of its pair.
+func TestFig9GridColumnMajor(t *testing.T) {
+	o := tinyOptions()
+	o.Parallelism = 1
+	var started []string
+	o.Progress = func(p Progress) {
+		if !p.Done {
+			started = append(started, p.Cell)
+		}
+	}
+	tb, err := NewRunner(o).Fig9(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []pim.Mode{pim.HostOnly, pim.PIMOnly, pim.LocalityAware}
+	if len(started) != len(modes)*o.Pairs {
+		t.Fatalf("%d runs started, want %d: %v", len(started), len(modes)*o.Pairs, started)
+	}
+	var mixes, want []string
+	for j, m := range modes {
+		for p := 0; p < o.Pairs; p++ {
+			got := started[j*o.Pairs+p]
+			pair, ok := strings.CutSuffix(got, "/"+m.String())
+			if !ok || pair != strings.TrimSuffix(started[p], "/"+modes[0].String()) {
+				t.Fatalf("run %d is %q, want pair %d under %s", j*o.Pairs+p, got, p, m)
+			}
+			if j == 0 {
+				// "w1/s1+w2/s2" is the table's "w1-s1+w2-s2".
+				mixes = append(mixes, strings.ReplaceAll(pair, "/", "-"))
+			}
+		}
+	}
+	for _, row := range tb.Rows {
+		want = append(want, row[1])
+	}
+	sort.Strings(mixes)
+	sort.Strings(want)
+	if !reflect.DeepEqual(mixes, want) {
+		t.Fatalf("run labels name mixes %v, table has %v", mixes, want)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestRunCellSingleflight(t *testing.T) {
 			if i%2 == 0 {
 				res, err = r.RunCell(ctx, c)
 			} else {
-				res, err = r.RunWorkload(ctx, c.Workload, r.params(c.Size), c.Mode,
+				res, err = r.RunWorkload(ctx, []Program{r.program(c)}, c.Mode,
 					func(cfg *config.Config) { cfg.PCUExecWidth = r.Opts.Cfg.PCUExecWidth }, false)
 			}
 			if err != nil {
@@ -150,51 +150,59 @@ func TestCancelledCellNotCached(t *testing.T) {
 	}
 }
 
-// TestForEachFirstErrorByIndex: forEach must report the lowest-index
-// error even when a higher-index task fails first.
-func TestForEachFirstErrorByIndex(t *testing.T) {
+// failingCell is a cell whose run fails at build time (its workload
+// does not exist), after mutate has run.
+func failingCell(name string, mutate func()) Cell {
+	return Cell{Workload: name, Size: workloads.Small, Mode: pim.HostOnly, Mutate: func(*config.Config) { mutate() }}
+}
+
+// failedRunner returns a runner whose Progress closes the returned
+// channel once the run labelled with prefix has finished.
+func failedRunner(parallelism int, prefix string) (*Runner, chan struct{}) {
 	o := tinyOptions()
-	o.Parallelism = 4
-	r := NewRunner(o)
-	errA := context.DeadlineExceeded
-	err := r.forEach(ctx, 4, func(_ context.Context, i int) error {
-		if i == 1 {
-			time.Sleep(5 * time.Millisecond)
-			return errA
+	o.Parallelism = parallelism
+	failed := make(chan struct{})
+	o.Progress = func(p Progress) {
+		if p.Done && strings.HasPrefix(p.Cell, prefix) {
+			close(failed)
 		}
-		if i == 3 {
-			return context.Canceled
-		}
-		return nil
-	})
-	if err != errA && err != context.Canceled {
-		t.Fatalf("unexpected error %v", err)
 	}
-	// Index 1's error must win whenever both are recorded; since index 3
-	// may cancel the pool before index 1 records, accept either, but a
-	// nil error is always wrong.
-	if err == nil {
-		t.Fatal("forEach swallowed the error")
+	return NewRunner(o), failed
+}
+
+// TestGridFirstErrorByIndex: grid must report the lowest-index failure
+// even when a higher-index cell fails first. Cell 3 fails once cell 1
+// is under way, and cell 1 fails after cell 3, so both record a real
+// failure.
+func TestGridFirstErrorByIndex(t *testing.T) {
+	r, failed3 := failedRunner(4, "no-such-3/")
+	started := make(chan struct{})
+	cells := []Cell{
+		{Workload: "atf", Size: workloads.Small, Mode: pim.HostOnly},
+		failingCell("no-such-1", func() { close(started); <-failed3 }),
+		{Workload: "hg", Size: workloads.Small, Mode: pim.HostOnly},
+		failingCell("no-such-3", func() { <-started }),
+	}
+	_, err := r.grid(ctx, len(cells), 1, func(i, _ int) Cell { return cells[i] })
+	if err == nil || !strings.Contains(err.Error(), `"no-such-1"`) {
+		t.Fatalf("grid returned %v, want cell 1's failure", err)
 	}
 }
 
-// TestForEachReportsFailureNotCancellation: when index 1 fails, the
-// pool cancels index 0, which then returns context.Canceled; the
-// lower index must not mask the real failure.
-func TestForEachReportsFailureNotCancellation(t *testing.T) {
-	o := tinyOptions()
-	o.Parallelism = 2
-	r := NewRunner(o)
-	sentinel := errors.New("cell failed")
-	err := r.forEach(ctx, 2, func(ctx context.Context, i int) error {
-		if i == 1 {
-			return sentinel
-		}
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("forEach returned %v, want the failing cell's error", err)
+// TestGridReportsFailureNotCancellation: when cell 1 fails, the pool
+// cancels cell 0, which then returns context.Canceled; the lower index
+// must not mask the real failure.
+func TestGridReportsFailureNotCancellation(t *testing.T) {
+	r, failed := failedRunner(2, "no-such/")
+	started := make(chan struct{})
+	cells := []Cell{
+		// Cell 0 starts simulating only after cell 1 has failed.
+		{Workload: "atf", Size: workloads.Large, Mode: pim.HostOnly, Mutate: func(*config.Config) { close(started); <-failed }},
+		failingCell("no-such", func() { <-started }),
+	}
+	_, err := r.grid(ctx, len(cells), 1, func(i, _ int) Cell { return cells[i] })
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), `"no-such"`) {
+		t.Fatalf("grid returned %v, want the failing cell's error", err)
 	}
 }
 

@@ -22,17 +22,21 @@ import (
 // from the deepest stored boundary instead of simulating from cycle 0.
 
 // runDigest content-addresses a run: everything that determines the
-// simulated trajectory — final machine config, workload identity and
-// parameters, PEI mode — plus the snapshot format version. It keys both
-// the runner's memo and the snapshot store.
-func runDigest(cfg *config.Config, name string, p workloads.Params, mode pim.Mode) string {
+// simulated trajectory — final machine config, each program's workload
+// identity and parameters, PEI mode — plus the snapshot format version.
+// It keys both the runner's memo and the snapshot store. The first
+// program is hashed in the fields a single-workload run has always
+// used, and the rest go in a field that is omitted when empty, so every
+// single-workload digest (and blob name) predates multi-program runs.
+func runDigest(cfg *config.Config, progs []Program, mode pim.Mode) string {
 	blob, err := json.Marshal(struct {
 		Version  uint32
 		Cfg      *config.Config
 		Workload string
 		Params   workloads.Params
 		Mode     string
-	}{snap.Version, cfg, name, p, mode.String()})
+		With     []Program `json:",omitempty"`
+	}{snap.Version, cfg, progs[0].Workload, progs[0].Params, mode.String(), progs[1:]})
 	if err != nil {
 		// Params and Config are plain data; marshal cannot fail.
 		panic(fmt.Sprintf("harness: run digest: %v", err))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,7 +37,7 @@ func runSnapCell(t *testing.T, dir string, cell Cell) (*Runner, interface{ IPC()
 	r := NewRunner(snapOptions(dir))
 	res, err := r.RunCell(context.Background(), cell)
 	if err != nil {
-		t.Fatalf("cell %s (dir=%q): %v", cell.key(), dir, err)
+		t.Fatalf("dir=%q: %v", dir, err)
 	}
 	return r, res
 }
@@ -52,7 +53,7 @@ func TestPhasedMatchesUnphased(t *testing.T) {
 	for _, wl := range []string{"pr", "bfs", "rp"} {
 		for _, mode := range []pim.Mode{pim.HostOnly, pim.LocalityAware} {
 			cell := Cell{Workload: wl, Size: workloads.Small, Mode: mode}
-			t.Run(cell.key(), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s/%s", wl, workloads.Small, mode), func(t *testing.T) {
 				o := snapOptions("")
 				o.Workloads = []string{wl}
 				cold := NewRunner(o)
@@ -83,7 +84,8 @@ func TestPhasedMatchesUnphased(t *testing.T) {
 // from EVERY stored phase boundary must reproduce the cold run's result
 // exactly. Besides the default config it runs with virtual memory (page
 // table and TLB state) and with balanced dispatch (the chain's pressure
-// averages), the two configs whose state the default leaves idle.
+// averages), the two configs whose state the default leaves idle, and a
+// multiprogrammed pair, whose blobs code both programs' generators.
 func TestResumeEquivalence(t *testing.T) {
 	pr := Cell{Workload: "pr", Size: workloads.Small, Mode: pim.LocalityAware}
 	prVM := pr
@@ -93,6 +95,8 @@ func TestResumeEquivalence(t *testing.T) {
 		prVM,
 		// sc is a workload whose steering balanced dispatch changes.
 		{Workload: "sc", Size: workloads.Small, Mode: pim.LocalityAware, Mutate: func(c *config.Config) { c.BalancedDispatch = true }},
+		// A Figure 9 pair: the mix's parts run different round counts.
+		{Workload: "pr", Size: workloads.Small, Mode: pim.LocalityAware, Seed: 1, With: &Cell{Workload: "bfs", Size: workloads.Medium, Seed: 2}},
 	} {
 		coldDir := t.TempDir()
 		coldRunner, coldRes := runSnapCell(t, coldDir, cell)
@@ -142,10 +146,9 @@ func deepestBlob(t *testing.T, r *Runner, dir string, cell Cell) snap.Blob {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := runDigest(r.Opts.Cfg, cell.Workload, r.params(cell.Size), cell.Mode)
-	b, ok := st.Best(digest)
+	b, ok := st.Best(runDigest(r.Opts.Cfg, []Program{r.program(cell)}, cell.Mode))
 	if !ok {
-		t.Fatalf("no blob stored for %s", cell.key())
+		t.Fatalf("no blob stored for %s/%s", cell.Workload, cell.Size)
 	}
 	return b
 }
@@ -284,8 +287,8 @@ func TestSnapshotBlobPinned(t *testing.T) {
 // step, for the two figures named in the acceptance criteria: a cold
 // sweep followed by a warm rerun sharing the snapshot dir must render
 // byte-identical tables while hitting the store and simulating fewer
-// cycles. Fig2 exercises the graph-workload path (runGraphWorkload),
-// Fig6-small the size-sweep path.
+// cycles. Fig2 exercises the graph-workload cells, Fig6-small the
+// size sweep.
 func TestWarmSweepTables(t *testing.T) {
 	figures := []struct {
 		name string

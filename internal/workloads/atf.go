@@ -25,8 +25,6 @@ type atf struct {
 
 func newATF(p Params) *atf { return &atf{p: p} }
 
-func (w *atf) Name() string { return "atf" }
-
 // isTeen deterministically marks ~28% of vertices as teenagers.
 func isTeen(v int) bool { return (uint32(v)*2654435761)%7 < 2 }
 

@@ -33,8 +33,6 @@ type bfs struct {
 
 func newBFS(p Params) *bfs { return &bfs{p: p} }
 
-func (w *bfs) Name() string { return "bfs" }
-
 // goldenBFS runs synchronous BFS, returning final levels and the round
 // count to fixpoint.
 func goldenBFS(g *graph.Graph, src int) ([]uint64, int) {

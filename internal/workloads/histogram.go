@@ -36,8 +36,6 @@ type histogram struct {
 
 func newHistogram(p Params) *histogram { return &histogram{p: p} }
 
-func (w *histogram) Name() string { return "hg" }
-
 func (w *histogram) inputSize() int {
 	var n int
 	switch w.p.Size {

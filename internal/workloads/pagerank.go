@@ -35,8 +35,6 @@ func newPageRank(p Params) *pagerank {
 	return &pagerank{p: p, iterations: 3}
 }
 
-func (w *pagerank) Name() string { return "pr" }
-
 // goldenPageRank runs the same fixed number of synchronous iterations.
 func goldenPageRank(gm *GraphMem, iters int) ([]float64, float64) {
 	g := gm.G

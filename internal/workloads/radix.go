@@ -34,8 +34,6 @@ type radix struct {
 
 func newRadixPartition(p Params) *radix { return &radix{p: p, Passes: 2} }
 
-func (w *radix) Name() string { return "rp" }
-
 func (w *radix) inputSize() int {
 	var n int
 	switch w.p.Size {

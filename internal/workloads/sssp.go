@@ -28,8 +28,6 @@ type sssp struct {
 
 func newSSSP(p Params) *sssp { return &sssp{p: p} }
 
-func (w *sssp) Name() string { return "sp" }
-
 // edgeWeight gives a deterministic weight in [1,16].
 func edgeWeight(v int, succ int32) uint64 {
 	return uint64((uint32(v)*31+uint32(succ)*17)%16) + 1

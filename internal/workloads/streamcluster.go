@@ -34,8 +34,6 @@ type streamcluster struct {
 
 func newStreamcluster(p Params) *streamcluster { return &streamcluster{p: p} }
 
-func (w *streamcluster) Name() string { return "sc" }
-
 func (w *streamcluster) shape() (points, dims int) {
 	switch w.p.Size {
 	case Small:

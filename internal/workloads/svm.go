@@ -46,8 +46,6 @@ type svm struct {
 
 func newSVM(p Params) *svm { return &svm{p: p} }
 
-func (w *svm) Name() string { return "svm" }
-
 func (w *svm) shape() (instances, features int) {
 	switch w.p.Size {
 	case Small:

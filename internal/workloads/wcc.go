@@ -26,8 +26,6 @@ type wcc struct {
 
 func newWCC(p Params) *wcc { return &wcc{p: p} }
 
-func (w *wcc) Name() string { return "wcc" }
-
 // goldenWCC runs synchronous label propagation to fixpoint.
 func goldenWCC(g *graph.Graph) ([]uint64, int) {
 	n := g.NumVertices()

@@ -88,8 +88,6 @@ func (p Params) withDefaults() Params {
 
 // Workload is one benchmark application.
 type Workload interface {
-	// Name is the paper's abbreviation (e.g. "pr").
-	Name() string
 	// Streams allocates the workload's data in m's simulated memory and
 	// returns one op stream per thread. Call once per machine.
 	Streams(m *machine.Machine) []cpu.Stream

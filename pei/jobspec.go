@@ -318,7 +318,7 @@ func RunJob(ctx context.Context, spec JobSpec, w io.Writer, opts RunJobOptions) 
 		Seed:     spec.Seed,
 		OpBudget: spec.OpBudget,
 	}
-	res, err := harness.NewRunner(ro).RunWorkload(ctx, spec.Workload, params, mode, nil, spec.Verify)
+	res, err := harness.NewRunner(ro).RunWorkload(ctx, []harness.Program{{Workload: spec.Workload, Params: params}}, mode, nil, spec.Verify)
 	if err != nil {
 		return err
 	}

@@ -213,7 +213,7 @@ func RunWorkload(cfg *Config, mode Mode, name string, p WorkloadParams, verify b
 
 // RunWorkloadContext is RunWorkload with cancellation.
 func RunWorkloadContext(ctx context.Context, cfg *Config, mode Mode, name string, p WorkloadParams, verify bool) (Result, error) {
-	return harness.NewRunner(harness.Options{Cfg: cfg}).RunWorkload(ctx, name, p, mode, nil, verify)
+	return harness.NewRunner(harness.Options{Cfg: cfg}).RunWorkload(ctx, []harness.Program{{Workload: name, Params: p}}, mode, nil, verify)
 }
 
 // SnapshotStore is the content-addressed checkpoint store behind warm
