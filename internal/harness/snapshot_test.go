@@ -32,7 +32,7 @@ func snapOptions(dir string) Options {
 
 // runSnapCell runs one cell through a fresh runner with the given
 // snapshot dir ("" = unphased).
-func runSnapCell(t *testing.T, dir string, cell Cell) (*Runner, interface{ IPC() float64 }) {
+func runSnapCell(t testing.TB, dir string, cell Cell) (*Runner, interface{ IPC() float64 }) {
 	t.Helper()
 	r := NewRunner(snapOptions(dir))
 	res, err := r.RunCell(context.Background(), cell)
@@ -140,7 +140,7 @@ func TestResumeEquivalence(t *testing.T) {
 
 // deepestBlob returns the deepest blob runSnapCell stored for cell in
 // dir, read through a store of its own so the run's counters stay put.
-func deepestBlob(t *testing.T, r *Runner, dir string, cell Cell) snap.Blob {
+func deepestBlob(t testing.TB, r *Runner, dir string, cell Cell) snap.Blob {
 	t.Helper()
 	st, err := snap.NewStore(dir, 0)
 	if err != nil {
@@ -151,6 +151,22 @@ func deepestBlob(t *testing.T, r *Runner, dir string, cell Cell) snap.Blob {
 		t.Fatalf("no blob stored for %s/%s", cell.Workload, cell.Size)
 	}
 	return b
+}
+
+// freshRun builds cell's workload and a machine for it, streams
+// attached, as RunWorkload does before it restores a blob.
+func freshRun(t testing.TB, r *Runner, cell Cell) (*machine.Machine, workloads.Workload) {
+	t.Helper()
+	w, err := workloads.New(cell.Workload, r.params(cell.Size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.New(r.Opts.Cfg, cell.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Streams(m)
+	return m, w
 }
 
 // countReader counts the Read calls made on it.
@@ -190,15 +206,7 @@ func TestSnapshotIOChunks(t *testing.T) {
 	const chunk = 64 << 10
 	max := (len(data)+chunk-1)/chunk + 2
 
-	w, err := workloads.New(cell.Workload, r.params(cell.Size))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(r.Opts.Cfg, cell.Mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Streams(m)
+	m, w := freshRun(t, r, cell)
 	cr := &countReader{r: bytes.NewReader(data)}
 	if err := m.RestoreFrom(cr, w.Snap); err != nil {
 		t.Fatal(err)
@@ -259,6 +267,46 @@ func TestUnusableBlobRunsCold(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("rewritten blob is %d bytes, want the cold run's %d", len(got), len(want))
 	}
+}
+
+// FuzzRestore feeds damaged copies of a real phase blob to
+// Machine.RestoreFrom on a fresh machine and workload. The restore may
+// fail or succeed, but it must never panic. Each input truncates the
+// blob to n%(len+1) bytes and XORs patch in at off%(len+1); fuzzing
+// these few bytes instead of the 1.28 MB blob itself keeps the fuzzer
+// fast.
+func FuzzRestore(f *testing.F) {
+	dir := f.TempDir()
+	cell := Cell{Workload: "bfs", Size: workloads.Small, Mode: pim.LocalityAware}
+	r, _ := runSnapCell(f, dir, cell)
+	blobs, err := filepath.Glob(filepath.Join(dir, "*-p1-*.snap"))
+	if err != nil || len(blobs) != 1 {
+		f.Fatalf("want one phase-1 blob, found %v (err=%v)", blobs, err)
+	}
+	blob, err := os.ReadFile(blobs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	if m, w := freshRun(f, r, cell); m.RestoreFrom(bytes.NewReader(blob), w.Snap) != nil {
+		f.Fatal("the intact blob does not restore")
+	}
+	size := uint32(len(blob))
+	f.Add(uint32(0), []byte(nil), size)                 // intact
+	f.Add(uint32(0), []byte(nil), size/2)               // torn
+	f.Add(uint32(0), []byte{0xff}, size)                // bad magic
+	f.Add(uint32(12), []byte{0x01}, size)               // first section tag
+	f.Add(size/2, []byte{0x80, 0, 0, 0, 0, 0, 0}, size) // mid-blob flip
+	f.Add(size-1, []byte{0x01}, size)                   // last byte
+	f.Fuzz(func(t *testing.T, off uint32, patch []byte, n uint32) {
+		data := append([]byte(nil), blob[:n%(size+1)]...)
+		for i, b := range patch {
+			if j := int(off%(size+1)) + i; j < len(data) {
+				data[j] ^= b
+			}
+		}
+		m, w := freshRun(t, r, cell)
+		_ = m.RestoreFrom(bytes.NewReader(data), w.Snap)
+	})
 }
 
 // TestSnapshotBlobPinned pins the first phase-boundary blob of one

@@ -47,9 +47,6 @@ func (s *Store) Alloc(n int, align uint64) uint64 {
 	return a
 }
 
-// Size reports the high-water mark of allocated memory.
-func (s *Store) Size() uint64 { return s.next }
-
 // Bytes returns a mutable view of [a, a+n). The range must have been
 // allocated.
 func (s *Store) Bytes(a uint64, n int) []byte {

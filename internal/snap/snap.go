@@ -1,20 +1,24 @@
 // Package snap is the machine-state serialization layer behind
 // checkpoint/warm-start snapshots: a little-endian binary record format
-// (the same byte conventions as internal/trace) with explicit section
-// tags and a version header, plus a content-addressed on-disk blob
-// store with a byte-budget LRU (store.go).
+// with explicit section tags and a version header, plus a
+// content-addressed on-disk blob store with a byte-budget LRU
+// (store.go).
 //
 // Every stateful component of the simulator has one Snap(*snap.Coder)
 // method that hands each of its fields to the Coder by pointer. An
 // encoding Coder reads the field and writes it; a decoding Coder reads
 // the stream and sets the field. So each layout is spelled once, for
 // both save and restore, and the two directions cannot drift apart.
-// The format is deliberately strict: sections are tagged and verified
-// on read, counts are written before variable-length payloads, decoded
-// bools and enums must hold a value the encoder could have written, and
-// any mismatch (wrong tag, short read, version skew, geometry change)
-// poisons the Coder so a corrupt or mismatched blob fails loudly
-// instead of resuming a subtly wrong machine.
+// The decoder checks what the format makes checkable: the magic and
+// version, every section tag, every length prefix (it must be
+// plausible and backed by bytes), every geometry value (it must match
+// the receiving machine), and every bool and enum (it must hold a value
+// the encoder could have written). Any such mismatch poisons the Coder,
+// so a torn blob, or a blob from another format version or machine
+// geometry, fails to restore.
+// The format carries no checksum: a corrupted byte that keeps its field
+// inside the field's valid range (a counter, a cycle, a stored data
+// word) restores without error.
 package snap
 
 import (

@@ -94,23 +94,6 @@ type JobSpec struct {
 	Workloads []string `json:"workloads,omitempty"`
 }
 
-// validExperiment reports whether name is runnable (registry names,
-// aliases, and "all"), returning the canonical spelling.
-func validExperiment(name string) (string, bool) {
-	if canonical, ok := experimentAliases[name]; ok {
-		name = canonical
-	}
-	for _, e := range experiments {
-		if e.name == name {
-			return name, true
-		}
-	}
-	if name == "all" {
-		return name, true
-	}
-	return name, false
-}
-
 // ResolveConfig builds the machine config the spec describes: the named
 // preset with Overrides layered on top, validated.
 func (s JobSpec) ResolveConfig() (*Config, error) {
@@ -168,9 +151,9 @@ func (s JobSpec) Normalize() (JobSpec, *Config, error) {
 		if s.Workload != "" {
 			return s, nil, fmt.Errorf("pei: experiment job cannot also set a workload")
 		}
-		canonical, ok := validExperiment(s.Experiment)
-		if !ok {
-			return s, nil, fmt.Errorf("pei: unknown experiment %q (valid: %s)", s.Experiment, strings.Join(Experiments(), ", "))
+		canonical, _, err := lookupExperiment(s.Experiment)
+		if err != nil {
+			return s, nil, err
 		}
 		s.Experiment = canonical
 		if s.OpBudget <= 0 {

@@ -9,7 +9,7 @@
 //	counter := sys.Alloc(8, 8)
 //	prog := pei.NewProgram()
 //	for i := 0; i < 100; i++ {
-//		prog.AtomicAdd(counter, 1)
+//		prog.AtomicInc(counter)
 //	}
 //	res, _ := sys.Run(prog)
 //	fmt.Println(res.Cycles, sys.ReadU64(counter))
@@ -138,9 +138,6 @@ func (s *System) RunContext(ctx context.Context, streams ...Stream) (Result, err
 // Summary returns a one-line steering summary.
 func (s *System) Summary() string { return s.M.PMU.Summary() }
 
-// DumpStats writes all counters.
-func (s *System) DumpStats(w io.Writer) { s.M.Reg.Dump(w) }
-
 // Program is a convenience builder for hand-written PEI streams: it
 // records operations and plays them back as a Stream.
 type Program struct {
@@ -157,9 +154,9 @@ func (p *Program) Store(a uint64) { p.q.PushStore(a) }
 // Compute emits a run of non-memory work costing the given cycles.
 func (p *Program) Compute(cycles int64) { p.q.PushCompute(cycles) }
 
-// AtomicAdd emits an 8-byte PIM-enabled atomic increment repeated delta
-// times when delta is small, or a float add for general deltas — for
-// exact integer semantics use AtomicInc or AtomicMin.
+// AtomicAdd emits one PIM-enabled float64 add of delta to the 8-byte
+// word at target. The word is read and written as float64 bits; for
+// integer counters use AtomicInc or AtomicMin.
 func (p *Program) AtomicAdd(target uint64, delta float64) {
 	p.q.PushPEI(&pim.PEI{Op: pim.OpFloatAdd, Target: target, Input: pim.F64Input(delta)})
 }
@@ -350,23 +347,34 @@ func ReproduceWithReport(ctx context.Context, name string, opts ReproduceOptions
 	return r.SnapshotReport(), err
 }
 
-// reproduceOn dispatches one named experiment onto an existing runner.
-func reproduceOn(ctx context.Context, name string, r *harness.Runner, w io.Writer) error {
+// lookupExperiment resolves a runnable name (a registry name, an
+// alias, or "all") to its canonical spelling and the experiments it
+// runs.
+func lookupExperiment(name string) (string, []experiment, error) {
 	if name == "all" {
-		for _, e := range experiments {
-			if err := e.run(ctx, r, w); err != nil {
-				return err
-			}
-		}
-		return nil
+		return name, experiments, nil
 	}
 	if canonical, ok := experimentAliases[name]; ok {
 		name = canonical
 	}
-	for _, e := range experiments {
+	for i, e := range experiments {
 		if e.name == name {
-			return e.run(ctx, r, w)
+			return name, experiments[i : i+1], nil
 		}
 	}
-	return fmt.Errorf("pei: unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), ", "))
+	return name, nil, fmt.Errorf("pei: unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), ", "))
+}
+
+// reproduceOn dispatches one named experiment onto an existing runner.
+func reproduceOn(ctx context.Context, name string, r *harness.Runner, w io.Writer) error {
+	_, run, err := lookupExperiment(name)
+	if err != nil {
+		return err
+	}
+	for _, e := range run {
+		if err := e.run(ctx, r, w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
