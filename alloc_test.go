@@ -6,6 +6,7 @@ import (
 	"pimsim/internal/config"
 	"pimsim/internal/machine"
 	"pimsim/internal/pim"
+	"pimsim/internal/sim"
 )
 
 // The steady-state allocation pins: after the handler/transaction-pool
@@ -30,7 +31,7 @@ func measurePEIAllocs(t *testing.T, mode pim.Mode) float64 {
 	round := func() {
 		for i, p := range peis {
 			*p = pim.PEI{Op: pim.OpInc64, Target: base + uint64(i%blocks)*64}
-			m.PMU.Issue(p)
+			m.PMU.IssueEvent(0, p, sim.Cont{})
 		}
 		m.K.Run()
 	}
@@ -74,7 +75,7 @@ func TestPooledTxnSequentialReuse(t *testing.T) {
 
 	// First life: a writer PEI with no input or output operand.
 	done1 := false
-	m.PMU.Issue(&pim.PEI{Op: pim.OpInc64, Target: base, Done: func() { done1 = true }})
+	m.PMU.IssueEvent(0, &pim.PEI{Op: pim.OpInc64, Target: base}, sim.Call(func() { done1 = true }))
 	m.K.Run()
 	if !done1 {
 		t.Fatal("first PEI never retired")
@@ -88,8 +89,7 @@ func TestPooledTxnSequentialReuse(t *testing.T) {
 	m.Store.WriteU64(base+64+pim.HashBucketKeyOff, key)
 	var out []byte
 	p := &pim.PEI{Op: pim.OpHashProbe, Target: base + 64, Input: pim.U64Input(key)}
-	p.Done = func() { out = p.Output }
-	m.PMU.Issue(p)
+	m.PMU.IssueEvent(0, p, sim.Call(func() { out = p.Output }))
 	m.K.Run()
 	if len(out) != 9 {
 		t.Fatalf("hashprobe output %d bytes, want 9", len(out))

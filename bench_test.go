@@ -242,8 +242,8 @@ func benchmarkPEI(b *testing.B, mode pim.Mode) {
 	done := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &pim.PEI{Op: pim.OpInc64, Target: base + uint64(i%blocks)*64, Done: func() { done++ }}
-		m.PMU.Issue(p)
+		p := &pim.PEI{Op: pim.OpInc64, Target: base + uint64(i%blocks)*64}
+		m.PMU.IssueEvent(0, p, sim.Call(func() { done++ }))
 		if i%32 == 31 {
 			m.K.Run()
 		}

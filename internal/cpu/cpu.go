@@ -59,7 +59,7 @@ type MemPort interface {
 
 // PEIPort is the PMU interface the core needs (satisfied by *pim.PMU).
 type PEIPort interface {
-	Issue(p *pim.PEI)
+	IssueEvent(core int, p *pim.PEI, done sim.Cont)
 	FenceEvent(done sim.Cont)
 }
 
@@ -91,11 +91,6 @@ type Core struct {
 	Retired     int64
 	RetiredPEIs int64
 	issued      int64
-
-	// OnFinished, if set, runs once when the stream is exhausted and
-	// all in-flight operations have drained.
-	OnFinished func()
-	notified   bool //peilint:allow snapcomplete re-derived with finished when the resumed stream drains
 }
 
 // NewCore creates a core.
@@ -107,13 +102,14 @@ func NewCore(id int, k *sim.Kernel, issueWidth, window int, mem MemPort, pmu PEI
 }
 
 // Core event stages: the core itself is the handler for every per-op
-// completion, so issuing a load, store, compute stall, or fence costs no
-// allocation.
+// completion, so issuing a load, store, PEI, compute stall, or fence
+// costs no allocation.
 const (
 	coreEvPump      = iota // scheduled pump (issue-width or barrier resume)
 	coreEvUnblock          // multi-cycle compute retired; resume issue
 	coreEvFenceDone        // pfence drained; retire it and resume issue
 	coreEvMemDone          // a load/store completed
+	coreEvPEIDone          // a PEI retired at the PMU; Arg.Ptr is the PEI
 )
 
 // OnEvent implements sim.Handler.
@@ -129,32 +125,25 @@ func (c *Core) OnEvent(arg sim.EventArg) {
 		c.blocked = false
 		c.Retired++
 		c.pump()
-	default: // coreEvMemDone
+	case coreEvMemDone:
 		c.inflight--
 		c.Retired++
 		c.pump()
-		c.maybeFinish()
+	default: // coreEvPEIDone
+		c.inflight--
+		c.Retired++
+		c.RetiredPEIs++
+		if p := arg.Ptr.(*pim.PEI); p.Done != nil {
+			p.Done()
+		}
+		c.pump()
 	}
-}
-
-// PEIRetired implements pim.Retiree: the PMU notifies the issuing core
-// directly at retire, replacing the per-PEI Done wrapper closure.
-func (c *Core) PEIRetired(p *pim.PEI) {
-	c.inflight--
-	c.Retired++
-	c.RetiredPEIs++
-	if p.Done != nil {
-		p.Done()
-	}
-	c.pump()
-	c.maybeFinish()
 }
 
 // Run starts executing the stream; the caller then drives the kernel.
 func (c *Core) Run(s Stream) {
 	c.stream = s
 	c.finished = false
-	c.notified = false
 	c.pump()
 }
 
@@ -169,20 +158,10 @@ func (c *Core) schedulePump(delay sim.Cycle) {
 	c.k.ScheduleEvent(delay, c, sim.EventArg{N: coreEvPump})
 }
 
-func (c *Core) maybeFinish() {
-	if c.Done() && !c.notified {
-		c.notified = true
-		if c.OnFinished != nil {
-			c.OnFinished()
-		}
-	}
-}
-
 // pump issues ops until the window fills, the cycle's issue budget is
 // spent, or the stream blocks/ends.
 func (c *Core) pump() {
 	if c.stream == nil || c.finished {
-		c.maybeFinish()
 		return
 	}
 	if c.blocked {
@@ -211,7 +190,6 @@ func (c *Core) pump() {
 		op, ok := c.stream.Next()
 		if !ok {
 			c.finished = true
-			c.maybeFinish()
 			return
 		}
 		c.issued++
@@ -230,10 +208,7 @@ func (c *Core) pump() {
 			c.mem.AccessEvent(c.ID, op.Addr, write, sim.Cont{H: c, Arg: sim.EventArg{N: coreEvMemDone}})
 		case OpPEI:
 			c.inflight++
-			p := op.PEI
-			p.Core = c.ID
-			p.Issuer = c
-			c.pmu.Issue(p)
+			c.pmu.IssueEvent(c.ID, op.PEI, sim.Cont{H: c, Arg: sim.EventArg{N: coreEvPEIDone, Ptr: op.PEI}})
 		case OpFence:
 			// pfence blocks the issue stage; in-flight ops may drain
 			// meanwhile.

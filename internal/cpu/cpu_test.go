@@ -32,17 +32,13 @@ type fakePMU struct {
 	k      *sim.Kernel
 	issued int
 	fences int
+	cores  []int
 }
 
-func (p *fakePMU) Issue(pei *pim.PEI) {
+func (p *fakePMU) IssueEvent(core int, pei *pim.PEI, done sim.Cont) {
 	p.issued++
-	p.k.Schedule(50, func() {
-		if pei.Issuer != nil {
-			pei.Issuer.PEIRetired(pei)
-		} else if pei.Done != nil {
-			pei.Done()
-		}
-	})
+	p.cores = append(p.cores, core)
+	p.k.ScheduleEvent(50, done.H, done.Arg)
 }
 
 func (p *fakePMU) FenceEvent(done sim.Cont) {
@@ -53,7 +49,7 @@ func (p *fakePMU) FenceEvent(done sim.Cont) {
 func newTestCore(k *sim.Kernel, width, window int) (*Core, *fakeMem, *fakePMU) {
 	m := &fakeMem{k: k, latency: 100}
 	p := &fakePMU{k: k}
-	return NewCore(0, k, width, window, m, p), m, p
+	return NewCore(3, k, width, window, m, p), m, p
 }
 
 func loads(n int) []Op {
@@ -131,8 +127,8 @@ func TestPEIIssueAndRetire(t *testing.T) {
 	if userDone != 1 {
 		t.Fatal("user Done callback not preserved")
 	}
-	if ops[0].PEI.Core != 0 {
-		t.Fatal("core ID not stamped on PEI")
+	if len(p.cores) != 2 || p.cores[0] != c.ID || p.cores[1] != c.ID {
+		t.Fatalf("PEIs issued as cores %v, want core %d", p.cores, c.ID)
 	}
 }
 
@@ -153,26 +149,28 @@ func TestFenceStallsIssue(t *testing.T) {
 	}
 }
 
-func TestOnFinishedFiresOnce(t *testing.T) {
+func TestDoneWaitsForLastRetire(t *testing.T) {
 	k := sim.NewKernel()
 	c, _, _ := newTestCore(k, 4, 8)
-	n := 0
-	c.OnFinished = func() { n++ }
-	c.Run(&SliceStream{Ops: loads(5)})
+	c.Run(&SliceStream{Ops: []Op{
+		{Kind: OpLoad, Addr: 0},
+		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 64}},
+	}})
+	k.RunUntil(60) // the PEI has retired, the load is still in flight
+	if c.RetiredPEIs != 1 || c.Done() {
+		t.Fatalf("at cycle 60: retired PEIs %d, Done %v; want 1, false", c.RetiredPEIs, c.Done())
+	}
 	k.Run()
-	if n != 1 {
-		t.Fatalf("OnFinished fired %d times", n)
+	if !c.Done() || c.Retired != 2 {
+		t.Fatalf("after the run: Done %v, retired %d; want true, 2", c.Done(), c.Retired)
 	}
 }
 
 func TestEmptyStream(t *testing.T) {
 	k := sim.NewKernel()
 	c, _, _ := newTestCore(k, 4, 8)
-	fired := false
-	c.OnFinished = func() { fired = true }
 	c.Run(&SliceStream{})
-	k.Run()
-	if !fired || !c.Done() {
+	if !c.Done() {
 		t.Fatal("empty stream should finish immediately")
 	}
 }
@@ -222,23 +220,5 @@ func TestQueueEmitters(t *testing.T) {
 	}
 	if _, ok := q.Next(); ok {
 		t.Fatal("queue should be exhausted")
-	}
-}
-
-func TestFuncStream(t *testing.T) {
-	n := 0
-	s := FuncStream(func() (Op, bool) {
-		if n >= 2 {
-			return Op{}, false
-		}
-		n++
-		return Op{Kind: OpCompute}, true
-	})
-	k := sim.NewKernel()
-	c, _, _ := newTestCore(k, 4, 8)
-	c.Run(s)
-	k.Run()
-	if c.Retired != 2 {
-		t.Fatalf("retired %d", c.Retired)
 	}
 }

@@ -18,12 +18,6 @@ func (s *SliceStream) Next() (Op, bool) {
 	return op, true
 }
 
-// FuncStream adapts a pull function to a Stream.
-type FuncStream func() (Op, bool)
-
-// Next implements Stream.
-func (f FuncStream) Next() (Op, bool) { return f() }
-
 // Queue is a refillable op buffer for writing workload generators as
 // batch producers: Fill is called whenever the buffer runs dry and
 // should Push the next batch (one outer-loop iteration's worth of ops),

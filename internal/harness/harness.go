@@ -18,7 +18,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -139,54 +138,6 @@ type Table struct {
 	// column next to each row (the "series" view of the paper's bar
 	// figures).
 	BarColumn int
-}
-
-// MarshalRow is one machine-readable row of a table.
-type MarshalRow map[string]string
-
-// jsonKeys returns one unique JSON key per column: the header string
-// where present, "col<j>" otherwise, with a positional "#<col>" suffix
-// appended to later duplicates so colliding headers never drop data.
-func (t *Table) jsonKeys(cols int) []string {
-	keys := make([]string, cols)
-	seen := make(map[string]bool, cols)
-	for j := 0; j < cols; j++ {
-		key := fmt.Sprintf("col%d", j)
-		if j < len(t.Header) {
-			key = t.Header[j]
-		}
-		for seen[key] {
-			key = fmt.Sprintf("%s#%d", key, j)
-		}
-		seen[key] = true
-		keys[j] = key
-	}
-	return keys
-}
-
-// JSON serializes the table as {title, notes, rows:[{header:cell}]} for
-// downstream plotting tools.
-func (t *Table) JSON() ([]byte, error) {
-	cols := len(t.Header)
-	for _, row := range t.Rows {
-		if len(row) > cols {
-			cols = len(row)
-		}
-	}
-	keys := t.jsonKeys(cols)
-	rows := make([]MarshalRow, len(t.Rows))
-	for i, row := range t.Rows {
-		m := make(MarshalRow, len(row))
-		for j, cell := range row {
-			m[keys[j]] = cell
-		}
-		rows[i] = m
-	}
-	return json.MarshalIndent(struct {
-		Title string       `json:"title"`
-		Notes []string     `json:"notes,omitempty"`
-		Rows  []MarshalRow `json:"rows"`
-	}{t.Title, t.Notes, rows}, "", "  ")
 }
 
 // Render writes the table as aligned text.

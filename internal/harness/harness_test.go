@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sort"
@@ -443,28 +442,5 @@ func TestTableBarsDisabledByDefault(t *testing.T) {
 	tb.Render(&buf)
 	if strings.Contains(buf.String(), "#") {
 		t.Fatal("bars rendered without BarColumn")
-	}
-}
-
-func TestTableJSON(t *testing.T) {
-	tb := &Table{
-		Title:  "j",
-		Header: []string{"workload", "speedup"},
-		Rows:   [][]string{{"pr", "1.25"}},
-		Notes:  []string{"n"},
-	}
-	data, err := tb.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Title string              `json:"title"`
-		Rows  []map[string]string `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Title != "j" || len(parsed.Rows) != 1 || parsed.Rows[0]["speedup"] != "1.25" {
-		t.Fatalf("bad JSON: %s", data)
 	}
 }

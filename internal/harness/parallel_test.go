@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -203,53 +202,5 @@ func TestGridReportsFailureNotCancellation(t *testing.T) {
 	_, err := r.grid(ctx, len(cells), 1, func(i, _ int) Cell { return cells[i] })
 	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), `"no-such"`) {
 		t.Fatalf("grid returned %v, want the failing cell's error", err)
-	}
-}
-
-// TestTableJSONDuplicateHeaders: colliding headers must not silently
-// drop columns (the pre-fix behavior kept only the last duplicate).
-func TestTableJSONDuplicateHeaders(t *testing.T) {
-	tb := &Table{
-		Title:  "dup",
-		Header: []string{"speedup", "speedup", "x"},
-		Rows:   [][]string{{"1.0", "2.0", "3.0"}},
-	}
-	data, err := tb.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Rows []map[string]string `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	row := parsed.Rows[0]
-	if len(row) != 3 {
-		t.Fatalf("row has %d keys, want 3: %v", len(row), row)
-	}
-	if row["speedup"] != "1.0" || row["speedup#1"] != "2.0" || row["x"] != "3.0" {
-		t.Fatalf("bad dedup: %v", row)
-	}
-}
-
-// TestTableJSONRowWiderThanHeader: extra columns get positional keys.
-func TestTableJSONRowWiderThanHeader(t *testing.T) {
-	tb := &Table{
-		Header: []string{"a"},
-		Rows:   [][]string{{"1", "2"}},
-	}
-	data, err := tb.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Rows []map[string]string `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Rows[0]["a"] != "1" || parsed.Rows[0]["col1"] != "2" {
-		t.Fatalf("bad keys: %v", parsed.Rows[0])
 	}
 }

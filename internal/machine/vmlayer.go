@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"pimsim/internal/cpu"
 	"pimsim/internal/pim"
 	"pimsim/internal/sim"
 	"pimsim/internal/vm"
@@ -18,13 +19,8 @@ type vmLayer struct {
 	tlbs    []*vm.TLB
 	missLat sim.Cycle
 
-	hier interface {
-		AccessEvent(core int, a uint64, write bool, done sim.Cont)
-	}
-	pmu interface {
-		Issue(p *pim.PEI)
-		FenceEvent(done sim.Cont)
-	}
+	hier cpu.MemPort
+	pmu  cpu.PEIPort
 
 	free []*vmTxn // recycled TLB-miss transactions
 }
@@ -46,7 +42,7 @@ func (t *vmTxn) OnEvent(sim.EventArg) {
 	v.putTxn(t)
 	if pei != nil {
 		pei.Target = pa
-		v.pmu.Issue(pei)
+		v.pmu.IssueEvent(core, pei, done)
 		return
 	}
 	v.hier.AccessEvent(core, pa, write, done)
@@ -98,17 +94,19 @@ func (v *vmLayer) AccessEvent(core int, a uint64, write bool, done sim.Cont) {
 	v.k.ScheduleEvent(v.missLat, t, sim.EventArg{})
 }
 
-// Issue implements cpu.PEIPort: exactly one translation per PEI — the
-// single-cache-block restriction means the target never spans pages.
-func (v *vmLayer) Issue(p *pim.PEI) {
-	pa, hit := v.lookup(p.Core, p.Target, p.Op.Info().Writer)
+// IssueEvent implements cpu.PEIPort: exactly one translation per PEI —
+// the single-cache-block restriction means the target never spans pages.
+func (v *vmLayer) IssueEvent(core int, p *pim.PEI, done sim.Cont) {
+	pa, hit := v.lookup(core, p.Target, p.Op.Info().Writer)
 	if hit {
 		p.Target = pa
-		v.pmu.Issue(p)
+		v.pmu.IssueEvent(core, p, done)
 		return
 	}
 	t := v.getTxn()
+	t.core = core
 	t.pa = pa
+	t.done = done
 	t.pei = p
 	v.k.ScheduleEvent(v.missLat, t, sim.EventArg{})
 }

@@ -90,21 +90,12 @@ type PEI struct {
 	Target uint64
 	// Input holds the input operand (len must match Ops[Op].InputBytes).
 	Input []byte
-	// Output receives the output operand before Done runs.
+	// Output receives the output operand before the PEI retires.
 	Output []byte
-	// Core is the issuing host processor.
-	Core int
-	// Done runs when the PEI retires (output operand readable).
+	// Done, if set, runs when the issuing core retires the PEI (output
+	// operand readable). The PMU never calls it: it hands the PEI back
+	// through the sim.Cont passed to IssueEvent.
 	Done func()
-	// Issuer, when non-nil, is notified at retire INSTEAD of Done being
-	// called by the PMU; the issuer then owns calling Done. The CPU core
-	// model sets itself here so per-PEI retirement needs no closures.
-	Issuer Retiree
-}
-
-// Retiree receives PEI retirement notifications (see PEI.Issuer).
-type Retiree interface {
-	PEIRetired(p *PEI)
 }
 
 // targetBytes returns how many bytes at Target the operation touches.

@@ -77,10 +77,12 @@ type PMU struct {
 // directory acquire, coherence cleanup, PCU compute, retire — as a
 // pooled state machine (the stage rides in the event argument) instead
 // of a chain of closures. The PMU owns the pool and releases the
-// transaction in its finish stage.
+// transaction in retire, before it invokes done.
 type peiTxn struct {
 	p        *PMU
 	pei      *PEI
+	core     int      // issuing host processor
+	done     sim.Cont // the issuer's continuation, invoked at retire
 	start    sim.Cycle
 	writer   bool
 	compute  int64
@@ -124,13 +126,13 @@ func (t *peiTxn) OnEvent(arg sim.EventArg) {
 			p.executeMemory(t)
 		}
 	case stHostAcquired:
-		p.hier.AccessEvent(t.pei.Core, t.pei.Target, false, sim.Cont{H: t, Arg: sim.EventArg{N: stHostLoaded}})
+		p.hier.AccessEvent(t.core, t.pei.Target, false, sim.Cont{H: t, Arg: sim.EventArg{N: stHostLoaded}})
 	case stHostLoaded:
 		t.pcu.ComputeEvent(t.compute, sim.Cont{H: t, Arg: sim.EventArg{N: stHostComputed}})
 	case stHostComputed:
 		t.pei.Output = Execute(t.pei.Op, p.store, t.pei.Target, t.pei.Input)
 		if t.writer {
-			p.hier.AccessEvent(t.pei.Core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stHostFinish}})
+			p.hier.AccessEvent(t.core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stHostFinish}})
 			return
 		}
 		p.hostFinish(t)
@@ -153,13 +155,13 @@ func (t *peiTxn) OnEvent(arg sim.EventArg) {
 	case stMemFinish:
 		p.memFinish(t)
 	case stIdealGranted:
-		p.hier.AccessEvent(t.pei.Core, t.pei.Target, false, sim.Cont{H: t, Arg: sim.EventArg{N: stIdealLoaded}})
+		p.hier.AccessEvent(t.core, t.pei.Target, false, sim.Cont{H: t, Arg: sim.EventArg{N: stIdealLoaded}})
 	case stIdealLoaded:
 		p.k.ScheduleEvent(sim.Cycle(t.compute), t, sim.EventArg{N: stIdealComputed})
 	case stIdealComputed:
 		t.pei.Output = Execute(t.pei.Op, p.store, t.pei.Target, t.pei.Input)
 		if t.writer {
-			p.hier.AccessEvent(t.pei.Core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stIdealFinish}})
+			p.hier.AccessEvent(t.core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stIdealFinish}})
 			return
 		}
 		p.idealFinish(t)
@@ -223,10 +225,9 @@ func NewPMU(k *sim.Kernel, cfg *config.Config, hier *cache.Hierarchy, chain *hmc
 	return p
 }
 
-// Issue starts execution of a PEI. When it retires, the PEI's Issuer is
-// notified (or, absent one, its Done callback runs); its Output field
-// then holds the output operand.
-func (p *PMU) Issue(pei *PEI) {
+// IssueEvent starts execution of a PEI issued by core. When the PEI
+// retires its Output field holds the output operand, and done runs.
+func (p *PMU) IssueEvent(core int, pei *PEI, done sim.Cont) {
 	if err := pei.Validate(); err != nil {
 		panic(err)
 	}
@@ -235,12 +236,15 @@ func (p *PMU) Issue(pei *PEI) {
 	info := pei.Op.Info()
 	t := p.getTxn()
 	t.pei = pei
+	t.core = core
+	t.done = done
 	t.start = p.k.Now()
 	t.writer = info.Writer
 	t.compute = info.ComputeCycles
 	t.outBytes = info.OutputBytes
 
 	if p.Mode == IdealHost {
+		t.locked = true
 		p.Dir.AcquireEvent(pei.Target, t.writer, sim.Cont{H: t, Arg: sim.EventArg{N: stIdealGranted}})
 		return
 	}
@@ -265,17 +269,17 @@ func (p *PMU) Issue(pei *PEI) {
 	p.k.ScheduleEvent(p.cfg.NoCLatency+p.cfg.MonitorLatency, t, sim.EventArg{N: stConsult})
 }
 
-// retire observes the issue-to-retire latency and hands the PEI back to
-// its issuer (or runs Done directly when no issuer is registered).
+// retire observes the issue-to-retire latency, releases the transaction,
+// hands the PEI back to its issuer through done, and then frees the PIM
+// directory entry the PEI held. The entry is freed after done runs so
+// that same-cycle events keep the order the timing results rest on.
 func (p *PMU) retire(t *peiTxn) {
 	p.PEILatency.Observe(int64(p.k.Now() - t.start))
-	pei := t.pei
-	if pei.Issuer != nil {
-		pei.Issuer.PEIRetired(pei)
-		return
-	}
-	if pei.Done != nil {
-		pei.Done()
+	target, writer, locked, done := t.pei.Target, t.writer, t.locked, t.done
+	p.putTxn(t)
+	done.Invoke()
+	if locked {
+		p.Dir.Release(target, writer)
 	}
 }
 
@@ -322,7 +326,7 @@ func (p *PMU) balancedChoice(op OpKind) bool {
 // Figure 4): operand buffer entry, block load through the L1, compute,
 // store back through the L1 for writer PEIs.
 func (p *PMU) executeHost(t *peiTxn) {
-	t.pcu = p.HostPCU[t.pei.Core]
+	t.pcu = p.HostPCU[t.core]
 	t.pcu.AcquireEvent(sim.Cont{H: t, Arg: sim.EventArg{N: stHostAcquired}})
 }
 
@@ -330,15 +334,11 @@ func (p *PMU) hostFinish(t *peiTxn) {
 	p.cHost.Inc()
 	t.pcu.Release()
 	p.retire(t)
-	p.Dir.Release(t.pei.Target, t.writer)
-	p.putTxn(t)
 }
 
 func (p *PMU) idealFinish(t *peiTxn) {
 	p.cHost.Inc()
 	p.retire(t)
-	p.Dir.Release(t.pei.Target, t.writer)
-	p.putTxn(t)
 }
 
 // executeMemory offloads the PEI to the vault owning its target (§4.5,
@@ -397,10 +397,6 @@ func (p *PMU) vaultComputed(t *peiTxn) {
 func (p *PMU) memFinish(t *peiTxn) {
 	p.cMem.Inc()
 	p.retire(t)
-	if t.locked {
-		p.Dir.Release(t.pei.Target, t.writer)
-	}
-	p.putTxn(t)
 }
 
 // FenceEvent implements pfence: done runs once all previously issued

@@ -54,8 +54,7 @@ func newRig(t testing.TB, mode Mode, mutate func(*config.Config)) *rig {
 func (r *rig) issueAndRun(t testing.TB, p *PEI) {
 	t.Helper()
 	done := false
-	p.Done = func() { done = true }
-	r.pmu.Issue(p)
+	r.pmu.IssueEvent(0, p, sim.Call(func() { done = true }))
 	r.k.Run()
 	if !done {
 		t.Fatal("PEI never retired")
@@ -66,7 +65,7 @@ func TestHostOnlyExecutesOnHost(t *testing.T) {
 	r := newRig(t, HostOnly, nil)
 	a := r.store.Alloc(8, 8)
 	r.store.WriteU64(a, 10)
-	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a, Core: 0})
+	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a})
 	if r.store.ReadU64(a) != 11 {
 		t.Fatalf("value = %d, want 11", r.store.ReadU64(a))
 	}
@@ -83,7 +82,7 @@ func TestPIMOnlyExecutesInMemory(t *testing.T) {
 	r := newRig(t, PIMOnly, nil)
 	a := r.store.Alloc(8, 8)
 	r.store.WriteU64(a, 10)
-	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a, Core: 0})
+	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a})
 	if r.store.ReadU64(a) != 11 {
 		t.Fatalf("value = %d, want 11", r.store.ReadU64(a))
 	}
@@ -109,7 +108,7 @@ func TestMemorySidePEIFlushesDirtyBlock(t *testing.T) {
 		t.Fatal("priming store never completed")
 	}
 	wbBefore := r.reg.Get("pmu.back_invalidations")
-	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a, Core: 0})
+	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a})
 	if r.reg.Get("pmu.back_invalidations") != wbBefore+1 {
 		t.Fatal("writer PEI must back-invalidate the target block")
 	}
@@ -121,9 +120,9 @@ func TestMemorySidePEIFlushesDirtyBlock(t *testing.T) {
 func TestReaderPEIUsesBackWriteback(t *testing.T) {
 	r := newRig(t, PIMOnly, nil)
 	b := r.store.Alloc(64, 64)
-	r.hier.AccessEvent(0, b, true, sim.Call(func() {}))
+	r.hier.AccessEvent(0, b, true, sim.Cont{})
 	r.k.Run()
-	r.issueAndRun(t, &PEI{Op: OpHistBin, Target: b, Core: 0, Input: []byte{0}})
+	r.issueAndRun(t, &PEI{Op: OpHistBin, Target: b, Input: []byte{0}})
 	if r.reg.Get("pmu.back_writebacks") != 1 {
 		t.Fatal("reader PEI must use back-writeback")
 	}
@@ -141,7 +140,7 @@ func TestAtomicityManyWritersSameBlock(t *testing.T) {
 	retired := 0
 	const n = 50
 	for i := 0; i < n; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Core: i % r.cfg.Cores, Done: func() { retired++ }})
+		r.pmu.IssueEvent(i%r.cfg.Cores, &PEI{Op: OpInc64, Target: a}, sim.Call(func() { retired++ }))
 	}
 	r.k.Run()
 	if retired != n {
@@ -158,7 +157,7 @@ func TestAtomicityMixedModesLocalityAware(t *testing.T) {
 	retired := 0
 	const n = 40
 	for i := 0; i < n; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Core: i % r.cfg.Cores, Done: func() { retired++ }})
+		r.pmu.IssueEvent(i%r.cfg.Cores, &PEI{Op: OpInc64, Target: a}, sim.Call(func() { retired++ }))
 	}
 	r.k.Run()
 	if retired != n || r.store.ReadU64(a) != n {
@@ -178,7 +177,7 @@ func TestLocalityAwareColdStreamGoesToMemory(t *testing.T) {
 	arr := r.store.AllocU64Array(512 * 8)
 	retired := 0
 	for i := 0; i < 512; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i * 8), Core: 0, Done: func() { retired++ }})
+		r.pmu.IssueEvent(0, &PEI{Op: OpInc64, Target: arr.Addr(i * 8)}, sim.Call(func() { retired++ }))
 		if i%8 == 7 {
 			r.k.Run()
 		}
@@ -198,10 +197,10 @@ func TestLocalityAwareHotBlockGoesToHost(t *testing.T) {
 	a := r.store.Alloc(8, 8)
 	// Warm the monitor with cache traffic.
 	for i := 0; i < 4; i++ {
-		r.hier.AccessEvent(0, a, false, sim.Call(func() {}))
+		r.hier.AccessEvent(0, a, false, sim.Cont{})
 		r.k.Run()
 	}
-	r.issueAndRun(t, &PEI{Op: OpFloatAdd, Target: a, Core: 0, Input: F64Input(1.0)})
+	r.issueAndRun(t, &PEI{Op: OpFloatAdd, Target: a, Input: F64Input(1.0)})
 	if r.reg.Get("pei.host") != 1 {
 		t.Fatal("hot block PEI should run on host")
 	}
@@ -210,7 +209,7 @@ func TestLocalityAwareHotBlockGoesToHost(t *testing.T) {
 func TestIdealHostNoPCUNoDirectoryCost(t *testing.T) {
 	r := newRig(t, IdealHost, nil)
 	a := r.store.Alloc(8, 8)
-	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a, Core: 0})
+	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a})
 	if r.store.ReadU64(a) != 1 {
 		t.Fatal("ideal host did not execute")
 	}
@@ -224,7 +223,7 @@ func TestPfenceOrdersWriters(t *testing.T) {
 	arr := r.store.AllocU64Array(64)
 	retired := 0
 	for i := 0; i < 64; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Core: i % r.cfg.Cores, Done: func() { retired++ }})
+		r.pmu.IssueEvent(i%r.cfg.Cores, &PEI{Op: OpInc64, Target: arr.Addr(i)}, sim.Call(func() { retired++ }))
 	}
 	fenced := false
 	r.pmu.FenceEvent(sim.Call(func() {
@@ -248,7 +247,7 @@ func TestOutputOperandDelivered(t *testing.T) {
 	r := newRig(t, PIMOnly, nil)
 	b := r.store.Alloc(64, 64)
 	r.store.WriteU64(b+HashBucketKeyOff, 42)
-	p := &PEI{Op: OpHashProbe, Target: b, Core: 0, Input: U64Input(42)}
+	p := &PEI{Op: OpHashProbe, Target: b, Input: U64Input(42)}
 	r.issueAndRun(t, p)
 	if len(p.Output) != 9 || p.Output[0] != 1 {
 		t.Fatalf("output = %v, want match", p.Output)
@@ -269,7 +268,7 @@ func TestBalancedDispatchRedirectsToHost(t *testing.T) {
 	// 80 B of request bandwidth in memory but only 16 B on the host:
 	// balanced dispatch must choose the host despite the monitor miss.
 	blkBase := r.store.Alloc(64, 64)
-	r.issueAndRun(t, &PEI{Op: OpEuclideanDist, Target: blkBase, Core: 0, Input: make([]byte, 64)})
+	r.issueAndRun(t, &PEI{Op: OpEuclideanDist, Target: blkBase, Input: make([]byte, 64)})
 	if r.reg.Get("pei.host") != 1 {
 		t.Fatal("balanced dispatch should redirect to host under request pressure")
 	}
@@ -283,7 +282,7 @@ func TestOperandBufferSaturation(t *testing.T) {
 	arr := small.store.AllocU64Array(32)
 	retired := 0
 	for i := 0; i < 32; i++ {
-		small.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Core: 0, Done: func() { retired++ }})
+		small.pmu.IssueEvent(0, &PEI{Op: OpInc64, Target: arr.Addr(i)}, sim.Call(func() { retired++ }))
 	}
 	small.k.Run()
 	if retired != 32 {
@@ -301,13 +300,13 @@ func TestInvalidPEIPanics(t *testing.T) {
 			t.Fatal("expected panic for invalid PEI")
 		}
 	}()
-	r.pmu.Issue(&PEI{Op: OpMin64, Target: 64, Input: nil, Done: func() {}})
+	r.pmu.IssueEvent(0, &PEI{Op: OpMin64, Target: 64, Input: nil}, sim.Cont{})
 }
 
 func TestSummaryString(t *testing.T) {
 	r := newRig(t, HostOnly, nil)
 	a := r.store.Alloc(8, 8)
-	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a, Core: 0})
+	r.issueAndRun(t, &PEI{Op: OpInc64, Target: a})
 	s := r.pmu.Summary()
 	if s == "" {
 		t.Fatal("empty summary")
@@ -319,7 +318,7 @@ func TestHMC2AtomicsMode(t *testing.T) {
 	arr := r.store.AllocU64Array(32)
 	retired := 0
 	for i := 0; i < 32; i++ {
-		r.pmu.Issue(&PEI{Op: OpInc64, Target: arr.Addr(i), Done: func() { retired++ }})
+		r.pmu.IssueEvent(0, &PEI{Op: OpInc64, Target: arr.Addr(i)}, sim.Call(func() { retired++ }))
 	}
 	r.k.Run()
 	if retired != 32 {
@@ -349,7 +348,7 @@ func TestHMC2AtomicsMode(t *testing.T) {
 func TestHMC2AtomicsBypassFence(t *testing.T) {
 	r := newRig(t, PIMOnly, func(c *config.Config) { c.HMC2AtomicsMode = true })
 	a := r.store.Alloc(8, 8)
-	r.pmu.Issue(&PEI{Op: OpInc64, Target: a, Done: func() {}})
+	r.pmu.IssueEvent(0, &PEI{Op: OpInc64, Target: a}, sim.Cont{})
 	fenced := false
 	r.pmu.FenceEvent(sim.Call(func() { fenced = true }))
 	r.k.RunUntil(10)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimsim/internal/hmc"
+	"pimsim/internal/sim"
 )
 
 // The pooled-transaction lifecycle rules (DESIGN.md §11): a release
@@ -14,6 +15,8 @@ func TestPEITxnPoolReuseCarriesNoStaleState(t *testing.T) {
 	p := &PMU{}
 	tx := p.getTxn()
 	tx.pei = &PEI{Op: OpInc64}
+	tx.core = 3
+	tx.done = sim.Call(func() {})
 	tx.start = 42
 	tx.writer = true
 	tx.compute = 9
@@ -31,7 +34,7 @@ func TestPEITxnPoolReuseCarriesNoStaleState(t *testing.T) {
 	if got.p != p {
 		t.Fatal("recycled transaction lost its owner")
 	}
-	if got.pei != nil || got.start != 0 || got.writer || got.compute != 0 ||
+	if got.pei != nil || got.core != 0 || got.done.H != nil || got.start != 0 || got.writer || got.compute != 0 ||
 		got.outBytes != 0 || got.locked || got.pending != 0 || got.pcu != nil || got.dt != nil {
 		t.Fatalf("recycled transaction carries stale state: %+v", got)
 	}

@@ -94,13 +94,3 @@ func (l *Link) occupy(bytes int) Cycle {
 	l.FlitsTransferred += uint64((bytes + FlitBytes - 1) / FlitBytes)
 	return end + l.Latency
 }
-
-// QueueDelay reports how long a transfer issued now would wait before
-// starting serialization.
-func (l *Link) QueueDelay() Cycle {
-	d := l.nextFree - l.k.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
-}

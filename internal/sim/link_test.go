@@ -70,19 +70,6 @@ func TestLinkIdleGapDoesNotAccumulate(t *testing.T) {
 	k.Run()
 }
 
-func TestLinkQueueDelay(t *testing.T) {
-	k := NewKernel()
-	l := NewLink(k, 1, 0)
-	l.Send(10, nil)
-	if d := l.QueueDelay(); d != 10 {
-		t.Fatalf("QueueDelay = %d, want 10", d)
-	}
-	k.RunUntil(10)
-	if d := l.QueueDelay(); d != 0 {
-		t.Fatalf("QueueDelay after drain = %d, want 0", d)
-	}
-}
-
 // Property: for any sequence of packet sizes, total busy time equals the
 // sum of per-packet occupancies, and deliveries are in order.
 func TestLinkBusyProperty(t *testing.T) {

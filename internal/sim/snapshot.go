@@ -34,7 +34,7 @@ func (k *Kernel) Snap(c *snap.Coder) {
 
 // Snap codes the link's occupancy horizon and traffic counters.
 // nextFree is kept exactly (it may lag now at quiescence; restoring it
-// preserves QueueDelay arithmetic and the Busy invariant).
+// preserves the next transfer's start cycle and the Busy invariant).
 func (l *Link) Snap(c *snap.Coder) {
 	c.Section("LINK")
 	c.I64(&l.nextFree)

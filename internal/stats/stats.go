@@ -6,16 +6,12 @@
 // Counters live in a flat []int64. Names are interned once — at component
 // construction time via Counter, or lazily by the string-keyed methods —
 // and every per-event update goes through a Handle, which is a plain
-// index into the value array. The string-keyed Get/Set/Snapshot/Dump
+// index into the value array. The string-keyed Get/Set/Snapshot
 // methods remain for the read side (harness, energy model, tests), where
 // a map lookup per run is irrelevant.
 package stats
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Registry holds named counters. Counters are created on first use.
 type Registry struct {
@@ -106,21 +102,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 		m[n] = r.vals[i]
 	}
 	return m
-}
-
-// Reset zeroes every counter but keeps the names registered (and every
-// outstanding Handle valid).
-func (r *Registry) Reset() {
-	for i := range r.vals {
-		r.vals[i] = 0
-	}
-}
-
-// Dump writes "name value" lines in sorted order.
-func (r *Registry) Dump(w io.Writer) {
-	for _, n := range r.Names() {
-		fmt.Fprintf(w, "%-40s %d\n", n, r.vals[r.index[n]])
-	}
 }
 
 // Histogram is a fixed-bucket histogram for latency-style distributions.

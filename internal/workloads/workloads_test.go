@@ -36,7 +36,22 @@ func runWorkload(t *testing.T, name string, mode pim.Mode, p Params) machine.Res
 	if res.PEIs == 0 {
 		t.Fatalf("%s issued no PEIs", name)
 	}
+	checkPEIsRetired(t, m, name)
 	return res
+}
+
+// checkPEIsRetired asserts that every PEI the PMU accepted retired
+// exactly once, at the core that issued it: at the end of a run the
+// PMU's issue counter (pei.total) equals the PEIs the cores retired.
+func checkPEIsRetired(t *testing.T, m *machine.Machine, name string) {
+	t.Helper()
+	var retired int64
+	for _, c := range m.Cores {
+		retired += c.RetiredPEIs
+	}
+	if issued := m.Reg.Get("pei.total"); issued != retired {
+		t.Fatalf("%s (%s): pei.total %d, cores retired %d PEIs", name, m.PMU.Mode, issued, retired)
+	}
 }
 
 // Every workload must produce correct results in every execution mode —
@@ -215,6 +230,7 @@ func TestFunctionIndependentOfTiming(t *testing.T) {
 				if err := w.Verify(m); err != nil {
 					t.Fatalf("%s under %s: %v", name, mu.name, err)
 				}
+				checkPEIsRetired(t, m, name)
 			}
 		})
 	}

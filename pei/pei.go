@@ -71,34 +71,15 @@ type System struct {
 	// M exposes the underlying machine for advanced use (stats registry,
 	// PMU, hierarchy).
 	M *machine.Machine
-
-	statsSink io.Writer
-	pmuLog    io.Writer
 }
 
-// Option configures a System at construction. The functional-options
-// form keeps NewSystem's signature stable as knobs accumulate.
-type Option func(*System)
-
-// WithStatsSink directs a full counter dump to w after every successful
-// run.
-func WithStatsSink(w io.Writer) Option { return func(s *System) { s.statsSink = w } }
-
-// WithPMUVerbose writes the PMU's one-line steering summary to w after
-// every successful run.
-func WithPMUVerbose(w io.Writer) Option { return func(s *System) { s.pmuLog = w } }
-
 // NewSystem builds a machine for cfg in the given mode.
-func NewSystem(cfg *Config, mode Mode, opts ...Option) (*System, error) {
+func NewSystem(cfg *Config, mode Mode) (*System, error) {
 	m, err := machine.New(cfg, mode)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{M: m}
-	for _, o := range opts {
-		o(s)
-	}
-	return s, nil
+	return &System{M: m}, nil
 }
 
 // Alloc reserves n bytes of simulated physical memory (align must be a
@@ -122,17 +103,7 @@ func (s *System) Run(streams ...Stream) (Result, error) {
 // RunContext is Run with cancellation: the simulation aborts and returns
 // ctx.Err() promptly once ctx is done.
 func (s *System) RunContext(ctx context.Context, streams ...Stream) (Result, error) {
-	res, err := s.M.RunContext(ctx, streams)
-	if err != nil {
-		return res, err
-	}
-	if s.pmuLog != nil {
-		fmt.Fprintln(s.pmuLog, s.M.PMU.Summary())
-	}
-	if s.statsSink != nil {
-		s.M.Reg.Dump(s.statsSink)
-	}
-	return res, nil
+	return s.M.RunContext(ctx, streams)
 }
 
 // Summary returns a one-line steering summary.

@@ -166,28 +166,6 @@ func TestReproduceCancelled(t *testing.T) {
 	}
 }
 
-func TestNewSystemOptions(t *testing.T) {
-	var stats, pmu bytes.Buffer
-	sys, err := NewSystem(ScaledConfig(), LocalityAware, WithStatsSink(&stats), WithPMUVerbose(&pmu))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := sys.Alloc(8, 8)
-	prog := NewProgram()
-	for i := 0; i < 10; i++ {
-		prog.AtomicInc(counter)
-	}
-	if _, err := sys.RunContext(context.Background(), prog); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Len() == 0 {
-		t.Fatal("stats sink received nothing")
-	}
-	if !strings.Contains(pmu.String(), "PEIs") {
-		t.Fatalf("PMU log missing summary: %q", pmu.String())
-	}
-}
-
 func TestRunWorkloadContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
