@@ -88,7 +88,8 @@ func TestPooledTxnSequentialReuse(t *testing.T) {
 	key := uint64(0x1234)
 	m.Store.WriteU64(base+64+pim.HashBucketKeyOff, key)
 	var out []byte
-	p := &pim.PEI{Op: pim.OpHashProbe, Target: base + 64, Input: pim.U64Input(key)}
+	p := &pim.PEI{Op: pim.OpHashProbe, Target: base + 64}
+	p.SetInputWord(key)
 	m.PMU.IssueEvent(0, p, sim.Call(func() { out = p.Output }))
 	m.K.Run()
 	if len(out) != 9 {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -26,7 +27,8 @@ func main() {
 	sys.WriteU64(bucket+pim.HashBucketNextOff, 0)     // end of chain
 	prog := pei.NewProgram()
 	var match []byte
-	prog.PEI(pim.OpHashProbe, bucket, pim.U64Input(42), func(out []byte) { match = out })
+	key := binary.LittleEndian.AppendUint64(nil, 42) // the 8-byte input operand
+	prog.PEI(pim.OpHashProbe, bucket, key, func(out []byte) { match = out })
 	if _, err := sys.Run(prog); err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package cpu
 
+import "pimsim/internal/sim"
+
 // Barrier synchronizes the issue stages of a workload's threads: a core
 // consuming an OpBarrier stalls until all N participants have arrived.
 // Iterative workloads place a barrier (all ops issued) followed by a
@@ -7,7 +9,7 @@ package cpu
 type Barrier struct {
 	n       int
 	arrived int
-	waiters []func()
+	waiters []sim.Cont
 	// Generations counts completed barrier episodes (for tests).
 	Generations int64
 }
@@ -20,9 +22,9 @@ func NewBarrier(n int) *Barrier {
 	return &Barrier{n: n}
 }
 
-// Arrive registers one participant; resume runs when all have arrived.
-// The last arrival releases everyone synchronously.
-func (b *Barrier) Arrive(resume func()) {
+// Arrive registers one participant; resume is invoked when all have
+// arrived. The last arrival releases everyone synchronously.
+func (b *Barrier) Arrive(resume sim.Cont) {
 	b.arrived++
 	if b.arrived < b.n {
 		b.waiters = append(b.waiters, resume)
@@ -34,7 +36,7 @@ func (b *Barrier) Arrive(resume func()) {
 	b.arrived = 0
 	b.Generations++
 	for _, w := range waiters {
-		w()
+		w.Invoke()
 	}
-	resume()
+	resume.Invoke()
 }

@@ -16,19 +16,23 @@ import (
 type OpKind uint8
 
 const (
-	// OpCompute occupies the issue stage for Cycles cycles (a run of
+	// OpCompute occupies the issue stage for N cycles (a run of
 	// non-memory instructions).
 	OpCompute OpKind = iota
 	// OpLoad and OpStore access the cache hierarchy at Addr.
 	OpLoad
 	OpStore
-	// OpPEI issues a PIM-enabled instruction.
+	// OpPEI issues the PIM-enabled instruction PEIOp at Addr; N is its
+	// scalar input operand (the low InputBytes bytes, little-endian).
 	OpPEI
+	// OpPEIVec issues a PEI whose input operand is Vectors[N] of the
+	// issuing Queue (the euclid and dot vector operands).
+	OpPEIVec
 	// OpFence is a pfence: issue stalls until all prior writer PEIs
 	// (system-wide) complete.
 	OpFence
-	// OpBarrier stalls issue until all participants of Op.Barrier have
-	// arrived (software thread barrier between supersteps).
+	// OpBarrier stalls issue until all participants of the Queue's
+	// Barrier have arrived (software thread barrier between supersteps).
 	OpBarrier
 	// OpDrain stalls issue until all of this core's in-flight operations
 	// complete — a data-dependence stall on outstanding PEI outputs
@@ -36,19 +40,23 @@ const (
 	OpDrain
 )
 
-// Op is one element of a workload stream.
+// Op is one element of a workload stream: a pointer-free 24-byte
+// record, so op buffers hold no heap references. N is a compute op's
+// cycles or a PEI's input operand (OpPEI) or vector index (OpPEIVec);
+// Tag labels a PEI for its stream's Sink.
 type Op struct {
-	Kind    OpKind
-	Addr    uint64
-	Cycles  int64
-	PEI     *pim.PEI
-	Barrier *Barrier
+	Kind  OpKind
+	PEIOp pim.OpKind
+	Tag   uint32
+	Addr  uint64
+	N     uint64
 }
 
-// Stream supplies the ops a hardware context executes, in program order.
-type Stream interface {
-	// Next returns the next op, or ok=false at the end of the program.
-	Next() (op Op, ok bool)
+// Sink receives a stream's PEIs as they retire, with the output operand
+// in p.Output and the tag the stream pushed in p.Tag. The record is
+// recycled when PEIDone returns, so a sink copies what it keeps.
+type Sink interface {
+	PEIDone(p *pim.PEI)
 }
 
 // MemPort is the hierarchy interface the core needs (satisfied by
@@ -91,6 +99,10 @@ type Core struct {
 	Retired     int64
 	RetiredPEIs int64
 	issued      int64
+
+	// peiFree recycles PEI records: one is drawn at issue and returned
+	// at retire, so the window bounds how many ever exist.
+	peiFree []*pim.PEI //peilint:allow snapcomplete pool of recycled PEI records: capacity, not state (empty of in-flight PEIs at a phase boundary)
 }
 
 // NewCore creates a core.
@@ -102,14 +114,15 @@ func NewCore(id int, k *sim.Kernel, issueWidth, window int, mem MemPort, pmu PEI
 }
 
 // Core event stages: the core itself is the handler for every per-op
-// completion, so issuing a load, store, PEI, compute stall, or fence
-// costs no allocation.
+// completion, so issuing a load, store, PEI, compute stall, fence, or
+// barrier arrival costs no allocation.
 const (
-	coreEvPump      = iota // scheduled pump (issue-width or barrier resume)
-	coreEvUnblock          // multi-cycle compute retired; resume issue
-	coreEvFenceDone        // pfence drained; retire it and resume issue
-	coreEvMemDone          // a load/store completed
-	coreEvPEIDone          // a PEI retired at the PMU; Arg.Ptr is the PEI
+	coreEvPump        = iota // scheduled pump (issue-width or barrier resume)
+	coreEvUnblock            // multi-cycle compute retired; resume issue
+	coreEvFenceDone          // pfence drained; retire it and resume issue
+	coreEvMemDone            // a load/store completed
+	coreEvPEIDone            // a PEI retired at the PMU; Arg.Ptr is the PEI
+	coreEvBarrierDone        // every participant reached the barrier; resume
 )
 
 // OnEvent implements sim.Handler.
@@ -129,15 +142,47 @@ func (c *Core) OnEvent(arg sim.EventArg) {
 		c.inflight--
 		c.Retired++
 		c.pump()
+	case coreEvBarrierDone:
+		c.blocked = false
+		c.Retired++
+		c.schedulePump(0)
 	default: // coreEvPEIDone
 		c.inflight--
 		c.Retired++
 		c.RetiredPEIs++
-		if p := arg.Ptr.(*pim.PEI); p.Done != nil {
-			p.Done()
+		p := arg.Ptr.(*pim.PEI)
+		if c.stream.Sink != nil {
+			c.stream.Sink.PEIDone(p)
 		}
+		c.putPEI(p)
 		c.pump()
 	}
+}
+
+// issuePEI fills a record from op and hands it to the PMU; the record
+// comes back through coreEvPEIDone.
+func (c *Core) issuePEI(op Op) {
+	var p *pim.PEI
+	if n := len(c.peiFree); n > 0 {
+		p = c.peiFree[n-1]
+		c.peiFree = c.peiFree[:n-1]
+	} else {
+		p = new(pim.PEI)
+	}
+	p.Op, p.Target, p.Tag = op.PEIOp, op.Addr, op.Tag
+	if op.Kind == OpPEIVec {
+		p.Input = c.stream.Vectors[op.N]
+	} else {
+		p.SetInputWord(op.N)
+	}
+	c.pmu.IssueEvent(c.ID, p, sim.Cont{H: c, Arg: sim.EventArg{N: coreEvPEIDone, Ptr: p}})
+}
+
+// putPEI clears a retired record, so it carries no operand or tag into
+// its next life, and returns it to the free list.
+func (c *Core) putPEI(p *pim.PEI) {
+	*p = pim.PEI{}
+	c.peiFree = append(c.peiFree, p)
 }
 
 // Run starts executing the stream; the caller then drives the kernel.
@@ -197,18 +242,18 @@ func (c *Core) pump() {
 		switch op.Kind {
 		case OpCompute:
 			c.Retired++
-			if op.Cycles > 0 {
+			if op.N > 0 {
 				c.blocked = true
-				c.k.ScheduleEvent(sim.Cycle(op.Cycles), c, sim.EventArg{N: coreEvUnblock})
+				c.k.ScheduleEvent(sim.Cycle(op.N), c, sim.EventArg{N: coreEvUnblock})
 				return
 			}
 		case OpLoad, OpStore:
 			c.inflight++
 			write := op.Kind == OpStore
 			c.mem.AccessEvent(c.ID, op.Addr, write, sim.Cont{H: c, Arg: sim.EventArg{N: coreEvMemDone}})
-		case OpPEI:
+		case OpPEI, OpPEIVec:
 			c.inflight++
-			c.pmu.IssueEvent(c.ID, op.PEI, sim.Cont{H: c, Arg: sim.EventArg{N: coreEvPEIDone, Ptr: op.PEI}})
+			c.issuePEI(op)
 		case OpFence:
 			// pfence blocks the issue stage; in-flight ops may drain
 			// meanwhile.
@@ -224,11 +269,7 @@ func (c *Core) pump() {
 			return
 		case OpBarrier:
 			c.blocked = true
-			op.Barrier.Arrive(func() {
-				c.blocked = false
-				c.Retired++
-				c.schedulePump(0)
-			})
+			c.stream.Barrier.Arrive(sim.Cont{H: c, Arg: sim.EventArg{N: coreEvBarrierDone}})
 			return
 		}
 	}

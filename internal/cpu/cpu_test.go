@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"pimsim/internal/pim"
 	"pimsim/internal/sim"
@@ -52,18 +54,27 @@ func newTestCore(k *sim.Kernel, width, window int) (*Core, *fakeMem, *fakePMU) {
 	return NewCore(3, k, width, window, m, p), m, p
 }
 
-func loads(n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = Op{Kind: OpLoad, Addr: uint64(i * 64)}
+// prefilled returns a Queue holding ops, with no Fill.
+func prefilled(ops ...Op) *Queue {
+	q := &Queue{}
+	for _, op := range ops {
+		q.Push(op)
 	}
-	return ops
+	return q
+}
+
+func loads(n int) *Queue {
+	q := &Queue{}
+	for i := 0; i < n; i++ {
+		q.PushLoad(uint64(i * 64))
+	}
+	return q
 }
 
 func TestWindowBoundsMLP(t *testing.T) {
 	k := sim.NewKernel()
 	c, m, _ := newTestCore(k, 4, 8)
-	c.Run(&SliceStream{Ops: loads(64)})
+	c.Run(loads(64))
 	k.Run()
 	if !c.Done() {
 		t.Fatal("core never finished")
@@ -82,7 +93,7 @@ func TestWindowBoundsMLP(t *testing.T) {
 func TestIssueWidthBoundsPerCycleIssue(t *testing.T) {
 	k := sim.NewKernel()
 	c, m, _ := newTestCore(k, 2, 64)
-	c.Run(&SliceStream{Ops: loads(10)})
+	c.Run(loads(10))
 	// After the first cycle only 2 ops may have issued.
 	k.RunUntil(0)
 	if len(m.addrs) > 2 {
@@ -97,10 +108,10 @@ func TestIssueWidthBoundsPerCycleIssue(t *testing.T) {
 func TestComputeBlocksIssue(t *testing.T) {
 	k := sim.NewKernel()
 	c, m, _ := newTestCore(k, 4, 64)
-	c.Run(&SliceStream{Ops: []Op{
-		{Kind: OpCompute, Cycles: 500},
-		{Kind: OpLoad, Addr: 0},
-	}})
+	c.Run(prefilled(
+		Op{Kind: OpCompute, N: 500},
+		Op{Kind: OpLoad, Addr: 0},
+	))
 	k.RunUntil(499)
 	if len(m.addrs) != 0 {
 		t.Fatal("load issued during compute block")
@@ -111,21 +122,25 @@ func TestComputeBlocksIssue(t *testing.T) {
 	}
 }
 
+// tagSink records the tags of retired PEIs.
+type tagSink struct{ tags []uint32 }
+
+func (s *tagSink) PEIDone(p *pim.PEI) { s.tags = append(s.tags, p.Tag) }
+
 func TestPEIIssueAndRetire(t *testing.T) {
 	k := sim.NewKernel()
 	c, _, p := newTestCore(k, 4, 8)
-	userDone := 0
-	ops := []Op{
-		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 64, Done: func() { userDone++ }}},
-		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 128}},
-	}
-	c.Run(&SliceStream{Ops: ops})
+	sink := &tagSink{}
+	q := &Queue{Sink: sink}
+	q.PushPEI(pim.OpInc64, 64, 0, 7)
+	q.PushPEI(pim.OpInc64, 128, 0, 9)
+	c.Run(q)
 	k.Run()
 	if p.issued != 2 || c.RetiredPEIs != 2 {
 		t.Fatalf("issued/retired PEIs = %d/%d", p.issued, c.RetiredPEIs)
 	}
-	if userDone != 1 {
-		t.Fatal("user Done callback not preserved")
+	if len(sink.tags) != 2 || sink.tags[0] != 7 || sink.tags[1] != 9 {
+		t.Fatalf("sink saw tags %v, want [7 9]", sink.tags)
 	}
 	if len(p.cores) != 2 || p.cores[0] != c.ID || p.cores[1] != c.ID {
 		t.Fatalf("PEIs issued as cores %v, want core %d", p.cores, c.ID)
@@ -135,10 +150,10 @@ func TestPEIIssueAndRetire(t *testing.T) {
 func TestFenceStallsIssue(t *testing.T) {
 	k := sim.NewKernel()
 	c, m, p := newTestCore(k, 4, 8)
-	c.Run(&SliceStream{Ops: []Op{
-		{Kind: OpFence},
-		{Kind: OpLoad, Addr: 64},
-	}})
+	c.Run(prefilled(
+		Op{Kind: OpFence},
+		Op{Kind: OpLoad, Addr: 64},
+	))
 	k.RunUntil(5)
 	if len(m.addrs) != 0 {
 		t.Fatal("load issued before fence completed")
@@ -152,10 +167,10 @@ func TestFenceStallsIssue(t *testing.T) {
 func TestDoneWaitsForLastRetire(t *testing.T) {
 	k := sim.NewKernel()
 	c, _, _ := newTestCore(k, 4, 8)
-	c.Run(&SliceStream{Ops: []Op{
-		{Kind: OpLoad, Addr: 0},
-		{Kind: OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: 64}},
-	}})
+	c.Run(prefilled(
+		Op{Kind: OpLoad, Addr: 0},
+		Op{Kind: OpPEI, PEIOp: pim.OpInc64, Addr: 64},
+	))
 	k.RunUntil(60) // the PEI has retired, the load is still in flight
 	if c.RetiredPEIs != 1 || c.Done() {
 		t.Fatalf("at cycle 60: retired PEIs %d, Done %v; want 1, false", c.RetiredPEIs, c.Done())
@@ -169,7 +184,7 @@ func TestDoneWaitsForLastRetire(t *testing.T) {
 func TestEmptyStream(t *testing.T) {
 	k := sim.NewKernel()
 	c, _, _ := newTestCore(k, 4, 8)
-	c.Run(&SliceStream{})
+	c.Run(&Queue{})
 	if !c.Done() {
 		t.Fatal("empty stream should finish immediately")
 	}
@@ -205,13 +220,28 @@ func TestQueueRefill(t *testing.T) {
 	}
 }
 
+// TestOpRecordLayout pins the op record at 24 bytes with no pointer
+// fields, so op buffers keep nothing reachable.
+func TestOpRecordLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Op{}); size != 24 {
+		t.Fatalf("Op is %d bytes, want 24", size)
+	}
+	typ := reflect.TypeOf(Op{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() > reflect.Uint64 {
+			t.Fatalf("Op.%s is a %s, want a plain integer", f.Name, f.Type)
+		}
+	}
+}
+
 func TestQueueEmitters(t *testing.T) {
 	q := &Queue{}
 	q.PushCompute(5)
 	q.PushStore(64)
-	q.PushPEI(&pim.PEI{Op: pim.OpInc64, Target: 64})
+	q.PushPEI(pim.OpInc64, 64, 0, 0)
+	q.PushPEI(pim.OpDotProduct, 128, 3, 0)
 	q.PushFence()
-	kinds := []OpKind{OpCompute, OpStore, OpPEI, OpFence}
+	kinds := []OpKind{OpCompute, OpStore, OpPEI, OpPEIVec, OpFence}
 	for i, want := range kinds {
 		op, ok := q.Next()
 		if !ok || op.Kind != want {
@@ -220,5 +250,107 @@ func TestQueueEmitters(t *testing.T) {
 	}
 	if _, ok := q.Next(); ok {
 		t.Fatal("queue should be exhausted")
+	}
+}
+
+// recordingPMU retires every PEI after a fixed latency, writing a
+// one-byte output, and keeps what it saw of each record at issue.
+type recordingPMU struct {
+	k       *sim.Kernel
+	records map[*pim.PEI]bool
+	seen    []issued
+}
+
+// issued is a record's state at issue; input is a copy (the record's
+// own buffer is reused), inputAt the address the record pointed at.
+type issued struct {
+	tag     uint32
+	input   []byte
+	inputAt *byte
+	output  []byte
+}
+
+func (p *recordingPMU) IssueEvent(core int, pei *pim.PEI, done sim.Cont) {
+	p.records[pei] = true
+	s := issued{tag: pei.Tag, input: append([]byte(nil), pei.Input...), output: pei.Output}
+	if len(pei.Input) > 0 {
+		s.inputAt = &pei.Input[0]
+	}
+	p.seen = append(p.seen, s)
+	p.k.Schedule(20, func() {
+		pei.Output = []byte{0xAA}
+		done.Invoke()
+	})
+}
+
+func (p *recordingPMU) FenceEvent(done sim.Cont) { p.k.ScheduleEvent(1, done.H, done.Arg) }
+
+// TestPEIRecordsRecycled pins the record lifecycle: records are drawn at
+// issue and returned at retire, so a core never holds more than its
+// window, and a recycled record carries no input, output or tag from
+// its previous life.
+func TestPEIRecordsRecycled(t *testing.T) {
+	k := sim.NewKernel()
+	pmu := &recordingPMU{k: k, records: map[*pim.PEI]bool{}}
+	const window = 4
+	c := NewCore(0, k, 4, window, &fakeMem{k: k, latency: 1}, pmu)
+	q := &Queue{Sink: &tagSink{}, Vectors: [][]byte{make([]byte, 32)}}
+	for i := 0; i < 16; i++ {
+		// First lives carry a tagged 8-byte input; second lives none.
+		q.PushPEI(pim.OpMin64, uint64(i*64), uint64(i+1), uint32(i+1))
+	}
+	q.PushFence()
+	for i := 0; i < 16; i++ {
+		q.PushPEI(pim.OpInc64, uint64(i*64), 0, 0)
+	}
+	q.PushPEI(pim.OpDotProduct, 0, 0, 0)
+	c.Run(q)
+	k.Run()
+	if !c.Done() || c.RetiredPEIs != 33 {
+		t.Fatalf("done %v, retired PEIs %d; want true, 33", c.Done(), c.RetiredPEIs)
+	}
+	if len(pmu.records) > window {
+		t.Fatalf("%d PEI records for a window of %d", len(pmu.records), window)
+	}
+	for i, p := range pmu.seen {
+		if p.output != nil {
+			t.Fatalf("PEI %d issued with a stale output %v", i, p.output)
+		}
+		switch {
+		case i < 16:
+			if p.tag != uint32(i+1) || len(p.input) != 8 || p.input[0] != byte(i+1) {
+				t.Fatalf("PEI %d issued with tag %d, input %v", i, p.tag, p.input)
+			}
+		case i < 32:
+			if p.tag != 0 || len(p.input) != 0 {
+				t.Fatalf("recycled PEI %d issued with tag %d, input %v", i, p.tag, p.input)
+			}
+		default:
+			if len(p.input) != 32 || p.inputAt != &q.Vectors[0][0] {
+				t.Fatalf("vector PEI input %v does not alias the queue's operand", p.input)
+			}
+		}
+	}
+}
+
+// TestBarrierHoldsEarlyArrivals runs two cores into one barrier; the
+// early one must not issue past it until the late one arrives.
+func TestBarrierHoldsEarlyArrivals(t *testing.T) {
+	k := sim.NewKernel()
+	b := NewBarrier(2)
+	fast, mFast, _ := newTestCore(k, 4, 8)
+	slow, _, _ := newTestCore(k, 4, 8)
+	fq := prefilled(Op{Kind: OpBarrier}, Op{Kind: OpLoad, Addr: 64})
+	sq := prefilled(Op{Kind: OpCompute, N: 300}, Op{Kind: OpBarrier})
+	fq.Barrier, sq.Barrier = b, b
+	fast.Run(fq)
+	slow.Run(sq)
+	k.RunUntil(299)
+	if len(mFast.addrs) != 0 || b.Generations != 0 {
+		t.Fatalf("by cycle 299: %d loads past the barrier, %d episodes; want 0, 0", len(mFast.addrs), b.Generations)
+	}
+	k.Run()
+	if b.Generations != 1 || !fast.Done() || !slow.Done() || fast.Retired != 2 || slow.Retired != 2 {
+		t.Fatalf("episodes %d, retired %d/%d; want 1, 2/2", b.Generations, fast.Retired, slow.Retired)
 	}
 }

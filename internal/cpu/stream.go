@@ -2,21 +2,9 @@ package cpu
 
 import "pimsim/internal/pim"
 
-// SliceStream is a Stream over a fixed op slice (tests, tiny examples).
-type SliceStream struct {
-	Ops []Op
-	pos int
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Op, bool) {
-	if s.pos >= len(s.Ops) {
-		return Op{}, false
-	}
-	op := s.Ops[s.pos]
-	s.pos++
-	return op, true
-}
+// Stream is the op source a core executes: a Queue, which carries the
+// stream's barrier, PEI sink and vector operands along with its ops.
+type Stream = *Queue
 
 // Queue is a refillable op buffer for writing workload generators as
 // batch producers: Fill is called whenever the buffer runs dry and
@@ -26,6 +14,13 @@ func (s *SliceStream) Next() (Op, bool) {
 type Queue struct {
 	// Fill produces the next batch. May be nil for a pre-filled queue.
 	Fill func(q *Queue) bool
+	// Barrier is where the stream's OpBarrier ops arrive.
+	Barrier *Barrier
+	// Sink, if set, receives each of the stream's PEIs at retire.
+	Sink Sink
+	// Vectors holds the vector input operands OpPEIVec ops index by N;
+	// threads of one workload share one table, built once.
+	Vectors [][]byte
 
 	buf  []Op
 	head int
@@ -34,22 +29,27 @@ type Queue struct {
 // Push appends an op to the buffer.
 func (q *Queue) Push(op Op) { q.buf = append(q.buf, op) }
 
-// PushCompute, PushLoad, PushStore, PushPEI, PushFence are convenience
-// emitters.
-func (q *Queue) PushCompute(cycles int64) { q.Push(Op{Kind: OpCompute, Cycles: cycles}) }
+// PushCompute, PushLoad, PushStore, PushFence are convenience emitters.
+func (q *Queue) PushCompute(cycles int64) { q.Push(Op{Kind: OpCompute, N: uint64(max(cycles, 0))}) }
 func (q *Queue) PushLoad(a uint64)        { q.Push(Op{Kind: OpLoad, Addr: a}) }
 func (q *Queue) PushStore(a uint64)       { q.Push(Op{Kind: OpStore, Addr: a}) }
+func (q *Queue) PushFence()               { q.Push(Op{Kind: OpFence}) }
 
-// PushPEI emits a PIM-enabled instruction.
-func (q *Queue) PushPEI(p *pim.PEI) { q.Push(Op{Kind: OpPEI, PEI: p}) }
-
-// PushFence emits a pfence.
-func (q *Queue) PushFence() { q.Push(Op{Kind: OpFence}) }
+// PushPEI emits the PIM-enabled instruction op at target. n is its
+// scalar input operand, or, for the vector-input ops (euclid, dot), an
+// index into q.Vectors; tag comes back to q.Sink with the retired PEI.
+func (q *Queue) PushPEI(op pim.OpKind, target, n uint64, tag uint32) {
+	kind := OpPEI
+	if pim.Ops[op].InputBytes > 8 {
+		kind = OpPEIVec
+	}
+	q.Push(Op{Kind: kind, PEIOp: op, Tag: tag, Addr: target, N: n})
+}
 
 // Len reports buffered ops not yet consumed.
 func (q *Queue) Len() int { return len(q.buf) - q.head }
 
-// Next implements Stream.
+// Next returns the next op, or ok=false at the end of the program.
 func (q *Queue) Next() (Op, bool) {
 	for q.head >= len(q.buf) {
 		q.buf = q.buf[:0]

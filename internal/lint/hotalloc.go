@@ -32,7 +32,8 @@ var allocatingFmtFuncs = map[string]bool{
 }
 
 // HotAlloc flags per-event allocations inside the event kernel and the
-// per-event component packages that feed it (caches, DRAM, HMC, PIM).
+// per-event component packages that feed it (caches, DRAM, HMC, PIM,
+// the cores).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "inside the simulator's per-event packages, forbid fmt string " +
@@ -47,6 +48,7 @@ var HotAlloc = &Analyzer{
 		"internal/dram",
 		"internal/hmc",
 		"internal/pim",
+		"internal/cpu",
 	},
 	FactTypes: []Fact{(*AllocFact)(nil)},
 	Run:       runHotAlloc,

@@ -115,7 +115,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{HotAlloc, "internal/dram", true},
 		{HotAlloc, "internal/hmc", true},
 		{HotAlloc, "internal/pim", true},
-		{HotAlloc, "internal/cpu", false},
+		{HotAlloc, "internal/cpu", true},
 		{HotAlloc, "internal/workloads", false},
 		{SnapComplete, "internal/sim", true}, // any package that snapshots
 		{SnapComplete, "internal/graph", true},

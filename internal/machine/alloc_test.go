@@ -8,11 +8,17 @@ import (
 	"pimsim/internal/pim"
 )
 
-// TestCorePEISteadyStateAllocs pins the core-driven PEI path: a core
-// issues each PEI from its stream, the PMU (through the VM layer when
-// enabled) runs it, and it retires through the core's PEI-done stage.
-// The root package's PEI pins call the PMU directly and never reach
-// that stage.
+// countSink counts retired PEIs.
+type countSink struct{ retired int }
+
+func (s *countSink) PEIDone(*pim.PEI) { s.retired++ }
+
+// TestCorePEISteadyStateAllocs pins the core-driven PEI path for every
+// Table 1 op kind: a core issues each PEI from its Queue, filling a
+// record from its free list, the PMU (through the VM layer when
+// enabled) runs it, and it retires through the core's PEI-done stage
+// into the Queue's Sink. The root package's PEI pins call the PMU
+// directly and never reach that stage.
 func TestCorePEISteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,22 +35,27 @@ func TestCorePEISteadyStateAllocs(t *testing.T) {
 			cfg.EnableVM = tc.vm
 			m := MustNew(cfg, tc.mode)
 			const blocks = 64
-			const batch = 32
+			const batch = 35 // five PEIs of each of the seven kinds
 			base := m.Store.Alloc(blocks*64, 64)
-			retired := 0
-			done := func() { retired++ }
-			peis := make([]*pim.PEI, batch)
-			for i := range peis {
-				peis[i] = &pim.PEI{}
-			}
+			sink := &countSink{}
 			// A drained Queue keeps its buffer, so refilling it each
-			// round allocates nothing once the buffer has grown.
-			q := &cpu.Queue{}
+			// round allocates nothing once the buffer has grown. The
+			// vector ops (euclid, dot) take their operand from Vectors.
+			q := &cpu.Queue{Sink: sink, Vectors: [][]byte{make([]byte, 64), make([]byte, 32)}}
 			core := m.Cores[0]
 			round := func() {
-				for i, p := range peis {
-					*p = pim.PEI{Op: pim.OpInc64, Target: base + uint64(i%blocks)*64, Done: done}
-					q.PushPEI(p)
+				for i := 0; i < batch; i++ {
+					op := pim.OpKind(i % 7)
+					var n uint64
+					switch op {
+					case pim.OpEuclideanDist:
+						n = 0
+					case pim.OpDotProduct:
+						n = 1
+					default:
+						n = uint64(i)
+					}
+					q.PushPEI(op, base+uint64(i%blocks)*64, n, uint32(i))
 				}
 				core.Run(q)
 				m.K.Run()
@@ -55,8 +66,13 @@ func TestCorePEISteadyStateAllocs(t *testing.T) {
 			for i := 0; i < warm; i++ {
 				round()
 			}
-			if retired != warm*batch || !core.Done() {
-				t.Fatalf("warmup retired %d of %d PEIs (core done: %v)", retired, warm*batch, core.Done())
+			if sink.retired != warm*batch || !core.Done() {
+				t.Fatalf("warmup retired %d of %d PEIs (core done: %v)", sink.retired, warm*batch, core.Done())
+			}
+			for op := range pim.Ops {
+				if got := m.Reg.Get("pei.op." + pim.Ops[op].Name); got != warm*batch/7 {
+					t.Fatalf("%s: %d PEIs issued, want %d", pim.Ops[op].Name, got, warm*batch/7)
+				}
 			}
 			if allocs := testing.AllocsPerRun(200, round) / batch; allocs > 0.05 {
 				t.Fatalf("core-driven PEI allocates %.3f objects/op in steady state, want ~0", allocs)

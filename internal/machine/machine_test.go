@@ -9,13 +9,10 @@ import (
 	"pimsim/internal/pim"
 )
 
-func streamOfPEIs(m *Machine, base uint64, n int, strideBlocks int) *cpu.SliceStream {
-	s := &cpu.SliceStream{}
+func streamOfPEIs(m *Machine, base uint64, n int, strideBlocks int) *cpu.Queue {
+	s := &cpu.Queue{}
 	for i := 0; i < n; i++ {
-		s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: &pim.PEI{
-			Op:     pim.OpInc64,
-			Target: base + uint64(i*strideBlocks*64),
-		}})
+		s.PushPEI(pim.OpInc64, base+uint64(i*strideBlocks*64), 0, 0)
 	}
 	return s
 }
@@ -70,11 +67,9 @@ func TestMachineCachedWorkloadFasterOnHost(t *testing.T) {
 	run := func(mode pim.Mode) Result {
 		m := MustNew(cfg, mode)
 		base := m.Store.Alloc(4*64, 64)
-		s := &cpu.SliceStream{}
+		s := &cpu.Queue{}
 		for i := 0; i < 400; i++ {
-			s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: &pim.PEI{
-				Op: pim.OpInc64, Target: base + uint64(i%4)*64,
-			}})
+			s.PushPEI(pim.OpInc64, base+uint64(i%4)*64, 0, 0)
 		}
 		res, err := m.RunContext(context.Background(), []cpu.Stream{s})
 		if err != nil {
@@ -128,9 +123,9 @@ func TestMachineSharedCounterContention(t *testing.T) {
 	a := m.Store.Alloc(8, 8)
 	var streams []cpu.Stream
 	for c := 0; c < 4; c++ {
-		s := &cpu.SliceStream{}
+		s := &cpu.Queue{}
 		for i := 0; i < 25; i++ {
-			s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: a}})
+			s.PushPEI(pim.OpInc64, a, 0, 0)
 		}
 		streams = append(streams, s)
 	}
@@ -232,12 +227,9 @@ func TestVMSlowerThanIdentity(t *testing.T) {
 		base := m.Store.Alloc(64*64*64, 64)
 		// Stride one page per PEI, cycling over 4 pages: every access
 		// misses a 2-entry TLB.
-		s := &cpu.SliceStream{}
+		s := &cpu.Queue{}
 		for i := 0; i < 256; i++ {
-			s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: &pim.PEI{
-				Op:     pim.OpInc64,
-				Target: base + uint64(i%4)*4096 + uint64(i/4%64)*64,
-			}})
+			s.PushPEI(pim.OpInc64, base+uint64(i%4)*4096+uint64(i/4%64)*64, 0, 0)
 		}
 		res, err := m.RunContext(context.Background(), []cpu.Stream{s})
 		if err != nil {
@@ -259,11 +251,10 @@ func TestVMSlowerThanIdentity(t *testing.T) {
 func TestLatencyHistogramsPopulated(t *testing.T) {
 	m := MustNew(config.Scaled(), pim.LocalityAware)
 	base := m.Store.Alloc(64*64, 64)
-	s := &cpu.SliceStream{}
+	s := &cpu.Queue{}
 	for i := 0; i < 32; i++ {
-		s.Ops = append(s.Ops,
-			cpu.Op{Kind: cpu.OpLoad, Addr: base + uint64(i*64)},
-			cpu.Op{Kind: cpu.OpPEI, PEI: &pim.PEI{Op: pim.OpInc64, Target: base + uint64(i*64)}})
+		s.PushLoad(base + uint64(i*64))
+		s.PushPEI(pim.OpInc64, base+uint64(i*64), 0, 0)
 	}
 	res, err := m.RunContext(context.Background(), []cpu.Stream{s})
 	if err != nil {

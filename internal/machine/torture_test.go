@@ -52,32 +52,29 @@ func tortureRun(t *testing.T, mode pim.Mode, seed int64) {
 
 	var streams []cpu.Stream
 	for c := 0; c < cfg.Cores; c++ {
-		s := &cpu.SliceStream{}
+		s := &cpu.Queue{}
 		for i := 0; i < opsPerCore; i++ {
 			b := rng.Intn(blocks)
 			target := base + uint64(b*64)
-			var p *pim.PEI
+			var in uint64
 			switch plans[b].op {
 			case pim.OpInc64:
-				p = &pim.PEI{Op: pim.OpInc64, Target: target}
 				plans[b].inputs = append(plans[b].inputs, 1)
 			case pim.OpMin64:
-				v := uint64(rng.Intn(1 << 30))
-				p = &pim.PEI{Op: pim.OpMin64, Target: target, Input: pim.U64Input(v)}
-				plans[b].inputs = append(plans[b].inputs, v)
+				in = uint64(rng.Intn(1 << 30))
+				plans[b].inputs = append(plans[b].inputs, in)
 			case pim.OpFloatAdd:
-				v := float64(rng.Intn(1000)) / 8 // exactly representable
-				p = &pim.PEI{Op: pim.OpFloatAdd, Target: target, Input: pim.F64Input(v)}
-				plans[b].inputs = append(plans[b].inputs, math.Float64bits(v))
+				in = math.Float64bits(float64(rng.Intn(1000)) / 8) // exactly representable
+				plans[b].inputs = append(plans[b].inputs, in)
 			}
-			s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: p})
+			s.PushPEI(plans[b].op, target, in, 0)
 			// Interleave some plain loads to rattle the coherence
 			// machinery (reads never break PEI atomicity).
 			if rng.Intn(4) == 0 {
-				s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpLoad, Addr: target})
+				s.PushLoad(target)
 			}
 		}
-		s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpFence})
+		s.PushFence()
 		streams = append(streams, s)
 	}
 
@@ -148,37 +145,41 @@ func TestTortureReaderOutputs(t *testing.T) {
 		m.Store.WriteU64(base+uint64(b*64)+pim.HashBucketKeyOff, uint64(b)*10+1)
 	}
 
-	type probe struct {
-		pei  *pim.PEI
-		want byte
-	}
-	var probes []probe
+	// Each probe is tagged with its index; the sink keeps a copy of
+	// every output, since records are recycled after retire.
+	var want []byte
+	sink := &outputSink{}
 	var streams []cpu.Stream
 	for c := 0; c < cfg.Cores; c++ {
-		s := &cpu.SliceStream{}
+		s := &cpu.Queue{Sink: sink}
 		for i := 0; i < 100; i++ {
 			b := rng.Intn(buckets)
 			key := uint64(b)*10 + 1
-			want := byte(1)
+			match := byte(1)
 			if rng.Intn(2) == 0 {
 				key = 0xFFFF // absent
-				want = 0
+				match = 0
 			}
-			p := &pim.PEI{Op: pim.OpHashProbe, Target: base + uint64(b*64), Input: pim.U64Input(key)}
-			probes = append(probes, probe{p, want})
-			s.Ops = append(s.Ops, cpu.Op{Kind: cpu.OpPEI, PEI: p})
+			s.PushPEI(pim.OpHashProbe, base+uint64(b*64), key, uint32(len(want)))
+			want = append(want, match)
 		}
 		streams = append(streams, s)
 	}
+	sink.outs = make([][]byte, len(want))
 	if _, err := m.RunContext(context.Background(), streams); err != nil {
 		t.Fatal(err)
 	}
-	for i, pr := range probes {
-		if len(pr.pei.Output) != 9 || pr.pei.Output[0] != pr.want {
-			t.Fatalf("probe %d output %v, want match=%d", i, pr.pei.Output, pr.want)
+	for i, out := range sink.outs {
+		if len(out) != 9 || out[0] != want[i] {
+			t.Fatalf("probe %d output %v, want match=%d", i, out, want[i])
 		}
-		if next := binary.LittleEndian.Uint64(pr.pei.Output[1:]); next != 0 {
+		if next := binary.LittleEndian.Uint64(out[1:]); next != 0 {
 			t.Fatalf("probe %d next = %#x, want 0", i, next)
 		}
 	}
 }
+
+// outputSink copies each retired PEI's output to the slot its tag names.
+type outputSink struct{ outs [][]byte }
+
+func (s *outputSink) PEIDone(p *pim.PEI) { s.outs[p.Tag] = append([]byte(nil), p.Output...) }

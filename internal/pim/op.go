@@ -85,17 +85,35 @@ const (
 // address of the accessed word/vector; the single-cache-block restriction
 // requires Target's operand to lie within one 64-byte block, which
 // Validate enforces.
+//
+// A PEI is a record its issuing core draws from a free list at issue and
+// returns at retire, so in-flight PEIs are bounded by the core's window.
+// Table 1 caps every operand (at most 8 inline input bytes, 16 output
+// bytes), so scalar inputs and every output live in the record itself;
+// vector inputs (euclid, dot) alias an operand table the issuing stream
+// builds once.
 type PEI struct {
 	Op     OpKind
 	Target uint64
+	// Tag is the issuing stream's label for the PEI (which accumulator
+	// its output feeds), handed back with the record at retire.
+	Tag uint32
 	// Input holds the input operand (len must match Ops[Op].InputBytes).
 	Input []byte
-	// Output receives the output operand before the PEI retires.
+	// Output receives the output operand before the PEI retires; it
+	// aliases the record and is valid until the record is recycled.
 	Output []byte
-	// Done, if set, runs when the issuing core retires the PEI (output
-	// operand readable). The PMU never calls it: it hands the PEI back
-	// through the sim.Cont passed to IssueEvent.
-	Done func()
+
+	in  [8]byte
+	out [16]byte
+}
+
+// SetInputWord sets Input to the low Ops[Op].InputBytes bytes of w
+// (little-endian), held in the record. It serves the scalar-input ops,
+// whose operand is at most one 8-byte word.
+func (p *PEI) SetInputWord(w uint64) {
+	binary.LittleEndian.PutUint64(p.in[:], w)
+	p.Input = p.in[:Ops[p.Op].InputBytes]
 }
 
 // targetBytes returns how many bytes at Target the operation touches.
@@ -125,29 +143,33 @@ func (p *PEI) Validate() error {
 	return nil
 }
 
-// Execute performs the operation functionally against the store,
-// returning the output operand (nil for zero-output ops). It is invoked
-// by whichever PCU the PEI was steered to, at the simulated time the
-// computation completes; the PIM directory guarantees no other PEI is
-// mid-flight on the same block at that moment.
-func Execute(op OpKind, s *memlayout.Store, target uint64, input []byte) []byte {
-	switch op {
+// Execute performs the operation functionally against the store and
+// sets Output to the output operand, written into the record (nil for
+// zero-output ops). It is invoked by whichever PCU the PEI was steered
+// to, at the simulated time the computation completes; the PIM
+// directory guarantees no other PEI is mid-flight on the same block at
+// that moment.
+func (p *PEI) Execute(s *memlayout.Store) {
+	target, input := p.Target, p.Input
+	p.Output = nil
+	if n := Ops[p.Op].OutputBytes; n > 0 {
+		p.Output = p.out[:n]
+	}
+	out := p.Output
+	switch p.Op {
 	case OpInc64:
 		s.WriteU64(target, s.ReadU64(target)+1)
-		return nil
 	case OpMin64:
 		v := binary.LittleEndian.Uint64(input)
 		if int64(v) < int64(s.ReadU64(target)) {
 			s.WriteU64(target, v)
 		}
-		return nil
 	case OpFloatAdd:
 		d := math.Float64frombits(binary.LittleEndian.Uint64(input))
 		s.WriteF64(target, s.ReadF64(target)+d)
-		return nil
 	case OpHashProbe:
 		key := binary.LittleEndian.Uint64(input)
-		out := make([]byte, 9)
+		out[0] = 0
 		for i := 0; i < HashBucketKeys; i++ {
 			off := target + HashBucketKeyOff + uint64(i*HashBucketStride)
 			if s.ReadU64(off) == key {
@@ -156,14 +178,11 @@ func Execute(op OpKind, s *memlayout.Store, target uint64, input []byte) []byte 
 			}
 		}
 		binary.LittleEndian.PutUint64(out[1:], s.ReadU64(target+HashBucketNextOff))
-		return out
 	case OpHistBin:
 		shift := uint(input[0])
-		out := make([]byte, 16)
 		for i := 0; i < 16; i++ {
 			out[i] = byte(s.ReadU32(target+uint64(i*4)) >> shift)
 		}
-		return out
 	case OpEuclideanDist:
 		var sum float32
 		for i := 0; i < 16; i++ {
@@ -172,9 +191,7 @@ func Execute(op OpKind, s *memlayout.Store, target uint64, input []byte) []byte 
 			d := a - b
 			sum += d * d
 		}
-		out := make([]byte, 4)
 		binary.LittleEndian.PutUint32(out, math.Float32bits(sum))
-		return out
 	case OpDotProduct:
 		var sum float64
 		for i := 0; i < 4; i++ {
@@ -182,20 +199,8 @@ func Execute(op OpKind, s *memlayout.Store, target uint64, input []byte) []byte 
 			b := math.Float64frombits(binary.LittleEndian.Uint64(input[i*8:]))
 			sum += a * b
 		}
-		out := make([]byte, 8)
 		binary.LittleEndian.PutUint64(out, math.Float64bits(sum))
-		return out
 	default:
-		panic(fmt.Sprintf("pim: unknown op %d", op))
+		panic(fmt.Sprintf("pim: unknown op %d", p.Op))
 	}
 }
-
-// U64Input encodes an 8-byte input operand.
-func U64Input(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-// F64Input encodes a double input operand.
-func F64Input(v float64) []byte { return U64Input(math.Float64bits(v)) }

@@ -54,11 +54,21 @@ func TestValidateSingleCacheBlockRestriction(t *testing.T) {
 	}
 }
 
+// execute runs op through a fresh record and returns its output operand.
+func execute(op OpKind, s *memlayout.Store, target uint64, input []byte) []byte {
+	p := &PEI{Op: op, Target: target, Input: input}
+	p.Execute(s)
+	return p.Output
+}
+
+// word encodes an 8-byte input operand.
+func word(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
 func TestExecuteInc64(t *testing.T) {
 	s := memlayout.NewStore()
 	a := s.Alloc(8, 8)
 	s.WriteU64(a, 41)
-	if out := Execute(OpInc64, s, a, nil); out != nil {
+	if out := execute(OpInc64, s, a, nil); out != nil {
 		t.Fatalf("inc output = %v, want nil", out)
 	}
 	if s.ReadU64(a) != 42 {
@@ -70,16 +80,16 @@ func TestExecuteMin64Signed(t *testing.T) {
 	s := memlayout.NewStore()
 	a := s.Alloc(8, 8)
 	s.WriteU64(a, 100)
-	Execute(OpMin64, s, a, U64Input(7))
+	execute(OpMin64, s, a, word(7))
 	if s.ReadU64(a) != 7 {
 		t.Fatalf("min(100,7) = %d", s.ReadU64(a))
 	}
-	Execute(OpMin64, s, a, U64Input(50))
+	execute(OpMin64, s, a, word(50))
 	if s.ReadU64(a) != 7 {
 		t.Fatalf("min must not increase: %d", s.ReadU64(a))
 	}
 	// Signed comparison: -1 < 7.
-	Execute(OpMin64, s, a, U64Input(uint64(0xFFFFFFFFFFFFFFFF)))
+	execute(OpMin64, s, a, word(uint64(0xFFFFFFFFFFFFFFFF)))
 	if int64(s.ReadU64(a)) != -1 {
 		t.Fatalf("signed min failed: %d", int64(s.ReadU64(a)))
 	}
@@ -89,7 +99,7 @@ func TestExecuteFloatAdd(t *testing.T) {
 	s := memlayout.NewStore()
 	a := s.Alloc(8, 8)
 	s.WriteF64(a, 1.5)
-	Execute(OpFloatAdd, s, a, F64Input(2.25))
+	execute(OpFloatAdd, s, a, word(math.Float64bits(2.25)))
 	if got := s.ReadF64(a); got != 3.75 {
 		t.Fatalf("fadd = %v, want 3.75", got)
 	}
@@ -103,19 +113,30 @@ func TestExecuteHashProbe(t *testing.T) {
 	s.WriteU64(b+HashBucketKeyOff+1*HashBucketStride, 222)
 	s.WriteU64(b+HashBucketKeyOff+2*HashBucketStride, 333)
 
-	out := Execute(OpHashProbe, s, b, U64Input(222))
+	out := execute(OpHashProbe, s, b, word(222))
 	if out[0] != 1 {
 		t.Fatal("expected match for key 222")
 	}
 	if next := binary.LittleEndian.Uint64(out[1:]); next != 0xBEEF00 {
 		t.Fatalf("next = %#x, want 0xBEEF00", next)
 	}
-	out = Execute(OpHashProbe, s, b, U64Input(999))
+	out = execute(OpHashProbe, s, b, word(999))
 	if out[0] != 0 {
 		t.Fatal("expected no match for key 999")
 	}
 	if next := binary.LittleEndian.Uint64(out[1:]); next != 0xBEEF00 {
 		t.Fatal("next pointer must be returned even on miss")
+	}
+
+	// The output lives in the record: executing a miss on a record that
+	// just held a match must not keep the stale match byte.
+	p := &PEI{Op: OpHashProbe, Target: b}
+	p.SetInputWord(222)
+	p.Execute(s)
+	p.SetInputWord(999)
+	p.Execute(s)
+	if len(p.Output) != 9 || p.Output[0] != 0 {
+		t.Fatalf("reused record output %v, want a miss", p.Output)
 	}
 }
 
@@ -125,7 +146,7 @@ func TestExecuteHistBin(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		s.WriteU32(b+uint64(i*4), uint32(i)<<24)
 	}
-	out := Execute(OpHistBin, s, b, []byte{24})
+	out := execute(OpHistBin, s, b, []byte{24})
 	if len(out) != 16 {
 		t.Fatalf("output %d bytes, want 16", len(out))
 	}
@@ -144,7 +165,7 @@ func TestExecuteEuclideanDist(t *testing.T) {
 		s.WriteF32(b+uint64(i*4), float32(i))
 		binary.LittleEndian.PutUint32(input[i*4:], math.Float32bits(float32(i)+1))
 	}
-	out := Execute(OpEuclideanDist, s, b, input)
+	out := execute(OpEuclideanDist, s, b, input)
 	// Each dimension differs by 1: squared distance = 16.
 	if got := math.Float32frombits(binary.LittleEndian.Uint32(out)); got != 16 {
 		t.Fatalf("distance = %v, want 16", got)
@@ -159,7 +180,7 @@ func TestExecuteDotProduct(t *testing.T) {
 		s.WriteF64(b+uint64(i*8), float64(i+1)) // 1,2,3,4
 		binary.LittleEndian.PutUint64(input[i*8:], math.Float64bits(2))
 	}
-	out := Execute(OpDotProduct, s, b, input)
+	out := execute(OpDotProduct, s, b, input)
 	if got := math.Float64frombits(binary.LittleEndian.Uint64(out)); got != 20 {
 		t.Fatalf("dot = %v, want 20", got)
 	}
@@ -174,7 +195,7 @@ func TestMin64SequenceProperty(t *testing.T) {
 		s.WriteU64(a, uint64(init))
 		want := init
 		for _, v := range inputs {
-			Execute(OpMin64, s, a, U64Input(uint64(v)))
+			execute(OpMin64, s, a, word(uint64(v)))
 			if v < want {
 				want = v
 			}
@@ -193,7 +214,7 @@ func TestInc64CountProperty(t *testing.T) {
 		a := s.Alloc(8, 8)
 		s.WriteU64(a, uint64(init))
 		for i := 0; i < int(n); i++ {
-			Execute(OpInc64, s, a, nil)
+			execute(OpInc64, s, a, nil)
 		}
 		return s.ReadU64(a) == uint64(init)+uint64(n)
 	}

@@ -130,7 +130,7 @@ func (t *peiTxn) OnEvent(arg sim.EventArg) {
 	case stHostLoaded:
 		t.pcu.ComputeEvent(t.compute, sim.Cont{H: t, Arg: sim.EventArg{N: stHostComputed}})
 	case stHostComputed:
-		t.pei.Output = Execute(t.pei.Op, p.store, t.pei.Target, t.pei.Input)
+		t.pei.Execute(p.store)
 		if t.writer {
 			p.hier.AccessEvent(t.core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stHostFinish}})
 			return
@@ -159,7 +159,7 @@ func (t *peiTxn) OnEvent(arg sim.EventArg) {
 	case stIdealLoaded:
 		p.k.ScheduleEvent(sim.Cycle(t.compute), t, sim.EventArg{N: stIdealComputed})
 	case stIdealComputed:
-		t.pei.Output = Execute(t.pei.Op, p.store, t.pei.Target, t.pei.Input)
+		t.pei.Execute(p.store)
 		if t.writer {
 			p.hier.AccessEvent(t.core, t.pei.Target, true, sim.Cont{H: t, Arg: sim.EventArg{N: stIdealFinish}})
 			return
@@ -226,7 +226,9 @@ func NewPMU(k *sim.Kernel, cfg *config.Config, hier *cache.Hierarchy, chain *hmc
 }
 
 // IssueEvent starts execution of a PEI issued by core. When the PEI
-// retires its Output field holds the output operand, and done runs.
+// retires its Output field holds the output operand, and done runs. The
+// PMU reads nothing of p after done: the issuer may recycle the record
+// from then on.
 func (p *PMU) IssueEvent(core int, pei *PEI, done sim.Cont) {
 	if err := pei.Validate(); err != nil {
 		panic(err)
@@ -379,8 +381,7 @@ func (p *PMU) AtVault(dt *hmc.Txn) {
 }
 
 func (p *PMU) vaultComputed(t *peiTxn) {
-	pei := t.pei
-	pei.Output = Execute(pei.Op, p.store, pei.Target, pei.Input)
+	t.pei.Execute(p.store)
 	dt := t.dt
 	if t.writer {
 		// Posted write: the vault's DRAM controller schedules a PEI's

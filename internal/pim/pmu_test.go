@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"math"
 	"testing"
 
 	"pimsim/internal/addr"
@@ -200,7 +201,7 @@ func TestLocalityAwareHotBlockGoesToHost(t *testing.T) {
 		r.hier.AccessEvent(0, a, false, sim.Cont{})
 		r.k.Run()
 	}
-	r.issueAndRun(t, &PEI{Op: OpFloatAdd, Target: a, Input: F64Input(1.0)})
+	r.issueAndRun(t, &PEI{Op: OpFloatAdd, Target: a, Input: word(math.Float64bits(1.0))})
 	if r.reg.Get("pei.host") != 1 {
 		t.Fatal("hot block PEI should run on host")
 	}
@@ -247,7 +248,7 @@ func TestOutputOperandDelivered(t *testing.T) {
 	r := newRig(t, PIMOnly, nil)
 	b := r.store.Alloc(64, 64)
 	r.store.WriteU64(b+HashBucketKeyOff, 42)
-	p := &PEI{Op: OpHashProbe, Target: b, Input: U64Input(42)}
+	p := &PEI{Op: OpHashProbe, Target: b, Input: word(42)}
 	r.issueAndRun(t, p)
 	if len(p.Output) != 9 || p.Output[0] != 1 {
 		t.Fatalf("output = %v, want match", p.Output)

@@ -62,7 +62,7 @@ func (w *atf) Streams(m *machine.Machine) []cpu.Stream {
 				off := w.gm.G.Offsets[v]
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
-					q.PushPEI(&pim.PEI{Op: pim.OpInc64, Target: w.counters.Addr(int(succ))})
+					q.PushPEI(pim.OpInc64, w.counters.Addr(int(succ)), 0, 0)
 				}
 			},
 		}

@@ -90,11 +90,7 @@ func (w *bfs) Streams(m *machine.Machine) []cpu.Stream {
 				off := w.gm.G.Offsets[v]
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
-					q.PushPEI(&pim.PEI{
-						Op:     pim.OpMin64,
-						Target: w.level.Addr(int(succ)),
-						Input:  pim.U64Input(uint64(round) + 1),
-					})
+					q.PushPEI(pim.OpMin64, w.level.Addr(int(succ)), uint64(round)+1, 0)
 				}
 			},
 		}

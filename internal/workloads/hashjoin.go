@@ -135,7 +135,7 @@ func (w *hashjoin) Streams(m *machine.Machine) []cpu.Stream {
 		w.insert(m.Store, w.rKey(i))
 	}
 	w.initPhases(1, nil)
-	// The match counter lives host-side (PEI completion callbacks), so it
+	// The match counter lives host-side (the streams' Sink), so it
 	// must ride in the snapshot alongside the machine state.
 	w.snapExtra = func(c *snap.Coder) { c.I64(&w.hits) }
 	streams := make([]cpu.Stream, w.p.Threads)
@@ -151,19 +151,21 @@ func (w *hashjoin) Streams(m *machine.Machine) []cpu.Stream {
 				q.PushCompute(2) // hash computation
 				chain, _ := w.chainFor(key)
 				for _, bucket := range chain {
-					p := &pim.PEI{Op: pim.OpHashProbe, Target: bucket, Input: pim.U64Input(key)}
-					p.Done = func() {
-						if p.Output[0] == 1 {
-							w.hits++
-						}
-					}
-					q.PushPEI(p)
+					q.PushPEI(pim.OpHashProbe, bucket, key, 0)
 				}
 			},
 		}
 		streams[t] = w.addDriver(d).stream()
+		streams[t].Sink = w
 	}
 	return streams
+}
+
+// PEIDone counts the probes that found their key.
+func (w *hashjoin) PEIDone(p *pim.PEI) {
+	if p.Output[0] == 1 {
+		w.hits++
+	}
 }
 
 // Verify walks every probe's chain for the golden match count. The

@@ -30,7 +30,7 @@ type histogram struct {
 	n        int
 	dataBase uint64
 	bins     memlayout.U64Array
-	local    [][]uint64 // per-thread accumulators
+	local    binCounts
 	golden   []uint64
 }
 
@@ -68,27 +68,28 @@ func (w *histogram) buildData(m *machine.Machine) {
 		w.golden[v>>histShift]++
 	}
 	w.bins = m.Store.AllocU64Array(histBins)
-	w.local = make([][]uint64, w.p.Threads)
+	w.local = make(binCounts, w.p.Threads)
 	for t := range w.local {
 		w.local[t] = make([]uint64, histBins)
 	}
 }
 
-// newHistBinPEI builds the histogram-bin-index PEI for one block.
-func newHistBinPEI(blockAddr uint64) *pim.PEI {
-	return &pim.PEI{Op: pim.OpHistBin, Target: blockAddr, Input: []byte{histShift}}
+// binCounts holds per-thread bin accumulators (shared with RP). As a
+// stream's Sink it adds a retired bin-index PEI's 16 bins to the row of
+// the thread its tag names.
+type binCounts [][]uint64
+
+func (b binCounts) PEIDone(p *pim.PEI) {
+	acc := b[p.Tag]
+	for _, bin := range p.Output {
+		acc[bin]++
+	}
 }
 
-// histPEI emits the bin-index PEI for the 16-integer block starting at
-// element base, accumulating into acc.
-func histPEI(q *cpu.Queue, blockAddr uint64, acc []uint64) {
-	p := newHistBinPEI(blockAddr)
-	p.Done = func() {
-		for _, bin := range p.Output {
-			acc[bin]++
-		}
-	}
-	q.PushPEI(p)
+// histPEI emits the bin-index PEI for the 16-integer block at blockAddr,
+// tagged with the thread whose accumulator its bins feed.
+func histPEI(q *cpu.Queue, blockAddr uint64, tid int) {
+	q.PushPEI(pim.OpHistBin, blockAddr, histShift, uint32(tid))
 }
 
 func (w *histogram) Streams(m *machine.Machine) []cpu.Stream {
@@ -109,7 +110,7 @@ func (w *histogram) Streams(m *machine.Machine) []cpu.Stream {
 			drain:   true,
 			items:   hi - lo,
 			perItem: func(q *cpu.Queue, _, i int) {
-				histPEI(q, w.dataBase+uint64((lo+i)*16*4), w.local[tid])
+				histPEI(q, w.dataBase+uint64((lo+i)*16*4), tid)
 			},
 			afterRounds: func(q *cpu.Queue) {
 				// Merge thread-local counts into the shared bins with
@@ -123,6 +124,7 @@ func (w *histogram) Streams(m *machine.Machine) []cpu.Stream {
 			},
 		}
 		streams[t] = w.addDriver(d).stream()
+		streams[t].Sink = w.local
 	}
 	return streams
 }

@@ -27,7 +27,7 @@ type radix struct {
 	// offsets[t][b] is where thread t writes its next element of bin b
 	// (global prefix sums plus per-thread skew), recomputed per pass.
 	offsets   [][]int
-	local     [][]uint64
+	local     binCounts
 	goldenDst []uint32
 	value     func(i int) uint32
 }
@@ -66,7 +66,7 @@ func (w *radix) Streams(m *machine.Machine) []cpu.Stream {
 	// Golden: stable partition with threads writing their contiguous
 	// input slices into per-bin regions, thread-major within each bin.
 	w.offsets = make([][]int, w.p.Threads)
-	w.local = make([][]uint64, w.p.Threads)
+	w.local = make(binCounts, w.p.Threads)
 	perThreadBin := make([][]uint64, w.p.Threads)
 	totalBlocks := w.n / 16
 	for t := 0; t < w.p.Threads; t++ {
@@ -138,7 +138,7 @@ func (w *radix) Streams(m *machine.Machine) []cpu.Stream {
 			perItem: func(q *cpu.Queue, round, i int) {
 				blockBase := w.dataBase + uint64(lo+i*16)*4
 				if round%2 == 0 {
-					histPEI(q, blockBase, w.local[tid])
+					histPEI(q, blockBase, tid)
 					return
 				}
 				// Scatter: re-read the block, then store each element to
@@ -156,6 +156,7 @@ func (w *radix) Streams(m *machine.Machine) []cpu.Stream {
 			},
 		}
 		streams[t] = w.addDriver(d).stream()
+		streams[t].Sink = w.local
 	}
 	return streams
 }

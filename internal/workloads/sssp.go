@@ -96,11 +96,7 @@ func (w *sssp) Streams(m *machine.Machine) []cpu.Stream {
 				off := w.gm.G.Offsets[v]
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
-					q.PushPEI(&pim.PEI{
-						Op:     pim.OpMin64,
-						Target: w.dist.Addr(int(succ)),
-						Input:  pim.U64Input(dv + edgeWeight(v, succ)),
-					})
+					q.PushPEI(pim.OpMin64, w.dist.Addr(int(succ)), dv+edgeWeight(v, succ), 0)
 				}
 			},
 		}

@@ -8,6 +8,7 @@ import (
 	"pimsim/internal/addr"
 	"pimsim/internal/cpu"
 	"pimsim/internal/machine"
+	"pimsim/internal/pim"
 	"pimsim/internal/snap"
 )
 
@@ -26,10 +27,11 @@ type streamcluster struct {
 	pointBase             uint64
 	centerVecs            [][]float32
 
-	// partial[p][c][ch] holds chunk distances, folded in chunk order at
-	// Verify so float summation matches the golden implementation.
-	partial [][][]float32
-	golden  []int
+	// partial[(p*centers+c)*chunks+ch] holds point p's chunk-ch distance
+	// to center c, written by the streams' Sink under that index as tag
+	// and folded in chunk order at Verify so float summation matches the
+	// golden implementation.
+	partial []float32
 }
 
 func newStreamcluster(p Params) *streamcluster { return &streamcluster{p: p} }
@@ -83,50 +85,27 @@ func (w *streamcluster) Streams(m *machine.Machine) []cpu.Stream {
 		w.centerVecs[c] = vec
 	}
 
-	// Golden assignment: nearest center per point, accumulating exactly
-	// as the PEI does (float32, per-16-dim chunk) so results are
-	// bit-identical.
-	w.golden = make([]int, w.points)
-	for p := 0; p < w.points; p++ {
-		best := 0
-		dists := make([]float32, w.centers)
-		for c := range w.centerVecs {
-			var total float32
-			for ch := 0; ch < chunks; ch++ {
-				var sum float32
-				for d := 0; d < 16; d++ {
-					diff := w.coord(p, ch*16+d) - w.centerVecs[c][ch*16+d]
-					sum += diff * diff
-				}
-				total += sum
+	// The center chunks are the PEIs' vector operands, encoded once:
+	// vectors[c*chunks+ch] is center c's chunk ch.
+	vectors := make([][]byte, w.centers*chunks)
+	enc := make([]byte, len(vectors)*64)
+	for c := range w.centerVecs {
+		for ch := 0; ch < chunks; ch++ {
+			vec := enc[(c*chunks+ch)*64:][:64]
+			for d := 0; d < 16; d++ {
+				binary.LittleEndian.PutUint32(vec[d*4:], math.Float32bits(w.centerVecs[c][ch*16+d]))
 			}
-			dists[c] = total
+			vectors[c*chunks+ch] = vec
 		}
-		for k := 1; k < w.centers; k++ {
-			if dists[k] < dists[best] {
-				best = k
-			}
-		}
-		w.golden[p] = best
 	}
 
-	w.partial = make([][][]float32, w.points)
-	for p := range w.partial {
-		w.partial[p] = make([][]float32, w.centers)
-		for c := range w.partial[p] {
-			w.partial[p][c] = make([]float32, chunks)
-		}
-	}
+	w.partial = make([]float32, w.points*w.centers*chunks)
 	w.initPhases(w.centers, nil)
-	// The chunk distances live host-side (PEI completion callbacks);
-	// the shape is deterministic, so values stream without lengths.
+	// The chunk distances live host-side (the streams' Sink); the shape
+	// is deterministic, so values stream without lengths.
 	w.snapExtra = func(c *snap.Coder) {
-		for _, pc := range w.partial {
-			for _, cs := range pc {
-				for i := range cs {
-					c.F32(&cs[i])
-				}
-			}
+		for i := range w.partial {
+			c.F32(&w.partial[i])
 		}
 	}
 	streams := make([]cpu.Stream, w.p.Threads)
@@ -144,41 +123,64 @@ func (w *streamcluster) Streams(m *machine.Machine) []cpu.Stream {
 			perItem: func(q *cpu.Queue, c, i int) {
 				p := lo + i
 				for ch := 0; ch < chunks; ch++ {
-					input := make([]byte, 64)
-					for d := 0; d < 16; d++ {
-						binary.LittleEndian.PutUint32(input[d*4:],
-							math.Float32bits(w.centerVecs[c][ch*16+d]))
-					}
-					pei := newEuclidPEI(w.pointAddr(p, ch), input)
-					cc, cch := c, ch
-					pei.Done = func() {
-						w.partial[p][cc][cch] = math.Float32frombits(binary.LittleEndian.Uint32(pei.Output))
-					}
-					q.PushPEI(pei)
+					tag := (p*w.centers+c)*chunks + ch
+					q.PushPEI(pim.OpEuclideanDist, w.pointAddr(p, ch), uint64(c*chunks+ch), uint32(tag))
 				}
 				q.PushCompute(4) // running-min bookkeeping
 			},
 		}
 		streams[t] = w.addDriver(d).stream()
+		streams[t].Sink = w
+		streams[t].Vectors = vectors
 	}
 	return streams
 }
 
+// PEIDone stores a chunk distance under its tag.
+func (w *streamcluster) PEIDone(p *pim.PEI) {
+	w.partial[p.Tag] = math.Float32frombits(binary.LittleEndian.Uint32(p.Output))
+}
+
+// Verify computes the golden assignment — nearest center per point,
+// accumulated exactly as the PEI does (float32, per-16-dim chunk) so
+// results are bit-identical — here rather than at build, so
+// budget-limited runs, which never verify, do not pay for it.
 func (w *streamcluster) Verify(m *machine.Machine) error {
-	for p := range w.golden {
+	chunks := w.dims / 16
+	dists := make([]float32, w.centers)
+	for p := 0; p < w.points; p++ {
+		for c := range w.centerVecs {
+			var total float32
+			for ch := 0; ch < chunks; ch++ {
+				var sum float32
+				for d := 0; d < 16; d++ {
+					diff := w.coord(p, ch*16+d) - w.centerVecs[c][ch*16+d]
+					sum += diff * diff
+				}
+				total += sum
+			}
+			dists[c] = total
+		}
+		want := 0
+		for k := 1; k < w.centers; k++ {
+			if dists[k] < dists[want] {
+				want = k
+			}
+		}
+
 		best := 0
 		var bestDist float32
-		for c := range w.partial[p] {
+		for c := 0; c < w.centers; c++ {
 			var total float32
-			for _, s := range w.partial[p][c] {
+			for _, s := range w.partial[(p*w.centers+c)*chunks:][:chunks] {
 				total += s
 			}
 			if c == 0 || total < bestDist {
 				best, bestDist = c, total
 			}
 		}
-		if best != w.golden[p] {
-			return fmt.Errorf("sc: point %d assigned to center %d, want %d", p, best, w.golden[p])
+		if best != want {
+			return fmt.Errorf("sc: point %d assigned to center %d, want %d", p, best, want)
 		}
 	}
 	return nil

@@ -12,11 +12,6 @@ import (
 	"pimsim/internal/snap"
 )
 
-// newEuclidPEI builds the 16-dim single-precision distance PEI (SC).
-func newEuclidPEI(target uint64, input []byte) *pim.PEI {
-	return &pim.PEI{Op: pim.OpEuclideanDist, Target: target, Input: input}
-}
-
 // svm is SVM-RFE of §5.3: the kernel computes dot products between one
 // hyperplane vector w (hot, register/cache resident) and a large number
 // of input vectors x_i (streamed). Every 4-dimension double-precision
@@ -36,12 +31,11 @@ type svm struct {
 	xBase               uint64
 	wVec                []float64
 
-	// partials[i][c] is instance i's chunk-c dot product, filled by PEI
-	// completion callbacks and folded in chunk order at Verify (so the
-	// summation order matches the golden implementation regardless of
-	// PEI completion order).
-	partials [][]float64
-	golden   []float64
+	// partials[i*features/4+c] is instance i's chunk-c dot product,
+	// written by the streams' Sink under that index as tag and folded in
+	// chunk order at Verify (so the summation order matches the golden
+	// implementation regardless of PEI completion order).
+	partials []float64
 }
 
 func newSVM(p Params) *svm { return &svm{p: p} }
@@ -87,32 +81,24 @@ func (w *svm) Streams(m *machine.Machine) []cpu.Stream {
 		w.wVec[f] = float64(int64(uint64(f)*0x9E3779B97F4A7C15%512)-256) / 128.0
 	}
 
-	// Golden dot products, accumulated exactly as the PEIs do (4-dim
-	// chunks in order).
-	w.golden = make([]float64, w.instances)
-	for i := range w.golden {
-		var total float64
-		for c := 0; c < w.features/4; c++ {
-			var sum float64
-			for d := 0; d < 4; d++ {
-				f := c*4 + d
-				sum += w.x(i, f) * w.wVec[f]
-			}
-			total += sum
+	// The w chunks are the PEIs' vector operands, encoded once:
+	// vectors[c] is chunk c.
+	chunks := w.features / 4
+	vectors := make([][]byte, chunks)
+	enc := make([]byte, chunks*32)
+	for c := range vectors {
+		vec := enc[c*32:][:32]
+		for d := 0; d < 4; d++ {
+			binary.LittleEndian.PutUint64(vec[d*8:], math.Float64bits(w.wVec[c*4+d]))
 		}
-		w.golden[i] = total
+		vectors[c] = vec
 	}
 
-	w.partials = make([][]float64, w.instances)
-	for i := range w.partials {
-		w.partials[i] = make([]float64, w.features/4)
-	}
+	w.partials = make([]float64, w.instances*chunks)
 	w.initPhases(1, nil)
 	w.snapExtra = func(c *snap.Coder) {
-		for _, row := range w.partials {
-			for i := range row {
-				c.F64(&row[i])
-			}
+		for i := range w.partials {
+			c.F64(&w.partials[i])
 		}
 	}
 	streams := make([]cpu.Stream, w.p.Threads)
@@ -125,39 +111,45 @@ func (w *svm) Streams(m *machine.Machine) []cpu.Stream {
 			items:  hi - lo,
 			perItem: func(q *cpu.Queue, _, i int) {
 				inst := lo + i
-				for c := 0; c < w.features/4; c++ {
-					input := make([]byte, 32)
-					for d := 0; d < 4; d++ {
-						binary.LittleEndian.PutUint64(input[d*8:],
-							math.Float64bits(w.wVec[c*4+d]))
-					}
-					pei := &pim.PEI{
-						Op:     pim.OpDotProduct,
-						Target: w.xAddr(inst, c*4),
-						Input:  input,
-					}
-					cc := c
-					pei.Done = func() {
-						w.partials[inst][cc] = math.Float64frombits(binary.LittleEndian.Uint64(pei.Output))
-					}
-					q.PushPEI(pei)
+				for c := 0; c < chunks; c++ {
+					q.PushPEI(pim.OpDotProduct, w.xAddr(inst, c*4), uint64(c), uint32(inst*chunks+c))
 				}
 				q.PushCompute(2)
 			},
 		}
 		streams[t] = w.addDriver(d).stream()
+		streams[t].Sink = w
+		streams[t].Vectors = vectors
 	}
 	return streams
 }
 
+// PEIDone stores a chunk's dot product under its tag.
+func (w *svm) PEIDone(p *pim.PEI) {
+	w.partials[p.Tag] = math.Float64frombits(binary.LittleEndian.Uint64(p.Output))
+}
+
+// Verify computes the golden dot products — accumulated exactly as the
+// PEIs do, 4-dim chunks in order — here rather than at build, so
+// budget-limited runs, which never verify, do not pay for them.
 func (w *svm) Verify(m *machine.Machine) error {
-	for i := range w.golden {
+	chunks := w.features / 4
+	for i := 0; i < w.instances; i++ {
+		var want float64
+		for c := 0; c < chunks; c++ {
+			var sum float64
+			for d := 0; d < 4; d++ {
+				f := c*4 + d
+				sum += w.x(i, f) * w.wVec[f]
+			}
+			want += sum
+		}
 		var dot float64
-		for _, p := range w.partials[i] {
+		for _, p := range w.partials[i*chunks:][:chunks] {
 			dot += p
 		}
-		if dot != w.golden[i] {
-			return fmt.Errorf("svm: dot[%d] = %g, want %g", i, dot, w.golden[i])
+		if dot != want {
+			return fmt.Errorf("svm: dot[%d] = %g, want %g", i, dot, want)
 		}
 	}
 	return nil

@@ -83,11 +83,7 @@ func (w *wcc) Streams(m *machine.Machine) []cpu.Stream {
 				off := w.gm.G.Offsets[v]
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
-					q.PushPEI(&pim.PEI{
-						Op:     pim.OpMin64,
-						Target: w.label.Addr(int(succ)),
-						Input:  pim.U64Input(lv),
-					})
+					q.PushPEI(pim.OpMin64, w.label.Addr(int(succ)), lv, 0)
 				}
 			},
 		}

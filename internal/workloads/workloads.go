@@ -11,7 +11,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"pimsim/internal/cpu"
 	"pimsim/internal/graph"
@@ -98,9 +97,9 @@ type Workload interface {
 	// A run can be cut at superstep boundaries for checkpointing.
 	// Between phases the machine drains to quiescence; Snap then
 	// captures the only state that lives outside the simulated machine —
-	// the generators' positions and any host-side accumulators PEI
-	// completion callbacks write into. Every workload gets these methods
-	// by embedding phaseCtl (phase.go).
+	// the generators' positions and any host-side accumulators the
+	// streams' Sinks write retired PEIs' outputs into. Every workload
+	// gets these methods by embedding phaseCtl (phase.go).
 
 	// Rounds reports the total number of supersteps the workload runs.
 	Rounds() int
@@ -233,7 +232,7 @@ func (d *roundDriver) Fill(q *cpu.Queue) bool {
 			q.Push(cpu.Op{Kind: cpu.OpDrain})
 		}
 		if d.barrier != nil {
-			q.Push(cpu.Op{Kind: cpu.OpBarrier, Barrier: d.barrier})
+			q.Push(cpu.Op{Kind: cpu.OpBarrier})
 		}
 		q.PushFence()
 		d.pos = 0
@@ -242,11 +241,11 @@ func (d *roundDriver) Fill(q *cpu.Queue) bool {
 	return true
 }
 
-func (d *roundDriver) stream() cpu.Stream {
+func (d *roundDriver) stream() *cpu.Queue {
 	if d.budget != nil && *d.budget <= 0 {
 		d.budget = nil // zero or negative initial budget means unlimited
 	}
-	return &cpu.Queue{Fill: d.Fill}
+	return &cpu.Queue{Fill: d.Fill, Barrier: d.barrier}
 }
 
 // approxEqual compares floats with a tolerance scaled to magnitude, for
@@ -272,11 +271,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// sortedCopy returns a sorted copy of xs (verification helper).
-func sortedCopy(xs []uint64) []uint64 {
-	c := append([]uint64(nil), xs...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c
 }

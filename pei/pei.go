@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"pimsim/internal/config"
@@ -54,9 +55,6 @@ const (
 // Result summarizes a run (cycles, PEI steering, off-chip traffic,
 // energy).
 type Result = machine.Result
-
-// Stream is a per-core op stream.
-type Stream = cpu.Stream
 
 // BaselineConfig returns the paper's Table 2 machine; ScaledConfig a
 // laptop-scale variant with proportionally smaller caches.
@@ -93,16 +91,21 @@ func (s *System) WriteU64(a uint64, v uint64)  { s.M.Store.WriteU64(a, v) }
 func (s *System) ReadF64(a uint64) float64     { return s.M.Store.ReadF64(a) }
 func (s *System) WriteF64(a uint64, v float64) { s.M.Store.WriteF64(a, v) }
 
-// Run executes the given streams, one per core, to completion.
+// Run executes the given programs, one per core, to completion.
 //
 //peilint:allow ctxfirst compat wrapper; delegates to RunContext with context.Background
-func (s *System) Run(streams ...Stream) (Result, error) {
-	return s.RunContext(context.Background(), streams...)
+func (s *System) Run(progs ...*Program) (Result, error) {
+	return s.RunContext(context.Background(), progs...)
 }
 
 // RunContext is Run with cancellation: the simulation aborts and returns
 // ctx.Err() promptly once ctx is done.
-func (s *System) RunContext(ctx context.Context, streams ...Stream) (Result, error) {
+func (s *System) RunContext(ctx context.Context, progs ...*Program) (Result, error) {
+	streams := make([]cpu.Stream, len(progs))
+	for i, p := range progs {
+		p.q.Sink = p
+		streams[i] = &p.q
+	}
 	return s.M.RunContext(ctx, streams)
 }
 
@@ -110,9 +113,11 @@ func (s *System) RunContext(ctx context.Context, streams ...Stream) (Result, err
 func (s *System) Summary() string { return s.M.PMU.Summary() }
 
 // Program is a convenience builder for hand-written PEI streams: it
-// records operations and plays them back as a Stream.
+// records operations and plays them back on one core.
 type Program struct {
 	q cpu.Queue
+	// done[i] is the callback of the PEI tagged i+1 (tag 0: none).
+	done []func(output []byte)
 }
 
 // NewProgram returns an empty program.
@@ -129,33 +134,44 @@ func (p *Program) Compute(cycles int64) { p.q.PushCompute(cycles) }
 // word at target. The word is read and written as float64 bits; for
 // integer counters use AtomicInc or AtomicMin.
 func (p *Program) AtomicAdd(target uint64, delta float64) {
-	p.q.PushPEI(&pim.PEI{Op: pim.OpFloatAdd, Target: target, Input: pim.F64Input(delta)})
+	p.q.PushPEI(pim.OpFloatAdd, target, math.Float64bits(delta), 0)
 }
 
 // AtomicInc emits the 8-byte integer increment PEI.
 func (p *Program) AtomicInc(target uint64) {
-	p.q.PushPEI(&pim.PEI{Op: pim.OpInc64, Target: target})
+	p.q.PushPEI(pim.OpInc64, target, 0, 0)
 }
 
 // AtomicMin emits the 8-byte integer min PEI.
 func (p *Program) AtomicMin(target uint64, v uint64) {
-	p.q.PushPEI(&pim.PEI{Op: pim.OpMin64, Target: target, Input: pim.U64Input(v)})
+	p.q.PushPEI(pim.OpMin64, target, v, 0)
 }
 
-// PEI emits an arbitrary PIM-enabled instruction.
+// PEI emits an arbitrary PIM-enabled instruction. input must have the
+// op's Table 1 size; a wrong size panics when the PEI issues. done, if
+// set, runs when the PEI retires and receives a copy of the output
+// operand.
 func (p *Program) PEI(op pim.OpKind, target uint64, input []byte, done func(output []byte)) {
-	pe := &pim.PEI{Op: op, Target: target, Input: input}
+	var tag uint32
 	if done != nil {
-		pe.Done = func() { done(pe.Output) }
+		p.done = append(p.done, done)
+		tag = uint32(len(p.done))
 	}
-	p.q.PushPEI(pe)
+	p.q.Vectors = append(p.q.Vectors, input)
+	p.q.Push(cpu.Op{Kind: cpu.OpPEIVec, PEIOp: op, Tag: tag, Addr: target, N: uint64(len(p.q.Vectors) - 1)})
+}
+
+// PEIDone implements cpu.Sink: it hands a retired PEI's output to the
+// callback its tag names. The record is recycled after retire, so the
+// callback gets a copy.
+func (p *Program) PEIDone(pe *pim.PEI) {
+	if pe.Tag != 0 {
+		p.done[pe.Tag-1](append([]byte(nil), pe.Output...))
+	}
 }
 
 // Fence emits a pfence.
 func (p *Program) Fence() { p.q.PushFence() }
-
-// Next implements Stream.
-func (p *Program) Next() (cpu.Op, bool) { return p.q.Next() }
 
 // Workload names and sizes (re-exported).
 var WorkloadNames = workloads.Names

@@ -3,6 +3,8 @@ package pei
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,7 +52,7 @@ func TestProgramAllOps(t *testing.T) {
 	prog.AtomicMin(a+8, 7)
 	prog.Store(a + 16)
 	var probed []byte
-	prog.PEI(pim.OpHashProbe, a, pim.U64Input(999), func(out []byte) { probed = out })
+	prog.PEI(pim.OpHashProbe, a, binary.LittleEndian.AppendUint64(nil, 999), func(out []byte) { probed = out })
 	prog.Fence()
 	if _, err := sys.Run(prog); err != nil {
 		t.Fatal(err)
@@ -64,6 +66,49 @@ func TestProgramAllOps(t *testing.T) {
 	if len(probed) != 9 {
 		t.Fatalf("probe output %v", probed)
 	}
+}
+
+// TestProgramPEIOutputs checks that each PEI callback gets its own copy
+// of the output operand (the record behind it is recycled at retire),
+// and that an operand of the wrong size panics when the PEI issues.
+func TestProgramPEIOutputs(t *testing.T) {
+	sys, err := NewSystem(ScaledConfig(), HostOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sys.Alloc(64, 64)
+	sys.WriteU64(a+pim.HashBucketKeyOff, 42)
+	sys.WriteU64(a+pim.HashBucketNextOff, 0x1000)
+	prog := NewProgram()
+	outs := make([][]byte, 8)
+	for i := range outs {
+		key := uint64(999)
+		if i%2 == 0 {
+			key = 42
+		}
+		prog.PEI(pim.OpHashProbe, a, binary.LittleEndian.AppendUint64(nil, key), func(out []byte) { outs[i] = out })
+	}
+	if _, err := sys.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range outs {
+		if len(out) != 9 || out[0] != byte(1-i%2) || binary.LittleEndian.Uint64(out[1:]) != 0x1000 {
+			t.Fatalf("probe %d output %v, want match=%d next=0x1000", i, out, 1-i%2)
+		}
+	}
+
+	fresh, err := NewSystem(ScaledConfig(), HostOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := NewProgram()
+	bad.PEI(pim.OpHashProbe, a, []byte{1, 2, 3}, nil)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "input operand 3 bytes") {
+			t.Fatalf("wrong-size operand: recovered %v, want an operand-size panic", r)
+		}
+	}()
+	fresh.Run(bad)
 }
 
 func TestRunWorkloadWithVerify(t *testing.T) {
