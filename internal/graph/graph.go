@@ -7,8 +7,10 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
+	"math"
+	"runtime"
+	"sort"
+	"sync"
 )
 
 // Graph is a directed graph in CSR form.
@@ -35,7 +37,8 @@ func (g *Graph) Successors(v int) []int32 {
 
 // FromEdgeList builds a CSR graph from (src, dst) pairs. Vertices are
 // 0..n-1; edges keep duplicates (multi-edges occur in real crawls too)
-// but are sorted per source for locality.
+// but are sorted per source for locality. The graph's Edges reuse dst's
+// storage, so the caller must not use dst once it returns a graph.
 func FromEdgeList(n int, src, dst []int32) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -43,26 +46,167 @@ func FromEdgeList(n int, src, dst []int32) (*Graph, error) {
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: src/dst length mismatch %d/%d", len(src), len(dst))
 	}
-	g := &Graph{Offsets: make([]int64, n+1), Edges: make([]int32, len(src))}
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges exceed the limit of %d", len(src), math.MaxInt32)
+	}
 	for i, s := range src {
 		if int(s) >= n || s < 0 || int(dst[i]) >= n || dst[i] < 0 {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", s, dst[i], n)
 		}
-		g.Offsets[s+1]++
 	}
-	for v := 0; v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
+	return csr(n, src, dst), nil
+}
+
+// csr builds the CSR graph of the valid edges (src[i], dst[i]) with two
+// stable counting scatters, by destination and then by source, so each
+// successor list comes out ascending in O(n+m). Edges reuses dst's
+// storage. Each scatter splits its input into contiguous parts, one per
+// worker, and a worker's cursors start after every earlier part's, so
+// the output does not depend on the worker count.
+func csr(n int, src, dst []int32) *Graph {
+	m := len(src)
+	w := min(runtime.GOMAXPROCS(0), max(1, m/csrGrain))
+	// One scratch block: the sources in destination order, then w+1 rows
+	// of n per-worker counters (m < 2^31, so int32 holds any position).
+	scratch := make([]int32, m+(w+1)*n)
+	b := csrBuild{
+		n: n, w: w, src: src, dst: dst,
+		byDst:   scratch[:m],
+		rows:    scratch[m:],
+		offsets: make([]int64, n+1),
 	}
-	cursor := make([]int64, n)
-	copy(cursor, g.Offsets[:n])
-	for i, s := range src {
-		g.Edges[cursor[s]] = dst[i]
-		cursor[s]++
+	// Pass 1 counts and scatters by destination on rows 1..w; the last
+	// row's cursors then end each destination's run: b.ends.
+	parallel(w, b, csrBuild.countDst)
+	b.cursors(1, nil)
+	parallel(w, b, csrBuild.scatterDst)
+	// Pass 2 walks the destination runs in order on rows 0..w-1, which
+	// leaves b.ends alone, and scatters each source into dst's storage.
+	parallel(w, b, csrBuild.countSrc)
+	b.cursors(0, b.offsets)
+	parallel(w, b, csrBuild.scatterSrc)
+	return &Graph{Offsets: b.offsets, Edges: dst}
+}
+
+// csrGrain is the fewest edges per csr worker: below it, starting a
+// goroutine costs more than its share of the scatter saves.
+const csrGrain = 1 << 16
+
+// csrBuild is one csr call's state. Its phases take it by value, so a
+// one-worker build, which runs them inline, keeps it on the stack.
+type csrBuild struct {
+	n, w     int
+	src, dst []int32
+	byDst    []int32
+	rows     []int32
+	offsets  []int64
+}
+
+// row returns counter row r.
+func (b csrBuild) row(r int) []int32 { return b.rows[r*b.n : (r+1)*b.n] }
+
+// ends is where each destination's run in byDst ends.
+func (b csrBuild) ends() []int32 { return b.row(b.w) }
+
+// part is worker i's share [lo, hi) of m items.
+func (b csrBuild) part(i, m int) (lo, hi int) { return i * m / b.w, (i + 1) * m / b.w }
+
+func (b csrBuild) countDst(i int) {
+	cnt := b.row(1 + i)
+	lo, hi := b.part(i, len(b.dst))
+	for _, v := range b.dst[lo:hi] {
+		cnt[v]++
 	}
-	for v := 0; v < n; v++ {
-		slices.Sort(g.Edges[g.Offsets[v]:g.Offsets[v+1]])
+}
+
+func (b csrBuild) scatterDst(i int) {
+	cur := b.row(1 + i)
+	lo, hi := b.part(i, len(b.dst))
+	for j, v := range b.dst[lo:hi] {
+		b.byDst[cur[v]] = b.src[lo+j]
+		cur[v]++
 	}
-	return g, nil
+}
+
+// dstShare returns worker i's share [lo, hi) of byDst and the
+// destination of byDst[lo].
+func (b csrBuild) dstShare(i int) (lo, hi int, v int32) {
+	lo, hi = b.part(i, len(b.byDst))
+	ends := b.ends()
+	return lo, hi, int32(sort.Search(b.n, func(v int) bool { return int(ends[v]) > lo }))
+}
+
+func (b csrBuild) countSrc(i int) {
+	cnt := b.row(i)
+	clear(cnt)
+	ends := b.ends()
+	lo, hi, v := b.dstShare(i)
+	for p := lo; p < hi; v++ {
+		end := min(int(ends[v]), hi)
+		for _, s := range b.byDst[p:end] {
+			cnt[s]++
+		}
+		p = end
+	}
+}
+
+func (b csrBuild) scatterSrc(i int) {
+	cur := b.row(i)
+	ends := b.ends()
+	lo, hi, v := b.dstShare(i)
+	for p := lo; p < hi; v++ {
+		end := min(int(ends[v]), hi)
+		for _, s := range b.byDst[p:end] {
+			b.dst[cur[s]] = v
+			cur[s]++
+		}
+		p = end
+	}
+}
+
+// cursors turns the counts in rows first..first+w-1 into scatter
+// cursors: worker i's cursor for vertex v starts after the items of
+// every smaller vertex and of every earlier worker's v. If offsets is
+// not nil it receives the run boundaries.
+func (b csrBuild) cursors(first int, offsets []int64) {
+	rows := b.rows[first*b.n : (first+b.w)*b.n]
+	run := int32(0)
+	for v := 0; v < b.n; v++ {
+		if offsets != nil {
+			offsets[v] = int64(run)
+		}
+		for r := v; r < len(rows); r += b.n {
+			c := rows[r]
+			rows[r] = run
+			run += c
+		}
+	}
+	if offsets != nil {
+		offsets[b.n] = int64(run)
+	}
+}
+
+// parallel runs f(b, 0), ..., f(b, w-1) and waits for them: on w
+// goroutines when w > 1, inline otherwise.
+func parallel(w int, b csrBuild, f func(csrBuild, int)) {
+	if w == 1 {
+		f(b, 0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for i := range w {
+		go runPart(f, b, i, &wg)
+	}
+	wg.Wait()
+}
+
+// runPart is one of parallel's goroutines. It gets b as an argument,
+// not through a closure, so that b never escapes and the inline path
+// allocates nothing.
+func runPart(f func(csrBuild, int), b csrBuild, i int, wg *sync.WaitGroup) {
+	defer wg.Done()
+	f(b, i)
 }
 
 // Symmetrize returns the undirected version of g (every edge plus its
@@ -80,93 +224,9 @@ func (g *Graph) Symmetrize() *Graph {
 			dst = append(dst, int32(v))
 		}
 	}
-	sym, err := FromEdgeList(n, src, dst)
-	if err != nil {
-		panic(err) // cannot happen: inputs came from a valid graph
-	}
+	sym := csr(n, src, dst)
 	sym.Name = g.Name + "-sym"
 	return sym
-}
-
-// The Graph500 R-MAT quadrant probabilities; d = 1-a-b-c = 0.05.
-const rmatA, rmatB, rmatC = 0.57, 0.19, 0.19
-
-// RMAT draws each quadrant from a 63-bit Int63 value x exactly as
-// rand.Rand.Float64 would turn it into f = float64(x)/(1<<63) and compare
-// f with a, a+b and a+b+c. Since f is monotone in x, each comparison
-// f < p is the integer test x < threshold(p), so the generator skips the
-// float conversion and the three-way branch yet stays bit-identical to
-// the float formulation (DESIGN.md §3; pinned by TestRMATGolden).
-var (
-	rmatTA   = threshold(rmatA)
-	rmatTAB  = threshold(rmatA + rmatB)
-	rmatTABC = threshold(rmatA + rmatB + rmatC)
-	// Float64 redraws when f rounds up to 1, i.e. when x >= rmatTOne.
-	rmatTOne = threshold(1)
-)
-
-// below is Float64's comparison of the draw x against p.
-func below(x uint64, p float64) bool { return float64(x)/(1<<63) < p }
-
-// threshold returns the least x in [0, 1<<63] with !below(x, p), found
-// by binary search on the float predicate itself: x < threshold(p) holds
-// exactly when below(x, p) does.
-func threshold(p float64) uint64 {
-	lo, hi := uint64(0), uint64(1)<<63
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if below(mid, p) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// atLeast is 1 if x >= t and 0 otherwise, without a branch. It needs
-// 0 < t <= 1<<63 and x < 1<<63: t-1-x then wraps past 1<<63 exactly
-// when x >= t.
-func atLeast(x, t uint64) int { return int((t - 1 - x) >> 63) }
-
-// RMAT generates a power-law graph with the Graph500 R-MAT parameters
-// (a=0.57, b=0.19, c=0.19, d=0.05), the standard synthetic stand-in for
-// social-network graphs. n is rounded up to a power of two internally
-// for quadrant recursion, then vertices are taken modulo n so the
-// requested count is exact. Deterministic for a given seed: each level
-// of each edge consumes one rand.Rand.Float64 draw from
-// rand.NewSource(seed), and the output is pinned bit for bit.
-func RMAT(n, edges int, seed int64) *Graph {
-	if n <= 0 || edges < 0 {
-		panic("graph: bad RMAT parameters")
-	}
-	rng := rand.NewSource(seed)
-	levels := 0
-	for 1<<levels < n {
-		levels++
-	}
-	src := make([]int32, edges)
-	dst := make([]int32, edges)
-	for i := range src {
-		var s, d int
-		for l := 0; l < levels; l++ {
-			x := uint64(rng.Int63())
-			for x >= rmatTOne {
-				x = uint64(rng.Int63())
-			}
-			// Quadrants a, b, c, d set bits (s,d) = 00, 01, 10, 11.
-			sb := atLeast(x, rmatTAB)
-			s |= sb << l
-			d |= (atLeast(x, rmatTA) ^ sb ^ atLeast(x, rmatTABC)) << l
-		}
-		src[i] = int32(s % n)
-		dst[i] = int32(d % n)
-	}
-	g, err := FromEdgeList(n, src, dst)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // MaxDegreeVertex returns the vertex with the largest out-degree (used

@@ -1,10 +1,17 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // graphDigest is SHA-256 over the little-endian Offsets then Edges.
@@ -118,4 +125,248 @@ func BenchmarkRMAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchGraph = RMAT(spec.Vertices, spec.Edges, spec.Seed)
 	}
+}
+
+// TestRMATGoldenWorkers holds the golden digests at several worker
+// counts: chunks and CSR parts are fixed by the input, not the workers.
+func TestRMATGoldenWorkers(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			TestRMATGolden(t)
+		})
+	}
+}
+
+// TestLagFibMatchesSource checks the block stream against
+// rand.NewSource's own Uint64, in blocks of assorted sizes on both sides
+// of the two lags.
+func TestLagFibMatchesSource(t *testing.T) {
+	seeds := []int64{0, -1, -1 << 40, 42}
+	for _, d := range Figure2Graphs {
+		seeds = append(seeds, d.Seed)
+	}
+	for _, d := range Table3Graphs {
+		seeds = append(seeds, d.Seed, d.Seed+131)
+	}
+	blocks := []int{1, 272, 273, 274, 333, 606, 607, 608, 1000, 4096, 19 * rmatChunkEdges}
+	for _, seed := range seeds {
+		ref := rand.NewSource(seed).(rand.Source64)
+		stream := newLagFib(seed)
+		buf := make([]uint64, 19*rmatChunkEdges)
+		for drawn, i := 0, 0; drawn < 1<<20; i++ {
+			b := buf[:blocks[i%len(blocks)]]
+			stream.fill(b)
+			for j, y := range b {
+				if want := ref.Uint64(); y != want {
+					t.Fatalf("seed %d: draw %d = %#x, source gives %#x", seed, drawn+j, y, want)
+				}
+			}
+			drawn += len(b)
+		}
+	}
+}
+
+// plantedStream is a seed's stream with some draws replaced, so that
+// tests can put draws at or above rmatTOne where they choose.
+type plantedStream struct {
+	lagFib
+	next  int // index of the next draw
+	plant map[int]uint64
+}
+
+func (p *plantedStream) fill(b []uint64) {
+	p.lagFib.fill(b)
+	for i := range b {
+		if y, ok := p.plant[p.next+i]; ok {
+			b[i] = y
+		}
+	}
+	p.next += len(b)
+}
+
+// rmatReference is the generator's per-draw loop: each level takes the
+// next Int63, redrawn while it is at least rmatTOne, and sets bit l of
+// the endpoints.
+func rmatReference(n, edges int, fill func([]uint64)) (src, dst []int32) {
+	levels := 0
+	for 1<<levels < n {
+		levels++
+	}
+	next := func() uint64 {
+		var y [1]uint64
+		fill(y[:])
+		return y[0] & int63Mask
+	}
+	src, dst = make([]int32, edges), make([]int32, edges)
+	for i := range src {
+		var s, d uint64
+		for l := 0; l < levels; l++ {
+			x := next()
+			for x >= rmatTOne {
+				x = next()
+			}
+			sb := atLeast(x, rmatTAB)
+			s |= sb << l
+			d |= (atLeast(x, rmatTA) ^ sb ^ atLeast(x, rmatTABC)) << l
+		}
+		src[i], dst[i] = int32(s%uint64(n)), int32(d%uint64(n))
+	}
+	return src, dst
+}
+
+// TestRMATRedraws drives rmatEdges with draws the redraw rule rejects:
+// at and above rmatTOne, with and without the bit Int63 drops, alone and
+// in runs, at the start of the stream and across chunk boundaries.
+func TestRMATRedraws(t *testing.T) {
+	const n, edges = 1000, 5*rmatChunkEdges + 77 // 10 levels
+	top := uint64(1<<63 - 1)
+	plant := map[int]uint64{
+		0:                     rmatTOne,
+		1:                     top,
+		7:                     1<<63 | rmatTOne,
+		8:                     1<<63 | (rmatTOne - 1), // accepted: Int63 is below rmatTOne
+		10*rmatChunkEdges - 1: top,
+		10 * rmatChunkEdges:   top,
+		25*rmatChunkEdges + 3: rmatTOne + 100,
+	}
+	for i := 0; i < 40; i++ { // a run longer than an edge's draws
+		plant[30*rmatChunkEdges+i] = top - uint64(i)
+	}
+	wantSrc, wantDst := rmatReference(n, edges, (&plantedStream{lagFib: newLagFib(9), plant: plant}).fill)
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			src, dst := rmatEdges(n, edges, (&plantedStream{lagFib: newLagFib(9), plant: plant}).fill)
+			if !slices.Equal(src, wantSrc) || !slices.Equal(dst, wantDst) {
+				t.Errorf("GOMAXPROCS=%d: endpoints differ from the per-draw loop", procs)
+			}
+		}()
+	}
+	// Without plants the reference is the generator itself.
+	src, dst := rmatReference(n, edges, (&plantedStream{lagFib: newLagFib(9)}).fill)
+	g := RMAT(n, edges, 9)
+	if want := csrBySort(n, src, dst); !slices.Equal(g.Offsets, want.Offsets) || !slices.Equal(g.Edges, want.Edges) {
+		t.Error("RMAT differs from the per-draw loop")
+	}
+}
+
+// csrBySort is FromEdgeList's reference: sort the (src, dst) pairs and
+// read the CSR off them.
+func csrBySort(n int, src, dst []int32) *Graph {
+	pairs := make([][2]int32, len(src))
+	for i := range src {
+		pairs[i] = [2]int32{src[i], dst[i]}
+	}
+	slices.SortFunc(pairs, func(a, b [2]int32) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	g := &Graph{Offsets: make([]int64, n+1), Edges: make([]int32, len(pairs))}
+	for i, p := range pairs {
+		g.Offsets[p[0]+1]++
+		g.Edges[i] = p[1]
+	}
+	for v := 0; v < n; v++ {
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	return g
+}
+
+// TestFromEdgeListMatchesSort checks the counting-sort CSR against the
+// sort-based reference: random edge lists with duplicates, self-loops
+// and isolated vertices, the edge cases n=1 and m=0, and lists long
+// enough to split across workers.
+func TestFromEdgeListMatchesSort(t *testing.T) {
+	check := func(n int, src, dst []int32) bool {
+		want := csrBySort(n, src, dst)
+		g, err := FromEdgeList(n, src, slices.Clone(dst))
+		return err == nil && slices.Equal(g.Offsets, want.Offsets) && slices.Equal(g.Edges, want.Edges)
+	}
+	random := func(n, m int, r *rand.Rand) ([]int32, []int32) {
+		src, dst := make([]int32, m), make([]int32, m)
+		for i := range src {
+			src[i], dst[i] = int32(r.Intn(n)), int32(r.Intn(n))
+		}
+		return src, dst
+	}
+	f := func(nSeed uint8, pairs []uint16) bool {
+		n := 1 + int(nSeed)%70 // small n: duplicates and self-loops are common
+		src, dst := make([]int32, len(pairs)), make([]int32, len(pairs))
+		for i, p := range pairs {
+			src[i], dst[i] = int32(int(p)%n), int32(int(p>>8)%n)
+		}
+		return check(n, src, dst)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if !check(1, nil, nil) || !check(5, nil, nil) || !check(1, []int32{0, 0}, []int32{0, 0}) {
+		t.Fatal("edge case differs from the sort reference")
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, n := range []int{1, 1000, 200_000} {
+				src, dst := random(n, 4*csrGrain+3, r)
+				if !check(n, src, dst) {
+					t.Errorf("GOMAXPROCS=%d, n=%d: %d edges differ from the sort reference", procs, n, 4*csrGrain+3)
+				}
+			}
+		}()
+	}
+}
+
+// TestRMATAllocsIndependentOfSize holds the multi-worker generator to a
+// fixed set of allocations: the same count for a graph four times
+// larger, so nothing is allocated per chunk or per edge. It counts the
+// objects this package's code allocates, read from a full-rate memory
+// profile, because the runtime's own allocations for goroutines and
+// channel waits come and go with the state of its caches.
+func TestRMATAllocsIndependentOfSize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	var counts []int64
+	for _, scale := range []int{256, 64} {
+		spec := Table3Graphs["large"].Scaled(scale)
+		before := ownAllocs()
+		RMAT(spec.Vertices, spec.Edges, spec.Seed)
+		counts = append(counts, ownAllocs()-before)
+	}
+	if counts[0] != counts[1] || counts[0] == 0 {
+		t.Fatalf("RMAT allocated %d objects at scale 256 and %d at scale 64; want the same", counts[0], counts[1])
+	}
+}
+
+// ownAllocs returns how many objects the memory profile has seen this
+// package's non-test code allocate: directly, or through make(chan) or
+// math/rand.
+func ownAllocs() int64 {
+	runtime.GC() // the profile lags up to two cycles behind
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 512)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+512)
+	}
+	var total int64
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		fr, more := frames.Next()
+		for more && (fr.Function == "runtime.makechan" || strings.HasPrefix(fr.Function, "math/rand.")) {
+			fr, more = frames.Next()
+		}
+		if strings.HasPrefix(fr.Function, "pimsim/internal/graph.") && !strings.HasSuffix(fr.File, "_test.go") {
+			total += r.AllocObjects
+		}
+	}
+	return total
 }

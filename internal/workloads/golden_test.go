@@ -82,6 +82,79 @@ func TestGoldenSSSPInvariants(t *testing.T) {
 	}
 }
 
+// fullScanSSSP is the reference for goldenSSSP: synchronous
+// Bellman-Ford that relaxes every reached vertex each round from a copy
+// of the distances at the start of the round.
+func fullScanSSSP(g *graph.Graph, src int) ([]uint64, int) {
+	dist := make([]uint64, g.NumVertices())
+	for i := range dist {
+		dist[i] = infDist
+	}
+	dist[src] = 0
+	rounds := 0
+	for {
+		prev := append([]uint64(nil), dist...)
+		changed := false
+		for v := 0; v < g.NumVertices(); v++ {
+			if prev[v] == infDist {
+				continue
+			}
+			for _, succ := range g.Successors(v) {
+				if nd := prev[v] + edgeWeight(v, succ); nd < dist[succ] {
+					dist[succ] = nd
+					changed = true
+				}
+			}
+		}
+		rounds++
+		if !changed {
+			break
+		}
+	}
+	return dist, rounds
+}
+
+// TestGoldenSSSPMatchesFullScan pins goldenSSSP's distances and round
+// count, which set every sp run's length, to the full-scan reference.
+func TestGoldenSSSPMatchesFullScan(t *testing.T) {
+	large := graph.Table3Graphs["large"].Scaled(1024)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat512", goldenGraph()},
+		{"rmat512-sym", goldenGraph().Symmetrize()},
+		{"small/256", graph.Table3Graphs["small"].Scaled(256).Generate()},
+		{"large/1024", large.Generate()},
+		{"path", mustGraph(t, 4, []int32{0, 1, 2}, []int32{1, 2, 3})},
+		{"one-vertex", graph.RMAT(1, 4, 1)},
+	}
+	for _, c := range cases {
+		for _, src := range []int{c.g.MaxDegreeVertex(), 0, c.g.NumVertices() - 1} {
+			gotDist, gotRounds := goldenSSSP(c.g, src)
+			wantDist, wantRounds := fullScanSSSP(c.g, src)
+			if gotRounds != wantRounds {
+				t.Errorf("%s from %d: %d rounds, want %d", c.name, src, gotRounds, wantRounds)
+			}
+			for v := range wantDist {
+				if gotDist[v] != wantDist[v] {
+					t.Errorf("%s from %d: dist[%d] = %d, want %d", c.name, src, v, gotDist[v], wantDist[v])
+					break
+				}
+			}
+		}
+	}
+}
+
+func mustGraph(t *testing.T, n int, src, dst []int32) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdgeList(n, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestGoldenWCCInvariants(t *testing.T) {
 	g := goldenGraph().Symmetrize()
 	labels, rounds := goldenWCC(g)

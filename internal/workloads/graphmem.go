@@ -59,21 +59,37 @@ func graphInput(p Params) graph.DatasetSpec {
 // graphCache memoizes generated graphs (and their symmetrized forms)
 // across runs: the experiment harness builds the same dataset for each
 // of the four system configurations, and generation dominates build time
-// at large scales. Graphs are immutable after construction, so sharing
-// is safe.
+// at large scales. Each key holds a *graphEntry, built once however many
+// cells ask for it at the same time. Graphs are immutable after
+// construction, so sharing is safe.
 var graphCache sync.Map
 
+type graphEntry struct {
+	once sync.Once
+	g    *graph.Graph
+}
+
+// cachedGraph returns spec's graph, symmetrized if asked, building it on
+// first use; a symmetrized graph is derived from the cached directed one.
 func cachedGraph(spec graph.DatasetSpec, symmetrize bool) *graph.Graph {
-	key := fmt.Sprintf("%s/%d/%d/%d/%v", spec.Name, spec.Vertices, spec.Edges, spec.Seed, symmetrize)
-	if g, ok := graphCache.Load(key); ok {
-		return g.(*graph.Graph)
+	key := graphKey(spec, symmetrize)
+	v, ok := graphCache.Load(key)
+	if !ok {
+		v, _ = graphCache.LoadOrStore(key, new(graphEntry))
 	}
-	g := spec.Generate()
-	if symmetrize {
-		g = g.Symmetrize()
-	}
-	graphCache.Store(key, g)
-	return g
+	e := v.(*graphEntry)
+	e.once.Do(func() {
+		if symmetrize {
+			e.g = cachedGraph(spec, false).Symmetrize()
+		} else {
+			e.g = spec.Generate()
+		}
+	})
+	return e.g
+}
+
+func graphKey(spec graph.DatasetSpec, symmetrize bool) string {
+	return fmt.Sprintf("%s/%d/%d/%d/%v", spec.Name, spec.Vertices, spec.Edges, spec.Seed, symmetrize)
 }
 
 // buildGraph generates (with caching) and lays out the input graph.

@@ -2,9 +2,11 @@ package workloads
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"pimsim/internal/config"
+	"pimsim/internal/graph"
 	"pimsim/internal/machine"
 	"pimsim/internal/pim"
 )
@@ -250,5 +252,43 @@ func TestBudgetedRunsTerminate(t *testing.T) {
 		if res.Retired == 0 {
 			t.Fatalf("%s made no progress under budget", name)
 		}
+	}
+}
+
+// TestCachedGraphBuildsOnce: cells of one grid column ask for the same
+// graph at the same time, and all of them must get the one build; a
+// symmetrized request derives from, and caches, the directed graph.
+func TestCachedGraphBuildsOnce(t *testing.T) {
+	spec := graph.DatasetSpec{Name: "cache-test", Vertices: 300, Edges: 2000, Seed: 5}
+	const callers = 8
+	got := make([]*graph.Graph, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = cachedGraph(spec, false)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatalf("caller %d got graph %p, caller 0 got %p", i, g, got[0])
+		}
+	}
+
+	symSpec := spec
+	symSpec.Seed = 6
+	sym := cachedGraph(symSpec, true)
+	v, ok := graphCache.Load(graphKey(symSpec, false))
+	if !ok {
+		t.Fatal("symmetrized request left no directed entry")
+	}
+	directed := v.(*graphEntry).g
+	if directed == nil || cachedGraph(symSpec, false) != directed {
+		t.Fatal("directed entry is not the graph cachedGraph returns")
+	}
+	if sym.NumEdges() != 2*directed.NumEdges() || cachedGraph(symSpec, true) != sym {
+		t.Fatalf("symmetrized graph has %d edges, directed %d, or was rebuilt", sym.NumEdges(), directed.NumEdges())
 	}
 }
