@@ -220,6 +220,41 @@ func TestQueueRefill(t *testing.T) {
 	}
 }
 
+// TestQueueDropsHubBuffer checks that one hub-sized batch does not pin
+// its buffer: once drained, the Queue keeps at most retainOps of
+// capacity, and every op still arrives in order.
+func TestQueueDropsHubBuffer(t *testing.T) {
+	sizes := []int{100, 4 * retainOps, 100, 100}
+	batch := 0
+	q := &Queue{Fill: func(q *Queue) bool {
+		if batch == len(sizes) {
+			return false
+		}
+		for i := 0; i < sizes[batch]; i++ {
+			q.PushLoad(uint64(batch)<<32 | uint64(i))
+		}
+		batch++
+		return true
+	}}
+	for b, n := range sizes {
+		for i := 0; i < n; i++ {
+			op, ok := q.Next()
+			if want := uint64(b)<<32 | uint64(i); !ok || op.Addr != want {
+				t.Fatalf("batch %d op %d: got %#x (ok %v), want %#x", b, i, op.Addr, ok, want)
+			}
+		}
+		if b == 1 && cap(q.buf) < 4*retainOps {
+			t.Fatalf("hub batch held in %d ops of capacity, want at least %d", cap(q.buf), 4*retainOps)
+		}
+		if b > 1 && cap(q.buf) > retainOps {
+			t.Fatalf("after the hub batch, batch %d keeps %d ops of capacity, want at most %d", b, cap(q.buf), retainOps)
+		}
+	}
+	if _, ok := q.Next(); ok {
+		t.Fatal("ops after the last batch")
+	}
+}
+
 // TestOpRecordLayout pins the op record at 24 bytes with no pointer
 // fields, so op buffers keep nothing reachable.
 func TestOpRecordLayout(t *testing.T) {

@@ -46,12 +46,23 @@ func (q *Queue) PushPEI(op pim.OpKind, target, n uint64, tag uint32) {
 	q.Push(Op{Kind: kind, PEIOp: op, Tag: tag, Addr: target, N: n})
 }
 
+// retainOps bounds the op capacity a drained Queue keeps for its next
+// batch. In peiperf's cells, batches on Small inputs and in the harness
+// figures stay under 8K ops, while on Large inputs the few that hold an
+// R-MAT hub's edges reach 36K-47K ops. Such a buffer is dropped once
+// drained rather than held for the rest of the run. A ceiling of 8K ops
+// would also drop, and regrow, Large inputs' ordinary buffers.
+const retainOps = 1 << 15
+
 // Len reports buffered ops not yet consumed.
 func (q *Queue) Len() int { return len(q.buf) - q.head }
 
 // Next returns the next op, or ok=false at the end of the program.
 func (q *Queue) Next() (Op, bool) {
 	for q.head >= len(q.buf) {
+		if cap(q.buf) > retainOps {
+			q.buf = nil
+		}
 		q.buf = q.buf[:0]
 		q.head = 0
 		if q.Fill == nil || !q.Fill(q) {

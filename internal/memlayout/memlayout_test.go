@@ -59,12 +59,42 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.Bytes(a+8, 8)
+	s.ReadU64(a + 8)
+}
+
+// TestAccessAcrossSegments checks that an access spanning two segments
+// behaves as in one flat image: here the second allocation starts a new
+// segment right after the first's four bytes.
+func TestAccessAcrossSegments(t *testing.T) {
+	s := NewStore()
+	a := s.Alloc(4, 4)
+	s.Alloc(1<<16, 8)
+	if s.segAt(a) == s.segAt(a+7) {
+		t.Fatal("the two allocations share a segment; the test needs them apart")
+	}
+	s.WriteU64(a, 0x0807060504030201)
+	if got := s.ReadU64(a); got != 0x0807060504030201 {
+		t.Fatalf("ReadU64 across segments = %#x", got)
+	}
+	if got := s.ReadU32(a + 2); got != 0x06050403 {
+		t.Fatalf("ReadU32 across segments = %#x", got)
+	}
+	m := s.MapU32([]int32{0x0d0c0b0a}, 4)
+	s.WriteU32(m-4, 0x44332211)
+	if got := s.ReadU64(m - 4); got != 0x0d0c0b0a44332211 {
+		t.Fatalf("ReadU64 across a mapping's start = %#x", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a write reaching into a mapping did not panic")
+		}
+	}()
+	s.WriteU64(m-4, 0)
 }
 
 func TestStoreGrows(t *testing.T) {
 	s := NewStore()
-	a := s.Alloc(10<<20, 64) // force growth past initial capacity
+	a := s.Alloc(10<<20, 64) // larger than any small-allocation segment
 	s.WriteU64(a+(10<<20)-8, 42)
 	if got := s.ReadU64(a + (10 << 20) - 8); got != 42 {
 		t.Fatalf("value after growth = %d", got)

@@ -334,6 +334,12 @@ func (c *Coder) readN(n int) []byte {
 // recorded length to equal len(b) and fills b.
 func (c *Coder) Bytes(b []byte) {
 	c.Expect("payload length", len(b))
+	c.Raw(b)
+}
+
+// Raw codes len(b) bytes in place with no length prefix, for a payload
+// its owner codes in pieces after coding the total length itself.
+func (c *Coder) Raw(b []byte) {
 	if c.r == nil {
 		c.write(b)
 	} else {

@@ -182,6 +182,68 @@ func TestGoldenWCCInvariants(t *testing.T) {
 	}
 }
 
+// fullSweepWCC is the reference for goldenWCC: synchronous label
+// propagation that pushes every vertex's label each round from a copy
+// of the labels at the start of the round.
+func fullSweepWCC(g *graph.Graph) ([]uint64, int) {
+	n := g.NumVertices()
+	label := make([]uint64, n)
+	for v := range label {
+		label[v] = uint64(v)
+	}
+	rounds := 0
+	for {
+		prev := append([]uint64(nil), label...)
+		changed := false
+		for v := 0; v < n; v++ {
+			for _, succ := range g.Successors(v) {
+				if prev[v] < label[succ] {
+					label[succ] = prev[v]
+					changed = true
+				}
+			}
+		}
+		rounds++
+		if !changed {
+			break
+		}
+	}
+	return label, rounds
+}
+
+// TestGoldenWCCMatchesFullSweep pins goldenWCC's labels and round count,
+// which set every wcc run's length, to the full-sweep reference on the
+// symmetrized inputs wcc runs on.
+func TestGoldenWCCMatchesFullSweep(t *testing.T) {
+	small := graph.Table3Graphs["small"]
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat512", goldenGraph()},
+		{"small/64", small.Scaled(64).Generate()},
+		{"small/256", small.Scaled(256).Generate()},
+		{"small/1024", small.Scaled(1024).Generate()},
+		{"gnutella/64", graph.Figure2Graphs[0].Scaled(64).Generate()},
+		{"path", mustGraph(t, 4, []int32{0, 1, 2}, []int32{1, 2, 3})},
+		{"one-vertex", graph.RMAT(1, 4, 1)},
+	}
+	for _, c := range cases {
+		g := c.g.Symmetrize()
+		gotLabels, gotRounds := goldenWCC(g)
+		wantLabels, wantRounds := fullSweepWCC(g)
+		if gotRounds != wantRounds {
+			t.Errorf("%s: %d rounds, want %d", c.name, gotRounds, wantRounds)
+		}
+		for v := range wantLabels {
+			if gotLabels[v] != wantLabels[v] {
+				t.Errorf("%s: label[%d] = %d, want %d", c.name, v, gotLabels[v], wantLabels[v])
+				break
+			}
+		}
+	}
+}
+
 func TestGoldenPageRankInvariants(t *testing.T) {
 	g := goldenGraph()
 	gm := &GraphMem{G: g}

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -20,16 +19,16 @@ type GraphMem struct {
 }
 
 // LayoutGraph places g's edge array (4 bytes per target) in the store.
+// The store maps g.Edges read-only rather than copying it: graphs are
+// immutable once built, and the simulated loads use only the addresses.
+// An edgeless graph still takes one zero word, so later allocations
+// land where they always have.
 func LayoutGraph(st *memlayout.Store, g *graph.Graph) *GraphMem {
 	gm := &GraphMem{G: g}
-	n := g.NumEdges()
-	if n == 0 {
-		n = 1
-	}
-	gm.edgeBase = st.Alloc(n*4, 64)
-	mem := st.Bytes(gm.edgeBase, 4*len(g.Edges))
-	for i, w := range g.Edges {
-		binary.LittleEndian.PutUint32(mem[4*i:], uint32(w))
+	if len(g.Edges) == 0 {
+		gm.edgeBase = st.Alloc(4, 64)
+	} else {
+		gm.edgeBase = st.MapU32(g.Edges, 64)
 	}
 	return gm
 }
