@@ -384,7 +384,7 @@ func (s *missStream) issue() {
 // runUntil dispatches events until done reads have completed, or until
 // the kernel runs dry (which the caller's backlog check then reports).
 func (s *missStream) runUntil(k *sim.Kernel, done int) {
-	for s.done < done && k.Step() {
+	for s.done < done && k.RunN(1) == 1 {
 	}
 }
 

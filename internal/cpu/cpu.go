@@ -102,8 +102,19 @@ type Core struct {
 
 	// peiFree recycles PEI records: one is drawn at issue and returned
 	// at retire, so the window bounds how many ever exist.
-	peiFree []*pim.PEI //peilint:allow snapcomplete pool of recycled PEI records: capacity, not state (empty of in-flight PEIs at a phase boundary)
+	peiFree []*peiRec //peilint:allow snapcomplete pool of recycled PEI records: capacity, not state (empty of in-flight PEIs at a phase boundary)
 }
+
+// peiRec is a pooled in-flight PEI: the record the core hands the PMU
+// and the continuation the PMU invokes at retire, so the record itself
+// tells the core which PEI came back.
+type peiRec struct {
+	pim.PEI
+	c *Core
+}
+
+// OnEvent implements sim.Handler: the PEI retired at the PMU.
+func (r *peiRec) OnEvent(sim.EventArg) { r.c.peiDone(r) }
 
 // NewCore creates a core.
 func NewCore(id int, k *sim.Kernel, issueWidth, window int, mem MemPort, pmu PEIPort) *Core {
@@ -114,14 +125,14 @@ func NewCore(id int, k *sim.Kernel, issueWidth, window int, mem MemPort, pmu PEI
 }
 
 // Core event stages: the core itself is the handler for every per-op
-// completion, so issuing a load, store, PEI, compute stall, fence, or
-// barrier arrival costs no allocation.
+// completion but a PEI's (its pooled record is), so issuing a load,
+// store, PEI, compute stall, fence, or barrier arrival costs no
+// allocation.
 const (
 	coreEvPump        = iota // scheduled pump (issue-width or barrier resume)
 	coreEvUnblock            // multi-cycle compute retired; resume issue
 	coreEvFenceDone          // pfence drained; retire it and resume issue
 	coreEvMemDone            // a load/store completed
-	coreEvPEIDone            // a PEI retired at the PMU; Arg.Ptr is the PEI
 	coreEvBarrierDone        // every participant reached the barrier; resume
 )
 
@@ -142,47 +153,46 @@ func (c *Core) OnEvent(arg sim.EventArg) {
 		c.inflight--
 		c.Retired++
 		c.pump()
-	case coreEvBarrierDone:
+	default: // coreEvBarrierDone
 		c.blocked = false
 		c.Retired++
 		c.schedulePump(0)
-	default: // coreEvPEIDone
-		c.inflight--
-		c.Retired++
-		c.RetiredPEIs++
-		p := arg.Ptr.(*pim.PEI)
-		if c.stream.Sink != nil {
-			c.stream.Sink.PEIDone(p)
-		}
-		c.putPEI(p)
-		c.pump()
 	}
 }
 
-// issuePEI fills a record from op and hands it to the PMU; the record
-// comes back through coreEvPEIDone.
+// issuePEI fills a record from op and hands it to the PMU with the
+// record as the retire continuation; it comes back through peiDone.
 func (c *Core) issuePEI(op Op) {
-	var p *pim.PEI
+	var r *peiRec
 	if n := len(c.peiFree); n > 0 {
-		p = c.peiFree[n-1]
+		r = c.peiFree[n-1]
 		c.peiFree = c.peiFree[:n-1]
 	} else {
-		p = new(pim.PEI)
+		r = &peiRec{c: c}
 	}
+	p := &r.PEI
 	p.Op, p.Target, p.Tag = op.PEIOp, op.Addr, op.Tag
 	if op.Kind == OpPEIVec {
 		p.Input = c.stream.Vectors[op.N]
 	} else {
 		p.SetInputWord(op.N)
 	}
-	c.pmu.IssueEvent(c.ID, p, sim.Cont{H: c, Arg: sim.EventArg{N: coreEvPEIDone, Ptr: p}})
+	c.pmu.IssueEvent(c.ID, p, sim.Cont{H: r})
 }
 
-// putPEI clears a retired record, so it carries no operand or tag into
-// its next life, and returns it to the free list.
-func (c *Core) putPEI(p *pim.PEI) {
-	*p = pim.PEI{}
-	c.peiFree = append(c.peiFree, p)
+// peiDone retires a PEI the PMU handed back: the stream's sink sees it,
+// then the record is cleared, so it carries no operand or tag into its
+// next life, and returned to the free list.
+func (c *Core) peiDone(r *peiRec) {
+	c.inflight--
+	c.Retired++
+	c.RetiredPEIs++
+	if c.stream.Sink != nil {
+		c.stream.Sink.PEIDone(&r.PEI)
+	}
+	r.PEI = pim.PEI{}
+	c.peiFree = append(c.peiFree, r)
+	c.pump()
 }
 
 // Run starts executing the stream; the caller then drives the kernel.

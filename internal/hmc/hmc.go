@@ -232,9 +232,9 @@ func (ch *Chain) ReqPressure() float64 { ch.decayPressure(); return ch.cReq }
 func (ch *Chain) ResPressure() float64 { ch.decayPressure(); return ch.cRes }
 
 // VaultVisitor receives a delivered request at the target vault. The
-// visitor reads the transaction (vault, location, user argument) and
-// must eventually call Txn.Respond exactly once to route the reply back
-// and release the transaction.
+// visitor is the caller's own in-flight state: it reads the transaction
+// (vault, location) and must eventually call Txn.Respond exactly once
+// to route the reply back and release the transaction.
 type VaultVisitor interface {
 	AtVault(t *Txn)
 }
@@ -268,7 +268,6 @@ type Txn struct {
 	cmd     Command
 	hop     sim.Cycle
 	visitor VaultVisitor
-	user    sim.EventArg
 	done    sim.Cont // chain-level completion for Read/Write commands
 
 	respBytes int
@@ -280,11 +279,9 @@ type Txn struct {
 	rkey uint64
 }
 
-// Vault returns the target vault; Loc its DRAM location; User the
-// caller-supplied argument passed to DeliverEvent.
+// Vault returns the target vault; Loc its DRAM location.
 func (t *Txn) Vault() *Vault      { return t.v }
 func (t *Txn) Loc() addr.Location { return t.loc }
-func (t *Txn) User() sim.EventArg { return t.user }
 
 const (
 	// chainStageHopIn: the request left the shared link; cube-hop
@@ -443,19 +440,17 @@ func (ch *Chain) putTxn(t *Txn) {
 // or write data to the vault owning address a. For CmdRead/CmdWrite
 // with a nil visitor the chain performs the vault access itself and
 // invokes done per ReadEvent/WriteEvent semantics; otherwise the
-// visitor is invoked on arrival with the transaction (user rides along
-// for its continuation state) and must call Txn.Respond. Both
-// directions are sized by packetBytes; per-cube hop latency applies in
-// each direction. Byte counts land in the shared registry under
-// offchip.req/res.
-func (ch *Chain) DeliverEvent(a uint64, cmd Command, payloadBytes int, visitor VaultVisitor, user sim.EventArg, done sim.Cont) {
+// visitor is invoked on arrival with the transaction and must call
+// Txn.Respond. Both directions are sized by packetBytes; per-cube hop
+// latency applies in each direction. Byte counts land in the shared
+// registry under offchip.req/res.
+func (ch *Chain) DeliverEvent(a uint64, cmd Command, payloadBytes int, visitor VaultVisitor, done sim.Cont) {
 	v, loc := ch.VaultFor(a)
 	t := ch.getTxn()
 	t.v = v
 	t.loc = loc
 	t.cmd = cmd
 	t.visitor = visitor
-	t.user = user
 	t.done = done
 	reqBytes := ch.packetBytes(payloadBytes)
 	t.hop = ch.cfg.HopLatency * sim.Cycle(loc.Cube)
@@ -470,7 +465,7 @@ func (ch *Chain) DeliverEvent(a uint64, cmd Command, payloadBytes int, visitor V
 // request, DRAM read, 64 B + header response. done runs when the block
 // arrives back at the host.
 func (ch *Chain) ReadEvent(a uint64, done sim.Cont) {
-	ch.DeliverEvent(a, CmdRead, 0, nil, sim.EventArg{}, done)
+	ch.DeliverEvent(a, CmdRead, 0, nil, done)
 }
 
 // WriteEvent performs a block writeback to memory: header + 64 B
@@ -478,7 +473,7 @@ func (ch *Chain) ReadEvent(a uint64, done sim.Cont) {
 // the zero Cont) runs when the ack, sent once the write is restored in
 // DRAM, reaches the host.
 func (ch *Chain) WriteEvent(a uint64, done sim.Cont) {
-	ch.DeliverEvent(a, CmdWrite, addr.BlockBytes, nil, sim.EventArg{}, done)
+	ch.DeliverEvent(a, CmdWrite, addr.BlockBytes, nil, done)
 }
 
 // OffchipBytes reports total bytes moved over the chain in both

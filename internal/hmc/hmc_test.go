@@ -118,7 +118,7 @@ func TestDeliverCustomPayloadAndResponse(t *testing.T) {
 	k, ch, reg := newTestChain()
 	var respDone bool
 	// PIM-style packet: 8 B input operand, 9 B output (hash probe).
-	ch.DeliverEvent(128, CmdPEI, 8, &respondVisitor{respBytes: 9, done: func() { respDone = true }}, sim.EventArg{}, sim.Cont{})
+	ch.DeliverEvent(128, CmdPEI, 8, &respondVisitor{respBytes: 9, done: func() { respDone = true }}, sim.Cont{})
 	k.Run()
 	if !respDone {
 		t.Fatal("response never delivered")

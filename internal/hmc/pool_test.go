@@ -15,7 +15,6 @@ func TestChainTxnPoolReuseCarriesNoStaleState(t *testing.T) {
 	tx := ch.getTxn()
 	tx.cmd = CmdPEI
 	tx.hop = 7
-	tx.user = sim.EventArg{N: 9}
 	tx.done = sim.Call(func() {})
 	tx.respBytes = 80
 	tx.respDone = sim.Call(func() {})
@@ -29,7 +28,7 @@ func TestChainTxnPoolReuseCarriesNoStaleState(t *testing.T) {
 	if got.ch != ch {
 		t.Fatal("recycled transaction lost its owner")
 	}
-	if got.cmd != 0 || got.hop != 0 || got.user != (sim.EventArg{}) ||
+	if got.cmd != 0 || got.hop != 0 ||
 		got.done.H != nil || got.respBytes != 0 || got.respDone.H != nil ||
 		got.visitor != nil || got.rkey != 0 {
 		t.Fatalf("recycled transaction carries stale state: %+v", got)

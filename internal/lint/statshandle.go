@@ -3,8 +3,9 @@
 // registry's flat value array — exists so per-event trees bump
 // integers, not map entries. Under the handler event model (DESIGN.md
 // §11) every scheduled event runs through an OnEvent method, so OnEvent
-// is the root that covers per-event code; Step and Schedule are the
-// kernel's own dispatch and enqueue paths. This analyzer keeps the
+// is the root that covers per-event code; RunN and Schedule are the
+// kernel's own dispatch and enqueue paths, and Step names a per-step
+// loop anywhere. This analyzer keeps the
 // string-keyed convenience methods out of those trees, including
 // through wrappers defined in other packages: a helper that calls
 // Registry.Add by name carries a StringStatsFact, and calling it from a
@@ -21,6 +22,7 @@ import (
 // hot paths.
 var hotRoots = map[string]bool{
 	"OnEvent":  true,
+	"RunN":     true,
 	"Step":     true,
 	"Schedule": true,
 }
@@ -40,7 +42,7 @@ var stringKeyedRegistryMethods = map[string]bool{
 // not per-event).
 var StatsHandle = &Analyzer{
 	Name: "statshandle",
-	Doc: "inside OnEvent/Step/Schedule call trees, stats must go through " +
+	Doc: "inside OnEvent/RunN/Step/Schedule call trees, stats must go through " +
 		"pre-resolved stats.Handle counters (Registry.Counter at construction " +
 		"time), not string-keyed Registry.Add/Inc/Get/Set — whether called " +
 		"directly or through a wrapper in another package",

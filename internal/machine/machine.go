@@ -180,8 +180,10 @@ func (m *Machine) Drive(ctx context.Context) error {
 		m.K.Run()
 		return nil
 	}
-	// checkEvery trades cancellation latency (one batch of events,
-	// microseconds of wall clock) against per-event select overhead.
+	// checkEvery trades cancellation latency (one chunk of events,
+	// microseconds of wall clock) against per-chunk select overhead.
+	// A chunk may end partway through a cycle; the kernel resumes there,
+	// so chunking cannot change the order of events.
 	const checkEvery = 8192
 	for m.K.Pending() > 0 {
 		select {
@@ -189,8 +191,7 @@ func (m *Machine) Drive(ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		for i := 0; i < checkEvery && m.K.Step(); i++ {
-		}
+		m.K.RunN(checkEvery)
 	}
 	return nil
 }

@@ -364,19 +364,17 @@ func (p *PMU) executeMemory(t *peiTxn) {
 	p.k.ScheduleEvent(p.cfg.NoCLatency, t, sim.EventArg{N: stMemProceed})
 }
 
-// sendPIMOp ships the PIM operation to its vault. The transaction rides
-// along as the delivery's user payload; AtVault picks it back up on the
-// logic die.
+// sendPIMOp ships the PIM operation to its vault, with the transaction
+// as the delivery's vault visitor.
 func (p *PMU) sendPIMOp(t *peiTxn) {
-	p.chain.DeliverEvent(t.pei.Target, hmc.CmdPEI, len(t.pei.Input), p, sim.EventArg{Ptr: t}, sim.Cont{})
+	p.chain.DeliverEvent(t.pei.Target, hmc.CmdPEI, len(t.pei.Input), t, sim.Cont{})
 }
 
 // AtVault implements hmc.VaultVisitor: the PIM op has crossed the chain
 // and reached its vault's logic die.
-func (p *PMU) AtVault(dt *hmc.Txn) {
-	t := dt.User().Ptr.(*peiTxn)
+func (t *peiTxn) AtVault(dt *hmc.Txn) {
 	t.dt = dt
-	t.pcu = p.MemPCU[dt.Vault().Index]
+	t.pcu = t.p.MemPCU[dt.Vault().Index]
 	t.pcu.AcquireEvent(sim.Cont{H: t, Arg: sim.EventArg{N: stVaultAcquired}})
 }
 

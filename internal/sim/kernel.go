@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -18,13 +19,13 @@ import (
 // clock domain (4 GHz in the baseline configuration).
 type Cycle = int64
 
-// EventArg is the payload handed to a Handler when its event fires. Ptr
-// typically carries a pooled transaction (storing a pointer in an `any`
-// does not allocate) and N a small scalar such as a state-machine stage
-// or an address.
+// EventArg is the payload handed to a Handler when its event fires: a
+// small scalar such as a state-machine stage or a cycle. It holds no
+// pointer. A handler that needs per-event state is that state — a
+// pooled transaction implementing Handler — so the queue's records stay
+// small and carry one reference each.
 type EventArg struct {
-	Ptr any
-	N   int64
+	N int64
 }
 
 // Handler receives event dispatch. Hot-path components implement it on a
@@ -87,8 +88,9 @@ const (
 )
 
 // event is the uniform record stored in ring buckets and the far heap:
-// a handler and its argument. Closure-based scheduling goes through the
-// funcEvent adapter, so the queue itself never stores bare func values.
+// a handler and its argument, 24 bytes. Closure-based scheduling goes
+// through the funcEvent adapter, so the queue itself never stores bare
+// func values.
 type event struct {
 	h   Handler
 	arg EventArg
@@ -255,83 +257,36 @@ func (k *Kernel) migrate() {
 	}
 }
 
-// peek returns the cycle of the next pending event. Any ring event
-// precedes every far event (far implies when >= base+ringWindow).
-func (k *Kernel) peek() (Cycle, bool) {
-	if k.ringCount > 0 {
-		return k.nextRingCycle(), true
-	}
-	if len(k.far) > 0 {
-		return k.far[0].when, true
-	}
-	return 0, false
-}
-
-// dispatch pops and runs the head event of cycle c's bucket, advancing
-// time to c. Precondition: c is the earliest pending cycle, already
-// inside the ring window (callers obtain it via nextRingCycle, jumping
-// base and migrating first when needed), so no bitmap rescan happens
-// here.
-func (k *Kernel) dispatch(c Cycle) {
-	slot := int(c & ringMask)
-	b := &k.ring[slot]
-	var ev event
-	if b.ehead < len(b.early) {
-		ev = b.early[b.ehead]
-		b.early[b.ehead] = event{} // release handler/arg references once run
-		b.ehead++
-	} else {
-		ev = b.evs[b.head]
-		b.evs[b.head] = event{}
-		b.head++
-	}
-	k.ringCount--
-	if b.ehead == len(b.early) && b.head == len(b.evs) {
-		b.early = b.early[:0]
-		b.ehead = 0
-		b.evs = b.evs[:0]
-		b.head = 0
-		k.occ[slot>>6] &^= 1 << uint(slot&63)
-	}
-	k.now = c
-	k.Executed++
-	ev.h.OnEvent(ev.arg)
-}
-
-// Step dispatches the next event, advancing time to its cycle. It reports
-// whether an event was dispatched.
-func (k *Kernel) Step() bool {
-	if k.ringCount == 0 {
-		if len(k.far) == 0 {
-			return false
-		}
-		// Idle gap longer than the window: jump the ring to the next
-		// event and pull everything newly in range into buckets.
-		k.base = k.far[0].when
-		k.migrate()
-	}
-	c := k.nextRingCycle()
-	if c != k.base {
-		k.base = c
-		k.migrate()
-	}
-	k.dispatch(c)
-	return true
+// RunN dispatches up to n events in time order and reports how many it
+// dispatched; fewer than n means the queue is empty. A budget may stop
+// it partway through a cycle's bucket; the next call resumes there.
+func (k *Kernel) RunN(n int) int {
+	return k.run(math.MaxInt64, n)
 }
 
 // Run dispatches events until the queue is empty.
 func (k *Kernel) Run() {
-	for k.Step() {
-	}
+	k.run(math.MaxInt64, math.MaxInt)
 }
 
 // RunUntil dispatches events with cycle <= limit, then sets time to limit
-// if the simulation got there. Events beyond limit remain queued. The
-// loop scans the occupancy bitmap once per dispatched event: the cycle
-// found by the scan is compared against limit and dispatched directly,
-// rather than peeked at and then recomputed by Step.
+// if the simulation got there. Events beyond limit remain queued.
 func (k *Kernel) RunUntil(limit Cycle) {
-	for {
+	k.run(limit, math.MaxInt)
+	if k.now < limit {
+		k.now = limit
+	}
+}
+
+// run is the one dispatch loop behind RunN, Run and RunUntil. It works
+// a cycle at a time: it finds the next occupied cycle (jumping the ring
+// to the far heap's head across an idle gap), moves the ring origin
+// there and migrates newly covered far events once, and then drains
+// that cycle's bucket. It stops at the first cycle beyond limit or once
+// n events have run.
+func (k *Kernel) run(limit Cycle, n int) int {
+	ran := 0
+	for ran < n {
 		if k.ringCount == 0 {
 			if len(k.far) == 0 || k.far[0].when > limit {
 				break
@@ -347,11 +302,50 @@ func (k *Kernel) RunUntil(limit Cycle) {
 			k.base = c
 			k.migrate()
 		}
-		k.dispatch(c)
+		ran += k.drain(c, n-ran)
 	}
-	if k.now < limit {
-		k.now = limit
+	return ran
+}
+
+// drain runs up to budget events of cycle c's bucket, advancing time to
+// c: the early lane, then the normal lane, including delay-0 events that
+// handlers append to the normal lane meanwhile (an early insert always
+// lands in a later cycle). Precondition: c is the earliest pending
+// cycle and the ring origin, so nothing else can precede these events.
+// Once both lanes are spent the bucket is reset for reuse. Run records
+// are not zeroed: a later cycle that maps to the bucket overwrites
+// them, and until then a stale record can keep only one of this
+// kernel's own handlers reachable. Zeroing cost a GC write barrier per
+// pointer word on every event while a collection was marking.
+func (k *Kernel) drain(c Cycle, budget int) int {
+	k.now = c
+	slot := int(c & ringMask)
+	b := &k.ring[slot]
+	ran := 0
+	for b.ehead < len(b.early) && ran < budget {
+		ev := b.early[b.ehead]
+		b.ehead++
+		k.ringCount--
+		k.Executed++
+		ran++
+		ev.h.OnEvent(ev.arg)
 	}
+	for b.head < len(b.evs) && ran < budget {
+		ev := b.evs[b.head]
+		b.head++
+		k.ringCount--
+		k.Executed++
+		ran++
+		ev.h.OnEvent(ev.arg)
+	}
+	if b.ehead == len(b.early) && b.head == len(b.evs) {
+		b.early = b.early[:0]
+		b.ehead = 0
+		b.evs = b.evs[:0]
+		b.head = 0
+		k.occ[slot>>6] &^= 1 << uint(slot&63)
+	}
+	return ran
 }
 
 // farPush and farPop maintain the overflow min-heap without the

@@ -6,7 +6,7 @@ import (
 
 // TestKernelSteadyStateZeroAllocs pins the headline property of the
 // calendar-queue scheduler: once bucket capacity is warm, a
-// Schedule+Step round trip performs no heap allocations.
+// Schedule+RunN(1) round trip performs no heap allocations.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
@@ -14,16 +14,16 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	// every ring slot at least once so each bucket slice has capacity.
 	for i := 0; i < 2*ringWindow; i++ {
 		k.Schedule(3, fn)
-		k.Step()
+		k.RunN(1)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.Schedule(3, fn)
-		if !k.Step() {
+		if k.RunN(1) != 1 {
 			t.Fatal("no event dispatched")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Schedule+Step allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("Schedule+RunN(1) allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

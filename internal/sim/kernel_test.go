@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKernelOrdering(t *testing.T) {
@@ -221,4 +223,37 @@ func TestKernelEarlyPastPanics(t *testing.T) {
 		k.AtEventEarly(3, funcEvent(func() {}), EventArg{})
 	})
 	k.Run()
+}
+
+// TestEventRecordPinned pins the queue's record at 24 bytes — a handler
+// interface and a pointer-free EventArg — so a field added to either is
+// a deliberate, measured change: every scheduled event copies the
+// record, and every pointer word in it costs a GC write barrier.
+func TestEventRecordPinned(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("event record is %d bytes, want 24", n)
+	}
+	if p := pointerField(reflect.TypeOf(EventArg{})); p != "" {
+		t.Fatalf("EventArg holds a pointer (%s)", p)
+	}
+}
+
+// pointerField names the first field of t whose kind holds a pointer,
+// or returns "" if t is pointer-free.
+func pointerField(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerField(t.Field(i).Type); p != "" {
+				return t.Field(i).Name + ": " + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(t.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.String:
+		return t.String()
+	}
+	return ""
 }
