@@ -65,6 +65,8 @@ func main() {
 		refusal = fmt.Sprintf("-budget %d: want >= 0 (0 = run to completion)", *budget)
 	case *pairs < 1:
 		refusal = fmt.Sprintf("-pairs %d: want >= 1", *pairs)
+	case *parallel < 0:
+		refusal = fmt.Sprintf("-parallel %d: want >= 0 (0 = GOMAXPROCS)", *parallel)
 	case strings.HasPrefix(*snapDir, "-"):
 		refusal = fmt.Sprintf("-snapshot-dir %q looks like a flag, not a directory (missing value?)", *snapDir)
 	}

@@ -97,8 +97,7 @@ func main() {
 		fatal(err)
 	}
 
-	spec := pei.JobSpec{Workload: *workload, Size: size.String(), Scale: *scale, Threads: nThreads, Verify: *verify}
-	pei.WriteWorkloadReport(os.Stdout, spec, res)
+	pei.WriteWorkloadReport(os.Stdout, *workload, params, *verify, res)
 	if *stats {
 		fmt.Println()
 		keys := make([]string, 0, len(res.Stats))

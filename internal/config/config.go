@@ -133,8 +133,8 @@ type Config struct {
 	// for the paper's 2 B-instruction budget) is workloads.Params.OpBudget,
 	// enforced in the generators so barriers still complete; Validate
 	// rejects a nonzero MaxOps. The field stays only because it is part
-	// of the marshalled config: removing it would change every JobSpec
-	// digest and snapshot blob name.
+	// of the marshalled config that the harness's runDigest hashes:
+	// removing it would change every snapshot digest and blob name.
 	MaxOps int64
 }
 

@@ -74,28 +74,28 @@ type Options struct {
 	// opens its own and injects it as SnapshotStore.
 	SnapshotDir string
 	// SnapshotStore injects an already-open blob store instead of
-	// SnapshotDir — peiserved shares one store (and its hit/miss
-	// counters) across every job it runs.
+	// SnapshotDir, so several runners can share one store and its
+	// hit/miss counters.
 	SnapshotStore *snap.Store
 }
 
 // Progress is one simulation-lifecycle event delivered to
-// Options.Progress (live experiment feedback: peiserved streams these
-// over SSE).
+// Options.Progress (peiperf turns each start/finish pair into a cell
+// span).
 type Progress struct {
 	// Cell names the run as "workload/size/mode". A run on a named
 	// graph puts the graph in place of the size, and a multiprogrammed
 	// run joins its programs with "+": "bfs/small+hj/large/Host-Only".
-	Cell string `json:"cell"`
+	Cell string
 	// Done is false when the simulation starts, true when it finishes.
-	Done bool `json:"done"`
+	Done bool
 	// Cycles is the number of cycles this run simulated (Done events
 	// only; zero for failed or cancelled runs). A warm-started run
 	// counts only the cycles after the snapshot it resumed from.
-	Cycles int64 `json:"cycles,omitempty"`
+	Cycles int64
 	// Simulations is the runner's machine count so far, including this
 	// one.
-	Simulations int64 `json:"simulations"`
+	Simulations int64
 }
 
 // Default returns laptop-scale options.
@@ -344,7 +344,7 @@ func (r *Runner) RunCell(ctx context.Context, c Cell) (machine.Result, error) {
 // RunWorkload builds each program's workload (progs must not be empty) and
 // runs them side by side on one fresh machine, as one workloads.Mix. It is the only path a run
 // takes: cells and their graph, config-mutating and multiprogrammed
-// variants, pei.RunWorkloadContext and pei.RunJob all come through here.
+// variants and pei.RunWorkloadContext all come through here.
 // mutate, if non-nil, adjusts a clone of the runner's config before the
 // machine is built; verify checks the functional results against each
 // workload's golden implementation after the run.

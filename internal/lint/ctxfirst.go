@@ -23,7 +23,6 @@ var CtxFirst = &Analyzer{
 		"pei",
 		"internal/harness",
 		"internal/machine",
-		"internal/serve",
 	},
 	Run: runCtxFirst,
 }

@@ -1,9 +1,9 @@
-// Package lint is the project's static-analysis suite: six analyzers
+// Package lint is the project's static-analysis suite: five analyzers
 // that turn the simulator's determinism and hot-path invariants (byte-
 // identical tables at any parallelism, zero-allocation event kernel,
-// context-first public entry points, complete Snap methods,
-// serving-layer goroutines with a lifecycle) into machine-checked law,
-// plus the waiver directive that documents every deliberate exception.
+// context-first public entry points, complete Snap methods) into
+// machine-checked law, plus the waiver directive that documents every
+// deliberate exception.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape — Analyzer, Pass, Diagnostic, Facts, and an
@@ -246,7 +246,7 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// Analyzers returns the full suite in a stable order: the six
+// Analyzers returns the full suite in a stable order: the five
 // invariant analyzers plus the waiver validator.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -255,7 +255,6 @@ func Analyzers() []*Analyzer {
 		CtxFirst,
 		HotAlloc,
 		SnapComplete,
-		LeakSafe,
 		Waiver,
 	}
 }
@@ -270,5 +269,5 @@ const waiverAnalyzerName = "waiver"
 // omitted — and not referenced via Analyzers() to avoid an
 // initialization cycle back into the Waiver variable).
 func analyzerNames() []string {
-	return []string{SimDeterm.Name, StatsHandle.Name, CtxFirst.Name, HotAlloc.Name, SnapComplete.Name, LeakSafe.Name}
+	return []string{SimDeterm.Name, StatsHandle.Name, CtxFirst.Name, HotAlloc.Name, SnapComplete.Name}
 }

@@ -14,7 +14,6 @@ func TestStatsHandle(t *testing.T)  { AnalyzerTest(t, StatsHandle, "statshandle"
 func TestCtxFirst(t *testing.T)     { AnalyzerTest(t, CtxFirst, "ctxfirst") }
 func TestHotAlloc(t *testing.T)     { AnalyzerTest(t, HotAlloc, "hotalloc") }
 func TestSnapComplete(t *testing.T) { AnalyzerTest(t, SnapComplete, "snapcomplete") }
-func TestLeakSafe(t *testing.T)     { AnalyzerTest(t, LeakSafe, "leaksafe") }
 
 // TestFactChain pins inter-procedural fact propagation: the
 // wall-clock read sits two packages below the checked code
@@ -89,10 +88,10 @@ func TestMalformedWaiverDoesNotSuppress(t *testing.T) {
 }
 
 // TestAnalyzerScope pins each analyzer's package perimeter: the driver
-// must apply simdeterm to every simulator package (including the serve
-// layer) and must apply hotalloc to the event kernel plus the per-event
-// component packages (cache, dram, hmc, pim) — but not to the
-// generation-time layers above them.
+// must apply simdeterm to every simulator package and must apply
+// hotalloc to the event kernel plus the per-event component packages
+// (cache, dram, hmc, pim) — but not to the generation-time layers above
+// them.
 func TestAnalyzerScope(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
@@ -101,14 +100,11 @@ func TestAnalyzerScope(t *testing.T) {
 	}{
 		{SimDeterm, "internal/sim", true},
 		{SimDeterm, "internal/workloads", true},
-		{SimDeterm, "internal/serve", true},
 		{SimDeterm, "internal/harness", false},
 		{SimDeterm, "cmd/peibench", false},
 		{StatsHandle, "internal/cache", true},
 		{StatsHandle, "internal/stats", false}, // the registry itself
-		{StatsHandle, "internal/serve", false}, // mutex-bound service metrics
 		{CtxFirst, "pei", true},
-		{CtxFirst, "internal/serve", true},
 		{CtxFirst, "internal/workloads", false},
 		{HotAlloc, "internal/sim", true},
 		{HotAlloc, "internal/cache", true},
@@ -119,9 +115,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{HotAlloc, "internal/workloads", false},
 		{SnapComplete, "internal/sim", true}, // any package that snapshots
 		{SnapComplete, "internal/graph", true},
-		{LeakSafe, "internal/serve", true},
-		{LeakSafe, "internal/sim", false}, // no goroutines inside the simulator
-		{Waiver, "internal/graph", true},  // waiver validates everywhere
+		{Waiver, "internal/graph", true}, // waiver validates everywhere
 		{Waiver, "cmd/peilint", true},
 	}
 	for _, c := range cases {

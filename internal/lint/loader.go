@@ -142,7 +142,7 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 
 // LoadDir parses and type-checks the package in dir under the given
 // import path. Test files (_test.go) are excluded: the analyzers police
-// simulator and service code, and skipping them keeps external test
+// simulator code, and skipping them keeps external test
 // packages out of the type-checker. Results are memoized by import path.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if p, ok := l.pkgs[importPath]; ok {

@@ -12,8 +12,7 @@ import (
 )
 
 // simPackages is the determinism perimeter: every package whose code
-// runs inside (or feeds) a simulation, plus the serve layer, whose only
-// legitimate wall-clock read is the injectable Options.now default.
+// runs inside (or feeds) a simulation.
 var simPackages = []string{
 	"internal/sim",
 	"internal/cache",
@@ -26,7 +25,6 @@ var simPackages = []string{
 	"internal/memlayout",
 	"internal/stats",
 	"internal/workloads",
-	"internal/serve",
 }
 
 // SimDeterm forbids nondeterminism sources in simulator packages.

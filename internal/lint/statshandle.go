@@ -38,8 +38,7 @@ var stringKeyedRegistryMethods = map[string]bool{
 
 // StatsHandle flags string-keyed stats.Registry calls inside hot call
 // trees. Scope excludes internal/stats itself (the registry's own
-// implementation) and internal/serve (service metrics are mutex-bound,
-// not per-event).
+// implementation).
 var StatsHandle = &Analyzer{
 	Name: "statshandle",
 	Doc: "inside OnEvent/RunN/Step/Schedule call trees, stats must go through " +

@@ -41,8 +41,8 @@ type StoreStats struct {
 }
 
 // Store is a filesystem-backed, content-addressed snapshot blob store
-// with a byte-budget LRU (access-time order, mirroring the serve result
-// cache's eviction discipline). It is safe for concurrent use.
+// with a byte-budget LRU in access-time order. It is safe for
+// concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
@@ -164,8 +164,7 @@ func (s *Store) Put(digest string, phase int, cycle int64, write func(io.Writer)
 
 // evict removes least-recently-used blobs until the store fits the
 // budget. Caller holds mu. A single blob larger than the whole budget
-// is evicted too — mirroring the result cache's "oversized values are
-// not retained" rule.
+// is evicted too: an oversized value is not retained.
 func (s *Store) evict() {
 	if s.budget <= 0 {
 		return

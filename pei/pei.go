@@ -187,6 +187,46 @@ const (
 // WorkloadParams configures a benchmark workload.
 type WorkloadParams = workloads.Params
 
+// ParseMode converts a mode name ("host", "pim", "locality", "ideal"
+// and common aliases) into a Mode.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "host", "host-only":
+		return HostOnly, nil
+	case "pim", "pim-only":
+		return PIMOnly, nil
+	case "locality", "locality-aware", "la":
+		return LocalityAware, nil
+	case "ideal", "ideal-host":
+		return IdealHost, nil
+	}
+	return 0, fmt.Errorf("pei: unknown mode %q (host|pim|locality|ideal)", s)
+}
+
+// ParseSize converts "small"/"medium"/"large" into a Size.
+func ParseSize(s string) (Size, error) { return workloads.ParseSize(strings.ToLower(s)) }
+
+// WriteWorkloadReport renders the result of running workload name with
+// params p as peisim's aligned key/value report; verify adds the line
+// that says the functional results were checked.
+func WriteWorkloadReport(w io.Writer, name string, p WorkloadParams, verify bool, res Result) {
+	fmt.Fprintf(w, "workload        %s (%s inputs, scale 1/%d, %d threads)\n",
+		name, p.Size, p.Scale, p.Threads)
+	fmt.Fprintf(w, "mode            %s\n", res.Mode)
+	fmt.Fprintf(w, "cycles          %d\n", res.Cycles)
+	fmt.Fprintf(w, "ops retired     %d (IPC %.3f)\n", res.Retired, res.IPC())
+	fmt.Fprintf(w, "PEIs            %d (%d host, %d memory, %.1f%% PIM)\n",
+		res.PEIHost+res.PEIMem, res.PEIHost, res.PEIMem, 100*res.PIMFraction())
+	fmt.Fprintf(w, "off-chip bytes  %d\n", res.OffchipBytes)
+	fmt.Fprintf(w, "DRAM accesses   %d\n", res.DRAMAccesses)
+	fmt.Fprintf(w, "energy (nJ)     %.0f (caches %.0f, DRAM %.0f, links %.0f, TSV %.0f, PCU %.0f, PMU %.0f)\n",
+		res.Energy.Total(), res.Energy.Caches, res.Energy.DRAM, res.Energy.Offchip,
+		res.Energy.TSV, res.Energy.PCU, res.Energy.PMU)
+	if verify {
+		fmt.Fprintln(w, "verification    OK")
+	}
+}
+
 // RunWorkload builds a machine, runs one of the paper's ten workloads on
 // it, optionally verifies functional results, and returns the result.
 //
@@ -202,9 +242,8 @@ func RunWorkloadContext(ctx context.Context, cfg *Config, mode Mode, name string
 
 // SnapshotStore is the content-addressed checkpoint store behind warm
 // starts: blobs keyed by (config digest, phase, cycle) with LRU
-// eviction. Point ReproduceOptions.SnapshotDir (or .SnapshotStore) or
-// RunJobOptions.Snapshots at one to resume sweeps from the deepest
-// shared checkpoint.
+// eviction. Point ReproduceOptions.SnapshotDir (or .SnapshotStore) at
+// one to resume sweeps from the deepest shared checkpoint.
 type SnapshotStore = snap.Store
 
 // SnapshotStoreStats are a store's hit/miss/eviction counters.
@@ -335,26 +374,25 @@ func ReproduceWithReport(ctx context.Context, name string, opts ReproduceOptions
 }
 
 // lookupExperiment resolves a runnable name (a registry name, an
-// alias, or "all") to its canonical spelling and the experiments it
-// runs.
-func lookupExperiment(name string) (string, []experiment, error) {
+// alias, or "all") to the experiments it runs.
+func lookupExperiment(name string) ([]experiment, error) {
 	if name == "all" {
-		return name, experiments, nil
+		return experiments, nil
 	}
 	if canonical, ok := experimentAliases[name]; ok {
 		name = canonical
 	}
 	for i, e := range experiments {
 		if e.name == name {
-			return name, experiments[i : i+1], nil
+			return experiments[i : i+1], nil
 		}
 	}
-	return name, nil, fmt.Errorf("pei: unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), ", "))
+	return nil, fmt.Errorf("pei: unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), ", "))
 }
 
 // reproduceOn dispatches one named experiment onto an existing runner.
 func reproduceOn(ctx context.Context, name string, r *harness.Runner, w io.Writer) error {
-	_, run, err := lookupExperiment(name)
+	run, err := lookupExperiment(name)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pimsim/internal/harness"
 	"pimsim/internal/pim"
 )
 
@@ -120,6 +121,18 @@ func TestRunWorkloadWithVerify(t *testing.T) {
 	if res.PEIs == 0 {
 		t.Fatal("no PEIs")
 	}
+	var buf bytes.Buffer
+	WriteWorkloadReport(&buf, "bfs", p, true, res)
+	report := buf.String()
+	for _, want := range []string{
+		"workload        bfs (small inputs, scale 1/1024, 2 threads)\n",
+		fmt.Sprintf("cycles          %d\n", res.Cycles),
+		"verification    OK\n",
+	} {
+		if !strings.Contains(report, want) {
+			t.Fatalf("report lacks %q:\n%s", want, report)
+		}
+	}
 }
 
 func TestRunWorkloadVerifyRejectsBudget(t *testing.T) {
@@ -199,6 +212,51 @@ func TestReproduceAlias(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Section 7.6") {
 		t.Fatalf("alias output missing table: %s", buf.String())
+	}
+}
+
+// Reproduce delivers one start and one finish event per simulation,
+// paired by Simulations, to ReproduceOptions.Progress; peiperf builds its
+// cell spans and simulated-cycle count from exactly this pairing.
+func TestReproduceEmitsProgress(t *testing.T) {
+	opts := DefaultReproduceOptions()
+	opts.Scale = 2048
+	opts.OpBudget = 1000
+	opts.Workloads = []string{"hg"}
+	opts.Parallelism = 1
+	var events []harness.Progress
+	opts.Progress = func(p harness.Progress) { events = append(events, p) }
+	var buf bytes.Buffer
+	if err := Reproduce(context.Background(), "fig6", opts, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "Figure 6") {
+		t.Fatalf("missing table:\n%s", buf.String())
+	}
+	open := map[int64]string{} // Simulations → cell of an unfinished run
+	dones := 0
+	for _, ev := range events {
+		if ev.Cell == "" || ev.Simulations <= 0 {
+			t.Fatalf("event without cell or simulation number: %+v", ev)
+		}
+		if !ev.Done {
+			if _, dup := open[ev.Simulations]; dup {
+				t.Fatalf("simulation %d started twice: %+v", ev.Simulations, ev)
+			}
+			open[ev.Simulations] = ev.Cell
+			continue
+		}
+		if cell, ok := open[ev.Simulations]; !ok || cell != ev.Cell {
+			t.Fatalf("finish without a matching start: %+v", ev)
+		}
+		if ev.Cycles <= 0 {
+			t.Fatalf("done event without cycles: %+v", ev)
+		}
+		delete(open, ev.Simulations)
+		dones++
+	}
+	if dones == 0 || len(open) != 0 {
+		t.Fatalf("unbalanced progress events: %d finished, %d never finished", dones, len(open))
 	}
 }
 

@@ -1,7 +1,6 @@
 package pei
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -10,23 +9,28 @@ import (
 )
 
 // Every single-workload run goes through harness.Runner.RunWorkload, so
-// a harness cell, RunWorkloadContext and a RunJob workload job of the
-// same workload must agree. RunJob returns only its rendered report, so
-// the job is compared against the report of the harness cell's Result.
+// a harness cell and RunWorkloadContext of the same workload must agree.
 const (
 	runPathScale  = 1024
 	runPathBudget = 2000
 )
 
-func runPathCell(t *testing.T, store *SnapshotStore, name string) Result {
-	t.Helper()
-	r := harness.NewRunner(harness.Options{
+func runPathParams() WorkloadParams {
+	return WorkloadParams{Threads: ScaledConfig().Cores, Size: Small, Scale: runPathScale, OpBudget: runPathBudget}
+}
+
+func runPathRunner(store *SnapshotStore, name string) *harness.Runner {
+	return harness.NewRunner(harness.Options{
 		Cfg:           ScaledConfig(),
 		Scale:         runPathScale,
 		OpBudget:      runPathBudget,
 		Workloads:     []string{name},
 		SnapshotStore: store,
 	})
+}
+
+func runPathCell(t *testing.T, r *harness.Runner, name string) Result {
+	t.Helper()
 	res, err := r.RunCell(context.Background(), harness.Cell{Workload: name, Size: Small, Mode: LocalityAware})
 	if err != nil {
 		t.Fatal(err)
@@ -34,49 +38,27 @@ func runPathCell(t *testing.T, store *SnapshotStore, name string) Result {
 	return res
 }
 
-func runPathJob(t *testing.T, store *SnapshotStore, name string) (JobSpec, string) {
-	t.Helper()
-	spec := JobSpec{Workload: name, Size: "small", Scale: runPathScale, OpBudget: runPathBudget}
-	var buf bytes.Buffer
-	if err := RunJob(context.Background(), spec, &buf, RunJobOptions{Snapshots: store}); err != nil {
-		t.Fatal(err)
-	}
-	norm, _, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return norm, buf.String()
-}
-
-func wantReport(spec JobSpec, res Result) string {
-	var buf bytes.Buffer
-	WriteWorkloadReport(&buf, spec, res)
-	return buf.String()
-}
-
 func TestRunPathsAgree(t *testing.T) {
 	for _, name := range WorkloadNames {
 		t.Run(name, func(t *testing.T) {
-			cell := runPathCell(t, nil, name)
-			p := WorkloadParams{Threads: ScaledConfig().Cores, Size: Small, Scale: runPathScale, OpBudget: runPathBudget}
-			direct, err := RunWorkloadContext(context.Background(), ScaledConfig(), LocalityAware, name, p, false)
+			cell := runPathCell(t, runPathRunner(nil, name), name)
+			direct, err := RunWorkloadContext(context.Background(), ScaledConfig(), LocalityAware, name, runPathParams(), false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(cell, direct) {
 				t.Fatalf("RunWorkloadContext diverged from the harness cell\ndirect: %+v\ncell:   %+v", direct, cell)
 			}
-			spec, got := runPathJob(t, nil, name)
-			if want := wantReport(spec, cell); got != want {
-				t.Fatalf("job report diverged from the harness cell\njob:\n%s\ncell:\n%s", got, want)
-			}
 		})
 	}
 }
 
-// With one shared store, a job and a harness cell run the same phases
-// and read each other's snapshots: the cold job and the warm cell (and
-// a second, warm job) must all agree.
+// With one shared store, a cold cell, a warm cell and the runner call
+// RunWorkloadContext makes run the same phases and read each other's
+// snapshots: all three must agree, and the two warm runs must each
+// resume once, skipping exactly the cycles they did not simulate.
+// RunWorkloadContext itself opens no store, so the third run makes its
+// call with the store added.
 func TestRunPathsAgreeWithSharedStore(t *testing.T) {
 	for _, name := range WorkloadNames {
 		t.Run(name, func(t *testing.T) {
@@ -84,19 +66,43 @@ func TestRunPathsAgreeWithSharedStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec, cold := runPathJob(t, store, name)
-			cell := runPathCell(t, store, name)
-			if want := wantReport(spec, cell); cold != want {
-				t.Fatalf("cold job diverged from the warm harness cell\njob:\n%s\ncell:\n%s", cold, want)
+			coldRunner := runPathRunner(store, name)
+			cold := runPathCell(t, coldRunner, name)
+			coldRep := coldRunner.SnapshotReport()
+			if coldRep.Store.Hits != 0 || coldRep.CyclesSkipped != 0 {
+				t.Fatalf("cold cell resumed from an empty store: %+v", coldRep)
 			}
-			if _, warm := runPathJob(t, store, name); warm != cold {
-				t.Fatalf("warm job diverged from the cold job\nwarm:\n%s\ncold:\n%s", warm, cold)
+			// Single-superstep workloads store no boundary and so never
+			// resume; the others must.
+			resumes := coldRep.Store.Entries > 0
+			checkWarm := func(what string, r *harness.Runner, hits int64) {
+				t.Helper()
+				rep := r.SnapshotReport()
+				if rep.Store.Hits != hits {
+					t.Fatalf("%s: store hits = %d, want %d", what, rep.Store.Hits, hits)
+				}
+				if resumes && (rep.CyclesSkipped <= 0 || rep.CyclesSimulated+rep.CyclesSkipped != coldRep.CyclesSimulated) {
+					t.Fatalf("%s did not resume at a stored boundary: %+v, cold simulated %d", what, rep, coldRep.CyclesSimulated)
+				}
 			}
-			// Single-superstep workloads store no boundary; the others must
-			// have resumed twice.
-			if st := store.Stats(); st.Entries > 0 && st.Hits != 2 {
-				t.Fatalf("cell and warm job should each resume from the store: %+v", st)
+			wantHits := int64(0)
+			if resumes {
+				wantHits = 1
 			}
+			warmRunner := runPathRunner(store, name)
+			if warm := runPathCell(t, warmRunner, name); !reflect.DeepEqual(warm, cold) {
+				t.Fatalf("warm cell diverged from the cold cell\nwarm: %+v\ncold: %+v", warm, cold)
+			}
+			checkWarm("warm cell", warmRunner, wantHits)
+			r := harness.NewRunner(harness.Options{Cfg: ScaledConfig(), SnapshotStore: store})
+			direct, err := r.RunWorkload(context.Background(), []harness.Program{{Workload: name, Params: runPathParams()}}, LocalityAware, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct, cold) {
+				t.Fatalf("direct run diverged from the cold cell\ndirect: %+v\ncold:   %+v", direct, cold)
+			}
+			checkWarm("direct run", r, 2*wantHits)
 		})
 	}
 }
