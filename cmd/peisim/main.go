@@ -47,6 +47,8 @@ func main() {
 		refusal = fmt.Sprintf("-budget %d: want >= 0 (0 = run to completion)", *budget)
 	case *threads < 0:
 		refusal = fmt.Sprintf("-threads %d: want >= 0 (0 = all cores)", *threads)
+	case *verify && *budget > 0:
+		refusal = fmt.Sprintf("-verify -budget %d: a budget-truncated run cannot be verified (use -budget 0)", *budget)
 	}
 	if refusal != "" {
 		fmt.Fprintln(os.Stderr, "peisim:", refusal)

@@ -12,7 +12,7 @@ func TestLookupMissThenHit(t *testing.T) {
 	}
 	c.Insert(c.Victim(10), 10, Shared)
 	l := c.Lookup(10)
-	if l == nil || l.Key != 10 || l.State != Shared {
+	if l == nil || l.Key != 10 || l.State() != Shared {
 		t.Fatalf("lookup after insert: %+v", l)
 	}
 	if c.Hits != 1 || c.Misses != 1 {
@@ -25,7 +25,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(c.Victim(0), 0, Shared)
 	c.Insert(c.Victim(1), 1, Shared)
 	c.Lookup(0) // promote 0; 1 is now LRU
-	v := c.Victim(2)
+	v := c.Line(c.Victim(2))
 	if v.Key != 1 {
 		t.Fatalf("victim key = %d, want 1", v.Key)
 	}
@@ -34,8 +34,8 @@ func TestLRUEviction(t *testing.T) {
 func TestVictimPrefersInvalid(t *testing.T) {
 	c := New(1, 4)
 	c.Insert(c.Victim(0), 0, Modified)
-	v := c.Victim(1)
-	if v.State != Invalid {
+	v := c.Line(c.Victim(1))
+	if v.State() != Invalid {
 		t.Fatal("victim should be an invalid way while one exists")
 	}
 }
@@ -61,9 +61,9 @@ func TestSetIsolation(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := New(2, 2)
 	c.Insert(c.Victim(5), 5, Modified)
-	c.Peek(5).Dirty = true
+	c.Peek(5).SetDirty(true)
 	old, ok := c.Invalidate(5)
-	if !ok || !old.Dirty || old.State != Modified {
+	if !ok || !old.Dirty() || old.State() != Modified {
 		t.Fatalf("invalidate returned %+v, %v", old, ok)
 	}
 	if _, ok := c.Invalidate(5); ok {
@@ -76,7 +76,7 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	c.Insert(c.Victim(0), 0, Shared)
 	c.Insert(c.Victim(1), 1, Shared)
 	c.Peek(0) // must not promote
-	if v := c.Victim(2); v.Key != 0 {
+	if v := c.Line(c.Victim(2)); v.Key != 0 {
 		t.Fatalf("Peek promoted: victim = %d, want 0", v.Key)
 	}
 }

@@ -200,7 +200,7 @@ func NewHierarchy(k *sim.Kernel, cfg *config.Config, chain *hmc.Chain, reg *stat
 	}
 	setsPerBank := cfg.L3.Sets() / cfg.L3Banks
 	for b := 0; b < cfg.L3Banks; b++ {
-		h.l3 = append(h.l3, New(setsPerBank, cfg.L3.Ways))
+		h.l3 = append(h.l3, NewShared(setsPerBank, cfg.L3.Ways))
 		// A bank accepts one access per 2 CPU cycles (2 GHz array).
 		h.bankSrv = append(h.bankSrv, sim.NewLink(k, 0.5, 0))
 		h.l3MSHR = append(h.l3MSHR, make(map[uint64]*l3MSHR))
@@ -341,10 +341,10 @@ func (h *Hierarchy) accessL1(t *accessTxn) {
 	core, blk, write := t.core, t.blk, t.write
 	if l := h.l1[core].Lookup(blk); l != nil {
 		h.cL1Hits.Inc()
-		if !write || l.State >= Exclusive {
+		if !write || l.State() >= Exclusive {
 			if write {
-				l.State = Modified
-				l.Dirty = true
+				l.SetState(Modified)
+				l.SetDirty(true)
 			}
 			h.retireAccess(t)
 			return
@@ -362,12 +362,12 @@ func (h *Hierarchy) accessL2(t *accessTxn) {
 	core, blk, write := t.core, t.blk, t.write
 	if l := h.l2[core].Lookup(blk); l != nil {
 		h.cL2Hits.Inc()
-		if !write || l.State >= Exclusive {
-			st := l.State
+		if !write || l.State() >= Exclusive {
+			st := l.State()
 			if write {
 				st = Modified
-				l.State = Modified
-				l.Dirty = true
+				l.SetState(Modified)
+				l.SetDirty(true)
 			}
 			h.fillL1(core, blk, st, write)
 			h.retireAccess(t)
@@ -399,21 +399,20 @@ func (h *Hierarchy) retireAccess(t *accessTxn) {
 func (h *Hierarchy) fillL1(core int, blk uint64, st State, dirty bool) {
 	c := h.l1[core]
 	if l := c.Peek(blk); l != nil {
-		l.State = st
-		l.Dirty = l.Dirty || dirty
+		l.SetState(st)
+		l.SetDirty(l.Dirty() || dirty)
 		return
 	}
-	v := c.Victim(blk)
-	if v.State != Invalid && v.Dirty {
+	w := c.Victim(blk)
+	if v := c.Line(w); v.State() != Invalid && v.Dirty() {
 		if l2 := h.l2[core].Peek(v.Key); l2 != nil {
-			l2.Dirty = true
-			l2.State = Modified
+			l2.SetDirty(true)
+			l2.SetState(Modified)
 		}
 		h.cL1Writebacks.Inc()
 	}
-	c.Insert(v, blk, st)
-	l := c.Peek(blk)
-	l.Dirty = dirty
+	c.Insert(w, blk, st)
+	c.Line(w).SetDirty(dirty)
 }
 
 // fillL2 installs blk in core's L2. Dirty victims are written back to
@@ -422,24 +421,23 @@ func (h *Hierarchy) fillL1(core int, blk uint64, st State, dirty bool) {
 func (h *Hierarchy) fillL2(core int, blk uint64, st State, dirty bool) {
 	c := h.l2[core]
 	if l := c.Peek(blk); l != nil {
-		l.State = st
-		l.Dirty = l.Dirty || dirty
+		l.SetState(st)
+		l.SetDirty(l.Dirty() || dirty)
 		return
 	}
-	v := c.Victim(blk)
-	if v.State != Invalid {
-		if l1, ok := h.l1[core].Invalidate(v.Key); ok && l1.Dirty {
-			v.Dirty = true
+	w := c.Victim(blk)
+	if v := c.Line(w); v.State() != Invalid {
+		if l1, ok := h.l1[core].Invalidate(v.Key); ok && l1.Dirty() {
+			v.SetDirty(true)
 		}
-		if v.Dirty {
+		if v.Dirty() {
 			h.cL2Writebacks.Inc()
 			h.coreOut[core].SendEvent(addr.BlockBytes+h.cfg.PacketHeaderBytes,
 				(*l3DirtyNotice)(h), sim.EventArg{N: int64(v.Key)})
 		}
 	}
-	c.Insert(v, blk, st)
-	l := c.Peek(blk)
-	l.Dirty = dirty
+	c.Insert(w, blk, st)
+	c.Line(w).SetDirty(dirty)
 }
 
 // markL3Dirty records a private writeback arriving at the L3. If the
@@ -448,7 +446,7 @@ func (h *Hierarchy) fillL2(core int, blk uint64, st State, dirty bool) {
 func (h *Hierarchy) markL3Dirty(blk uint64) {
 	b := h.bankOf(blk)
 	if l := h.l3[b].Peek(h.bankKey(blk)); l != nil {
-		l.Dirty = true
+		l.SetDirty(true)
 		return
 	}
 	h.cL3OrphanWritebacks.Inc()
@@ -556,10 +554,12 @@ func (h *Hierarchy) l3Access(req *privMSHR) {
 		m.waiters = append(m.waiters, req)
 		return
 	}
-	if l := h.l3[bank].Lookup(key); l != nil {
+	l3 := h.l3[bank]
+	if i := l3.lookup(key); i >= 0 {
 		h.cL3Hits.Inc()
+		l, sharers := &l3.lines[i], &l3.sharers[i]
 		delay := sim.Cycle(0)
-		others := l.Sharers &^ (1 << uint(core))
+		others := *sharers &^ (1 << uint(core))
 		if others != 0 {
 			if write {
 				// Invalidate all other sharers.
@@ -569,14 +569,14 @@ func (h *Hierarchy) l3Access(req *privMSHR) {
 						continue
 					}
 					h.cCohInvals.Inc()
-					if l1, ok := h.l1[c].Invalidate(blk); ok && l1.Dirty {
-						l.Dirty = true
+					if l1, ok := h.l1[c].Invalidate(blk); ok && l1.Dirty() {
+						l.SetDirty(true)
 					}
-					if l2, ok := h.l2[c].Invalidate(blk); ok && l2.Dirty {
-						l.Dirty = true
+					if l2, ok := h.l2[c].Invalidate(blk); ok && l2.Dirty() {
+						l.SetDirty(true)
 					}
 				}
-				l.Sharers = 0
+				*sharers = 0
 			} else {
 				// Downgrade other sharers' E/M copies to Shared so no
 				// one can write silently; dirty data is pulled into the
@@ -586,29 +586,31 @@ func (h *Hierarchy) l3Access(req *privMSHR) {
 						continue
 					}
 					dirty := false
-					if l1 := h.l1[c].Peek(blk); l1 != nil && l1.State >= Exclusive {
-						dirty = dirty || l1.Dirty
-						l1.State, l1.Dirty = Shared, false
+					if l1 := h.l1[c].Peek(blk); l1 != nil && l1.State() >= Exclusive {
+						dirty = dirty || l1.Dirty()
+						l1.SetState(Shared)
+						l1.SetDirty(false)
 					}
-					if l2 := h.l2[c].Peek(blk); l2 != nil && l2.State >= Exclusive {
-						dirty = dirty || l2.Dirty
-						l2.State, l2.Dirty = Shared, false
+					if l2 := h.l2[c].Peek(blk); l2 != nil && l2.State() >= Exclusive {
+						dirty = dirty || l2.Dirty()
+						l2.SetState(Shared)
+						l2.SetDirty(false)
 					}
 					if dirty {
 						h.cCohDowngrades.Inc()
-						l.Dirty = true
+						l.SetDirty(true)
 						delay = 2 * h.cfg.NoCLatency
 					}
 				}
 			}
 		}
 		if write {
-			l.Dirty = true
-			l.Sharers = 1 << uint(core)
+			l.SetDirty(true)
+			*sharers = 1 << uint(core)
 		} else {
-			l.Sharers |= 1 << uint(core)
+			*sharers |= 1 << uint(core)
 		}
-		req.exclusive = l.Sharers == 1<<uint(core)
+		req.exclusive = *sharers == 1<<uint(core)
 		h.k.ScheduleEvent(delay, req, sim.EventArg{N: pmStageRespond})
 		return
 	}
@@ -626,11 +628,11 @@ func (h *Hierarchy) l3Access(req *privMSHR) {
 	h.l3MSHR[bank][blk] = m
 	// Reserve the frame now so racing misses to the same set pick other
 	// victims; evict the old occupant first.
-	v := h.l3[bank].Victim(key)
-	if v.State != Invalid {
+	v := l3.Victim(key)
+	if l3.lines[v].State() != Invalid {
 		h.evictL3(bank, v)
 	}
-	h.l3[bank].Insert(v, key, Shared)
+	l3.Insert(v, key, Shared)
 	h.chain.ReadEvent(blockAddr(blk), sim.Cont{H: m})
 }
 
@@ -641,8 +643,9 @@ func (h *Hierarchy) fillL3(m *l3MSHR) {
 	bank, blk := m.bank, m.blk
 	key := h.bankKey(blk)
 	delete(h.l3MSHR[bank], blk)
-	l := h.l3[bank].Peek(key)
-	if l == nil {
+	l3 := h.l3[bank]
+	i := l3.find(key)
+	if i < 0 {
 		// Evicted while in flight (pathological); treat as a fresh
 		// bypass fill: respond without caching.
 		for _, w := range m.waiters {
@@ -652,35 +655,37 @@ func (h *Hierarchy) fillL3(m *l3MSHR) {
 		h.putL3(m)
 		return
 	}
+	l, sharers := &l3.lines[i], &l3.sharers[i]
 	for _, w := range m.waiters {
 		if w.write {
-			l.Dirty = true
-			l.Sharers = 1 << uint(w.core)
+			l.SetDirty(true)
+			*sharers = 1 << uint(w.core)
 		} else {
-			l.Sharers |= 1 << uint(w.core)
+			*sharers |= 1 << uint(w.core)
 		}
 	}
 	for _, w := range m.waiters {
-		w.exclusive = l.Sharers == 1<<uint(w.core)
+		w.exclusive = *sharers == 1<<uint(w.core)
 		h.completePrivateMiss(w)
 	}
 	h.putL3(m)
 }
 
-// evictL3 removes a victim line from the L3: back-invalidates all
-// private copies (inclusion) and writes dirty data to memory.
-func (h *Hierarchy) evictL3(bank int, v *Line) {
+// evictL3 removes the bank's victim line i from the L3: back-invalidates
+// all private copies (inclusion) and writes dirty data to memory.
+func (h *Hierarchy) evictL3(bank, i int) {
+	v, sharers := &h.l3[bank].lines[i], h.l3[bank].sharers[i]
 	blk := v.Key*uint64(h.cfg.L3Banks) + uint64(bank)
-	dirty := v.Dirty
+	dirty := v.Dirty()
 	for c := 0; c < h.cfg.Cores; c++ {
-		if v.Sharers&(1<<uint(c)) == 0 {
+		if sharers&(1<<uint(c)) == 0 {
 			continue
 		}
 		h.cL3BackInvals.Inc()
-		if l1, ok := h.l1[c].Invalidate(blk); ok && l1.Dirty {
+		if l1, ok := h.l1[c].Invalidate(blk); ok && l1.Dirty() {
 			dirty = true
 		}
-		if l2, ok := h.l2[c].Invalidate(blk); ok && l2.Dirty {
+		if l2, ok := h.l2[c].Invalidate(blk); ok && l2.Dirty() {
 			dirty = true
 		}
 	}
@@ -723,35 +728,40 @@ func (h *Hierarchy) backCohLookup(t *cohTxn) {
 	blk := addr.BlockOf(a)
 	bank := h.bankOf(blk)
 	dirty := false
+	l3 := h.l3[bank]
 	if t.inval {
-		if l, ok := h.l3[bank].Invalidate(h.bankKey(blk)); ok {
-			dirty = l.Dirty
+		if l, sharers, ok := l3.invalidate(h.bankKey(blk)); ok {
+			dirty = l.Dirty()
 			for c := 0; c < h.cfg.Cores; c++ {
-				if l.Sharers&(1<<uint(c)) == 0 {
+				if sharers&(1<<uint(c)) == 0 {
 					continue
 				}
-				if l1, ok := h.l1[c].Invalidate(blk); ok && l1.Dirty {
+				if l1, ok := h.l1[c].Invalidate(blk); ok && l1.Dirty() {
 					dirty = true
 				}
-				if l2, ok := h.l2[c].Invalidate(blk); ok && l2.Dirty {
+				if l2, ok := h.l2[c].Invalidate(blk); ok && l2.Dirty() {
 					dirty = true
 				}
 			}
 		}
-	} else if l := h.l3[bank].Peek(h.bankKey(blk)); l != nil {
-		if l.Dirty {
-			l.Dirty = false
+	} else if i := l3.find(h.bankKey(blk)); i >= 0 {
+		if l := &l3.lines[i]; l.Dirty() {
+			l.SetDirty(false)
 			dirty = true
 		}
 		for c := 0; c < h.cfg.Cores; c++ {
-			if l.Sharers&(1<<uint(c)) == 0 {
+			if l3.sharers[i]&(1<<uint(c)) == 0 {
 				continue
 			}
-			if l1 := h.l1[c].Peek(blk); l1 != nil && l1.Dirty {
-				l1.State, l1.Dirty, dirty = Shared, false, true
+			if l1 := h.l1[c].Peek(blk); l1 != nil && l1.Dirty() {
+				l1.SetState(Shared)
+				l1.SetDirty(false)
+				dirty = true
 			}
-			if l2 := h.l2[c].Peek(blk); l2 != nil && l2.Dirty {
-				l2.State, l2.Dirty, dirty = Shared, false, true
+			if l2 := h.l2[c].Peek(blk); l2 != nil && l2.Dirty() {
+				l2.SetState(Shared)
+				l2.SetDirty(false)
+				dirty = true
 			}
 		}
 	}

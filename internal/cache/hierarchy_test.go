@@ -66,7 +66,7 @@ func TestSoleReaderGetsExclusive(t *testing.T) {
 	h.AccessEvent(0, 0x2000, false, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x2000)
-	if st := h.L1(0).Peek(blk).State; st != Exclusive {
+	if st := h.L1(0).Peek(blk).State(); st != Exclusive {
 		t.Fatalf("sole reader state = %v, want E", st)
 	}
 	// A silent upgrade: write hits E in L1 without another L3 trip.
@@ -76,7 +76,7 @@ func TestSoleReaderGetsExclusive(t *testing.T) {
 	if reg.Get("l3.hits") != l3hits {
 		t.Fatal("E->M upgrade should not reach L3")
 	}
-	if st := h.L1(0).Peek(blk).State; st != Modified {
+	if st := h.L1(0).Peek(blk).State(); st != Modified {
 		t.Fatalf("state after write = %v, want M", st)
 	}
 }
@@ -88,12 +88,12 @@ func TestSecondReaderGetsShared(t *testing.T) {
 	h.AccessEvent(1, 0x3000, false, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x3000)
-	if st := h.L1(1).Peek(blk).State; st != Shared {
+	if st := h.L1(1).Peek(blk).State(); st != Shared {
 		t.Fatalf("second reader state = %v, want S", st)
 	}
-	l3 := h.L3Bank(h.bankOf(blk)).Peek(h.bankKey(blk))
-	if l3.Sharers != 0b11 {
-		t.Fatalf("sharers = %b, want 11", l3.Sharers)
+	bank := h.L3Bank(h.bankOf(blk))
+	if sharers := bank.sharers[bank.find(h.bankKey(blk))]; sharers != 0b11 {
+		t.Fatalf("sharers = %b, want 11", sharers)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestWriteInvalidatesOtherSharers(t *testing.T) {
 	if reg.Get("coh.invalidations") == 0 {
 		t.Fatal("no invalidations counted")
 	}
-	if st := h.L1(0).Peek(blk).State; st != Modified {
+	if st := h.L1(0).Peek(blk).State(); st != Modified {
 		t.Fatalf("writer state = %v, want M", st)
 	}
 }
@@ -124,14 +124,14 @@ func TestReadDowngradesModifiedCopy(t *testing.T) {
 	h.AccessEvent(1, 0x5000, false, sim.Call(func() {}))
 	k.Run()
 	blk := addr.BlockOf(0x5000)
-	if st := h.L1(0).Peek(blk).State; st != Shared {
+	if st := h.L1(0).Peek(blk).State(); st != Shared {
 		t.Fatalf("old owner state = %v, want S after downgrade", st)
 	}
 	if reg.Get("coh.downgrades") == 0 {
 		t.Fatal("no downgrade counted")
 	}
 	l3 := h.L3Bank(h.bankOf(blk)).Peek(h.bankKey(blk))
-	if !l3.Dirty {
+	if !l3.Dirty() {
 		t.Fatal("L3 should hold the dirty data after downgrade")
 	}
 }
@@ -199,7 +199,7 @@ func TestBackWritebackKeepsCleanCopies(t *testing.T) {
 	if l == nil {
 		t.Fatal("BackWriteback evicted the block; it should stay cached")
 	}
-	if l.Dirty {
+	if l.Dirty() {
 		t.Fatal("block still dirty after BackWriteback")
 	}
 }
@@ -303,7 +303,7 @@ func TestUpgradeReplayForMergedStore(t *testing.T) {
 		t.Fatalf("load/store done = %v/%v", loadDone, storeDone)
 	}
 	blk := addr.BlockOf(0xC000)
-	if st := h.L1(0).Peek(blk).State; st != Modified {
+	if st := h.L1(0).Peek(blk).State(); st != Modified {
 		t.Fatalf("state = %v, want M", st)
 	}
 }

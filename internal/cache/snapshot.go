@@ -9,23 +9,49 @@ import (
 // Snap codes the tag array: geometry (verified on restore), the LRU
 // clock, hit/miss counters, and every line including its unexported
 // LRU stamp — replacement decisions after a resume must match the cold
-// run's exactly.
+// run's exactly. Each line is coded as key, state, dirty, sharers and
+// LRU stamp, through temporaries, whatever the in-memory packing; a
+// cache without sharer masks codes a zero sharer word. Restore rejects
+// what the packing cannot hold: a clock or stamp at or above lruLimit,
+// a stamp above the clock, or sharers on a private cache.
 func (c *Cache) Snap(sc *snap.Coder) {
 	sc.Section("CACH")
 	sc.Expect("cache: sets", c.sets)
 	sc.Expect("cache: ways", c.ways)
 	sc.U64(&c.clock)
+	if c.clock >= lruLimit {
+		sc.Fail(fmt.Errorf("snap: cache LRU clock %d out of range", c.clock))
+		return
+	}
 	sc.I64(&c.Hits)
 	sc.I64(&c.Misses)
 	for i := range c.lines {
 		l := &c.lines[i]
+		st, dirty, lru := uint8(l.State()), l.Dirty(), l.lru()
+		var sharers uint64
+		if c.sharers != nil {
+			sharers = c.sharers[i]
+		}
 		sc.U64(&l.Key)
-		st := uint8(l.State)
 		sc.Enum(&st, uint8(Modified)+1)
-		l.State = State(st)
-		sc.Bool(&l.Dirty)
-		sc.U64(&l.Sharers)
-		sc.U64(&l.lru)
+		sc.Bool(&dirty)
+		sc.U64(&sharers)
+		sc.U64(&lru)
+		if !sc.Decoding() || sc.Err() != nil {
+			continue
+		}
+		switch {
+		case lru > c.clock:
+			sc.Fail(fmt.Errorf("snap: cache line %d LRU stamp %d above clock %d", i, lru, c.clock))
+		case c.sharers == nil && sharers != 0:
+			sc.Fail(fmt.Errorf("snap: private cache line %d has sharers %#x", i, sharers))
+		default:
+			l.meta = uint64(st)<<stateShift | lru
+			l.SetDirty(dirty)
+			if c.sharers != nil {
+				c.sharers[i] = sharers
+			}
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func (r *Runner) snapStore() (*snap.Store, error) {
 		if r.Opts.SnapshotStore != nil {
 			r.store = r.Opts.SnapshotStore
 		} else {
-			r.store, r.storeErr = snap.NewStore(r.Opts.SnapshotDir, 0)
+			r.store, r.storeErr = snap.NewStore(r.Opts.SnapshotDir)
 		}
 	}
 	return r.store, r.storeErr

@@ -142,7 +142,7 @@ func TestResumeEquivalence(t *testing.T) {
 // dir, read through a store of its own so the run's counters stay put.
 func deepestBlob(t testing.TB, r *Runner, dir string, cell Cell) snap.Blob {
 	t.Helper()
-	st, err := snap.NewStore(dir, 0)
+	st, err := snap.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSnapshotIOChunks(t *testing.T) {
 		t.Fatalf("%d reads to restore a %d-byte blob, want <= %d", cr.reads, len(data), max)
 	}
 
-	st, err := snap.NewStore(t.TempDir(), 0)
+	st, err := snap.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"pimsim/internal/config"
@@ -78,5 +79,23 @@ func TestCorePEISteadyStateAllocs(t *testing.T) {
 				t.Fatalf("core-driven PEI allocates %.3f objects/op in steady state, want ~0", allocs)
 			}
 		})
+	}
+}
+
+// TestMachineFootprint pins what building the Table 2 machine allocates:
+// the L1/L2/L3 tag arrays at 16 bytes a way, the L3's sharer masks
+// beside them, and the locality monitor at 16 bytes a way come to about
+// 12 MB (10^6 bytes), against 19.4 MB with 32-byte records.
+func TestMachineFootprint(t *testing.T) {
+	const limit = 12.5e6
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := MustNew(config.Baseline(), pim.LocalityAware)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("machine.New(Baseline, LocalityAware) allocates %.2f MB", float64(got)/1e6)
+	if got > limit {
+		t.Fatalf("machine.New allocates %d bytes, want <= %d", got, uint64(limit))
 	}
 }

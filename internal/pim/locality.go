@@ -27,12 +27,16 @@ type Monitor struct {
 	cHit, cMiss, cIgnoredHit stats.Handle
 }
 
+// monEntry is one monitor way, 16 bytes: the tag word carries the
+// ignore flag in its top bit (tags are block numbers divided by the set
+// count, far below it), and an LRU stamp of 0 marks an invalid way —
+// the clock is incremented before every stamp, so valid stamps are >= 1.
 type monEntry struct {
-	valid  bool
-	tag    uint64
-	lru    uint64
-	ignore bool
+	tag uint64 // partial (or, ideal, full) tag | ignoreBit
+	lru uint64
 }
+
+const ignoreBit = 1 << 63
 
 // NewMonitor creates a monitor with the L3's geometry.
 func NewMonitor(sets, ways int, partialBits uint, useIgnore, ideal bool, reg *stats.Registry) *Monitor {
@@ -68,7 +72,7 @@ func (m *Monitor) find(blk uint64) *monEntry {
 	set := m.set(blk)
 	tag := m.tagOf(blk)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag&^ignoreBit == tag && set[i].lru != 0 {
 			return &set[i]
 		}
 	}
@@ -86,7 +90,7 @@ func (m *Monitor) touch(blk uint64, fromPIM bool) *monEntry {
 	set := m.set(blk)
 	victim := &set[0]
 	for i := range set {
-		if !set[i].valid {
+		if set[i].lru == 0 {
 			victim = &set[i]
 			break
 		}
@@ -94,7 +98,10 @@ func (m *Monitor) touch(blk uint64, fromPIM bool) *monEntry {
 			victim = &set[i]
 		}
 	}
-	*victim = monEntry{valid: true, tag: m.tagOf(blk), lru: m.clock, ignore: fromPIM && m.useIgnore}
+	*victim = monEntry{tag: m.tagOf(blk), lru: m.clock}
+	if fromPIM && m.useIgnore {
+		victim.tag |= ignoreBit
+	}
 	return victim
 }
 
@@ -120,8 +127,8 @@ func (m *Monitor) Predict(blk uint64) (host, miss bool) {
 		m.cMiss.Inc()
 		return false, true
 	}
-	if e.ignore {
-		e.ignore = false
+	if e.tag&ignoreBit != 0 {
+		e.tag &^= ignoreBit
 		m.cIgnoredHit.Inc()
 		return false, false
 	}

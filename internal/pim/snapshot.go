@@ -7,8 +7,11 @@ import (
 )
 
 // Snap codes the monitor's tag array of identical geometry: every entry
-// (valid, tag, LRU stamp, ignore flag) plus the LRU clock, so
-// post-resume steering decisions replay the cold run's exactly.
+// (valid, tag, LRU stamp, ignore flag, through temporaries whatever the
+// in-memory packing) plus the LRU clock, so post-resume steering
+// decisions replay the cold run's exactly. Restore rejects what the
+// packing cannot hold: a valid entry stamped 0, an invalid one stamped
+// nonzero, a stamp above the clock, or a tag reaching the ignore bit.
 func (m *Monitor) Snap(c *snap.Coder) {
 	c.Section("LMON")
 	c.Expect("pim: monitor sets", m.sets)
@@ -16,10 +19,27 @@ func (m *Monitor) Snap(c *snap.Coder) {
 	c.U64(&m.clock)
 	for i := range m.entries {
 		e := &m.entries[i]
-		c.Bool(&e.valid)
-		c.U64(&e.tag)
-		c.U64(&e.lru)
-		c.Bool(&e.ignore)
+		valid, tag, lru, ignore := e.lru != 0, e.tag&^ignoreBit, e.lru, e.tag&ignoreBit != 0
+		c.Bool(&valid)
+		c.U64(&tag)
+		c.U64(&lru)
+		c.Bool(&ignore)
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		switch {
+		case valid != (lru != 0):
+			c.Fail(fmt.Errorf("snap: monitor entry %d valid=%v with LRU stamp %d", i, valid, lru))
+		case lru > m.clock:
+			c.Fail(fmt.Errorf("snap: monitor entry %d LRU stamp %d above clock %d", i, lru, m.clock))
+		case tag&ignoreBit != 0:
+			c.Fail(fmt.Errorf("snap: monitor entry %d tag %#x out of range", i, tag))
+		default:
+			e.tag, e.lru = tag, lru
+			if ignore {
+				e.tag |= ignoreBit
+			}
+		}
 	}
 }
 

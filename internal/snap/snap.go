@@ -1,8 +1,7 @@
 // Package snap is the machine-state serialization layer behind
 // checkpoint/warm-start snapshots: a little-endian binary record format
 // with explicit section tags and a version header, plus a
-// content-addressed on-disk blob store with a byte-budget LRU
-// (store.go).
+// content-addressed on-disk blob store (store.go).
 //
 // Every stateful component of the simulator has one Snap(*snap.Coder)
 // method that hands each of its fields to the Coder by pointer. An

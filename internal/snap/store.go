@@ -6,11 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Blob identifies one stored snapshot: the machine's content-address
@@ -24,43 +22,37 @@ type Blob struct {
 	Cycle  int64
 	Path   string
 	Size   int64
-
-	atime time.Time // mtime when listed: the LRU's access time
 }
 
 var blobName = regexp.MustCompile(`^([0-9a-f]+)-p(\d+)-c(\d+)\.snap$`)
 
 // StoreStats is a point-in-time snapshot of the store's counters, the
-// shape Prometheus gauges and the harness's warm-start report consume.
+// shape the harness's warm-start report consumes.
 type StoreStats struct {
 	Hits, Misses int64
 	BytesWritten int64
-	Evictions    int64
 	Entries      int
 	Bytes        int64
 }
 
-// Store is a filesystem-backed, content-addressed snapshot blob store
-// with a byte-budget LRU in access-time order. It is safe for
-// concurrent use.
+// Store is a filesystem-backed, content-addressed snapshot blob store.
+// It keeps every blob it is given; it is safe for concurrent use.
 type Store struct {
-	mu     sync.Mutex
-	dir    string
-	budget int64 // bytes; <= 0 means unlimited
+	mu  sync.Mutex
+	dir string
 
-	hits, misses, bytesWritten, evictions int64
+	hits, misses, bytesWritten int64
 }
 
-// NewStore opens (creating if needed) a snapshot store rooted at dir
-// with the given byte budget (<= 0 for unlimited).
-func NewStore(dir string, budget int64) (*Store, error) {
+// NewStore opens (creating if needed) a snapshot store rooted at dir.
+func NewStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("snap: empty store directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("snap: creating store: %w", err)
 	}
-	return &Store{dir: dir, budget: budget}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -95,7 +87,6 @@ func (s *Store) list(prefix string) []Blob {
 			Cycle:  cycle,
 			Path:   filepath.Join(s.dir, e.Name()),
 			Size:   info.Size(),
-			atime:  info.ModTime(),
 		})
 	}
 	return blobs
@@ -103,8 +94,6 @@ func (s *Store) list(prefix string) []Blob {
 
 // Best returns the deepest (highest-phase) snapshot stored for digest,
 // counting a hit or miss. Only entries named for digest are examined.
-// A hit refreshes the blob's access time so the LRU keeps warm prefixes
-// resident.
 func (s *Store) Best(digest string) (Blob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,19 +109,15 @@ func (s *Store) Best(digest string) (Blob, bool) {
 		return Blob{}, false
 	}
 	s.hits++
-	now := time.Now()
-	_ = os.Chtimes(best.Path, now, now)
 	return best, true
 }
 
 // Put stores the snapshot for (digest, phase, cycle) that write
-// produces, then evicts least-recently-used blobs beyond the byte
-// budget. write streams straight into a temp file in the store's
+// produces. write streams straight into a temp file in the store's
 // directory, which is renamed into place only if write and the close
 // succeed, so readers never see a torn blob and a failed write leaves
-// nothing behind. The store's lock is held only for the rename, the
-// counters and eviction, so concurrent Puts write their files in
-// parallel.
+// nothing behind. The store's lock is held only for the rename and the
+// counters, so concurrent Puts write their files in parallel.
 func (s *Store) Put(digest string, phase int, cycle int64, write func(io.Writer) error) error {
 	name := fmt.Sprintf("%s-p%d-c%d.snap", digest, phase, cycle)
 	tmp, err := os.CreateTemp(s.dir, name+".tmp*")
@@ -158,40 +143,7 @@ func (s *Store) Put(digest string, phase int, cycle int64, write func(io.Writer)
 		return fmt.Errorf("snap: store put: %w", err)
 	}
 	s.bytesWritten += info.Size()
-	s.evict()
 	return nil
-}
-
-// evict removes least-recently-used blobs until the store fits the
-// budget. Caller holds mu. A single blob larger than the whole budget
-// is evicted too: an oversized value is not retained.
-func (s *Store) evict() {
-	if s.budget <= 0 {
-		return
-	}
-	blobs := s.list("")
-	var used int64
-	for _, b := range blobs {
-		used += b.Size
-	}
-	if used <= s.budget {
-		return
-	}
-	sort.Slice(blobs, func(i, j int) bool {
-		if !blobs[i].atime.Equal(blobs[j].atime) {
-			return blobs[i].atime.Before(blobs[j].atime)
-		}
-		return blobs[i].Path < blobs[j].Path
-	})
-	for _, b := range blobs {
-		if used <= s.budget {
-			break
-		}
-		if os.Remove(b.Path) == nil {
-			used -= b.Size
-			s.evictions++
-		}
-	}
 }
 
 // Stats returns a consistent snapshot of the store's counters plus its
@@ -203,7 +155,6 @@ func (s *Store) Stats() StoreStats {
 		Hits:         s.hits,
 		Misses:       s.misses,
 		BytesWritten: s.bytesWritten,
-		Evictions:    s.evictions,
 	}
 	for _, b := range s.list("") {
 		st.Entries++

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // put stores data as the blob for (digest, phase, cycle).
@@ -21,7 +20,7 @@ func put(s *Store, digest string, phase int, cycle int64, data []byte) error {
 }
 
 func TestStoreBestPicksDeepestPhase(t *testing.T) {
-	s, err := NewStore(t.TempDir(), 0)
+	s, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,62 +52,9 @@ func TestStoreBestPicksDeepestPhase(t *testing.T) {
 	}
 }
 
-func TestStoreEvictsLRUBeyondBudget(t *testing.T) {
-	s, err := NewStore(t.TempDir(), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := make([]byte, 100)
-	for i, d := range []string{"aaaa", "bbbb", "cccc"} {
-		if err := put(s, d, 1, 10, blob); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes so LRU order is deterministic on coarse
-		// filesystem timestamps.
-		ts := time.Now().Add(time.Duration(i-10) * time.Second)
-		os.Chtimes(filepath.Join(s.Dir(), d+"-p1-c10.snap"), ts, ts)
-	}
-	// 300 bytes resident vs a 256 budget: the oldest blob goes.
-	put(s, "dddd", 1, 10, []byte{})
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions: %+v", st)
-	}
-	if st.Bytes > 256 {
-		t.Fatalf("store over budget: %+v", st)
-	}
-	if _, ok := s.Best("aaaa"); ok {
-		t.Fatal("oldest blob survived eviction")
-	}
-	if _, ok := s.Best("cccc"); !ok {
-		t.Fatal("newest blob was evicted")
-	}
-}
-
-func TestStoreBestRefreshesAccessTime(t *testing.T) {
-	s, err := NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(s, "aaaa", 1, 10, []byte("x"))
-	old := time.Now().Add(-time.Hour)
-	path := filepath.Join(s.Dir(), "aaaa-p1-c10.snap")
-	os.Chtimes(path, old, old)
-	if _, ok := s.Best("aaaa"); !ok {
-		t.Fatal("blob vanished")
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.ModTime().After(old.Add(time.Minute)) {
-		t.Fatalf("hit did not refresh access time: %v", info.ModTime())
-	}
-}
-
 func TestStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir, 0)
+	s, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +69,7 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 }
 
 func TestStorePutFailureLeavesNothing(t *testing.T) {
-	s, err := NewStore(t.TempDir(), 0)
+	s, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +105,7 @@ func TestStorePutFailureLeavesNothing(t *testing.T) {
 }
 
 func TestStoreBestMatchesWholeDigest(t *testing.T) {
-	s, err := NewStore(t.TempDir(), 0)
+	s, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +120,10 @@ func TestStoreBestMatchesWholeDigest(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrent runs Put, Best and Stats from many goroutines
-// over a budgeted store; run it under -race.
+// TestStoreConcurrent runs Put, Best and Stats from many goroutines;
+// run it under -race.
 func TestStoreConcurrent(t *testing.T) {
-	s, err := NewStore(t.TempDir(), 4<<10)
+	s, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +152,7 @@ func TestStoreConcurrent(t *testing.T) {
 	if st.BytesWritten != 8*20*512 {
 		t.Fatalf("bytes written %d, want %d", st.BytesWritten, 8*20*512)
 	}
-	if st.Bytes > 4<<10 {
-		t.Fatalf("store over budget: %+v", st)
+	if st.Entries != 8*20 || st.Bytes != 8*20*512 {
+		t.Fatalf("store holds %d blobs of %d bytes, want %d of %d", st.Entries, st.Bytes, 8*20, 8*20*512)
 	}
 }

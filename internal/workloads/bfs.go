@@ -19,7 +19,8 @@ const infDist = uint64(1) << 60
 // fields with 8-byte atomic-min PEIs; rounds are separated by a barrier
 // plus pfence. The number of rounds is the BFS depth of the graph,
 // computed by the golden implementation up front (see DESIGN.md on
-// fixed-round supersteps).
+// fixed-round supersteps). A budget-truncated run cannot be verified,
+// so it keeps the round count and drops the golden levels.
 type bfs struct {
 	phaseCtl
 	p  Params
@@ -64,7 +65,11 @@ func (w *bfs) Streams(m *machine.Machine) []cpu.Stream {
 	g := w.gm.G
 	n := g.NumVertices()
 	w.src = g.MaxDegreeVertex()
-	w.golden, w.rounds = goldenBFS(g, w.src)
+	golden, rounds := goldenBFS(g, w.src)
+	w.rounds = rounds
+	if w.p.OpBudget == 0 {
+		w.golden = golden
+	}
 
 	w.level = m.Store.AllocU64Array(n)
 	w.level.Fill(infDist)
@@ -100,6 +105,9 @@ func (w *bfs) Streams(m *machine.Machine) []cpu.Stream {
 }
 
 func (w *bfs) Verify(m *machine.Machine) error {
+	if w.golden == nil {
+		return fmt.Errorf("bfs: a budget-truncated run has no golden levels")
+	}
 	for v := range w.golden {
 		if got := w.level.Get(v); got != w.golden[v] {
 			return fmt.Errorf("bfs: level[%d] = %d, want %d", v, got, w.golden[v])

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"pimsim/internal/graph"
@@ -70,7 +71,24 @@ type graphEntry struct {
 
 // cachedGraph returns spec's graph, symmetrized if asked, building it on
 // first use; a symmetrized graph is derived from the cached directed one.
+//
+// A call that builds ends with one garbage collection, however many
+// graphs it built. A build allocates about three times the graph it
+// keeps (R-MAT's edge lists, the CSR scratch), and a collection that
+// fires mid-build would set the next heap goal from that transient;
+// collecting once the scratch is dead sets it from what the run keeps
+// instead (see DESIGN.md, "Footprint").
 func cachedGraph(spec graph.DatasetSpec, symmetrize bool) *graph.Graph {
+	g, built := loadGraph(spec, symmetrize)
+	if built {
+		runtime.GC()
+	}
+	return g
+}
+
+// loadGraph is cachedGraph without the collection; built reports
+// whether this call ran the build.
+func loadGraph(spec graph.DatasetSpec, symmetrize bool) (g *graph.Graph, built bool) {
 	key := graphKey(spec, symmetrize)
 	v, ok := graphCache.Load(key)
 	if !ok {
@@ -78,13 +96,15 @@ func cachedGraph(spec graph.DatasetSpec, symmetrize bool) *graph.Graph {
 	}
 	e := v.(*graphEntry)
 	e.once.Do(func() {
+		built = true
 		if symmetrize {
-			e.g = cachedGraph(spec, false).Symmetrize()
+			d, _ := loadGraph(spec, false)
+			e.g = d.Symmetrize()
 		} else {
 			e.g = spec.Generate()
 		}
 	})
-	return e.g
+	return e.g, built
 }
 
 func graphKey(spec graph.DatasetSpec, symmetrize bool) string {

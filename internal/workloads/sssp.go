@@ -14,7 +14,9 @@ import (
 // each round every reached vertex relaxes its outgoing edges with
 // atomic-min PEIs; rounds run to the fixpoint depth computed by the
 // golden implementation. Edge weights are a deterministic function of
-// the edge so no extra weight array is needed.
+// the edge so no extra weight array is needed. A budget-truncated run
+// cannot be verified, so it keeps the round count and drops the golden
+// distances.
 type sssp struct {
 	phaseCtl
 	p  Params
@@ -83,7 +85,11 @@ func (w *sssp) Streams(m *machine.Machine) []cpu.Stream {
 	g := w.gm.G
 	n := g.NumVertices()
 	w.src = g.MaxDegreeVertex()
-	w.golden, w.rounds = goldenSSSP(g, w.src)
+	golden, rounds := goldenSSSP(g, w.src)
+	w.rounds = rounds
+	if w.p.OpBudget == 0 {
+		w.golden = golden
+	}
 
 	w.dist = m.Store.AllocU64Array(n)
 	w.dist.Fill(infDist)
@@ -120,6 +126,9 @@ func (w *sssp) Streams(m *machine.Machine) []cpu.Stream {
 }
 
 func (w *sssp) Verify(m *machine.Machine) error {
+	if w.golden == nil {
+		return fmt.Errorf("sp: a budget-truncated run has no golden distances")
+	}
 	for v := range w.golden {
 		if got := w.dist.Get(v); got != w.golden[v] {
 			return fmt.Errorf("sp: dist[%d] = %d, want %d", v, got, w.golden[v])

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -255,12 +256,47 @@ func TestBudgetedRunsTerminate(t *testing.T) {
 	}
 }
 
+// TestBudgetedRoundsMatchUnbudgeted: a budget-truncated bfs or sp
+// keeps its round count but not the golden per-vertex array, and that
+// count must equal the unbudgeted run's over seeds and sizes; the
+// truncated run keeps no golden and refuses to verify.
+func TestBudgetedRoundsMatchUnbudgeted(t *testing.T) {
+	for _, name := range []string{"bfs", "sp"} {
+		for _, size := range []Size{Small, Medium, Large} {
+			for seed := int64(0); seed < 3; seed++ {
+				rounds := func(budget int64) (int, Workload, *machine.Machine) {
+					w := MustNew(name, Params{Threads: 4, Size: size, Scale: 256, Seed: seed, OpBudget: budget})
+					m := machine.MustNew(config.Scaled(), pim.LocalityAware)
+					w.Streams(m)
+					return w.Rounds(), w, m
+				}
+				want, _, _ := rounds(0)
+				got, w, m := rounds(500)
+				if got != want || want <= 0 {
+					t.Errorf("%s size %v seed %d: budgeted run has %d rounds, unbudgeted %d", name, size, seed, got, want)
+				}
+				if err := w.Verify(m); err == nil {
+					t.Errorf("%s size %v seed %d: budgeted run verified without a golden", name, size, seed)
+				}
+			}
+		}
+	}
+}
+
 // TestCachedGraphBuildsOnce: cells of one grid column ask for the same
 // graph at the same time, and all of them must get the one build; a
 // symmetrized request derives from, and caches, the directed graph.
+// Each call that builds forces one collection, even when it builds both
+// graphs, and a cache hit forces none.
 func TestCachedGraphBuildsOnce(t *testing.T) {
+	forced := func() uint32 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.NumForcedGC
+	}
 	spec := graph.DatasetSpec{Name: "cache-test", Vertices: 300, Edges: 2000, Seed: 5}
 	const callers = 8
+	gc0 := forced()
 	got := make([]*graph.Graph, callers)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -276,10 +312,17 @@ func TestCachedGraphBuildsOnce(t *testing.T) {
 			t.Fatalf("caller %d got graph %p, caller 0 got %p", i, g, got[0])
 		}
 	}
+	if n := forced() - gc0; n != 1 {
+		t.Fatalf("one build by %d callers ran %d collections, want 1", callers, n)
+	}
 
 	symSpec := spec
 	symSpec.Seed = 6
+	gc0 = forced()
 	sym := cachedGraph(symSpec, true)
+	if n := forced() - gc0; n != 1 {
+		t.Fatalf("building a directed and a symmetrized graph ran %d collections, want 1", n)
+	}
 	v, ok := graphCache.Load(graphKey(symSpec, false))
 	if !ok {
 		t.Fatal("symmetrized request left no directed entry")
@@ -290,5 +333,8 @@ func TestCachedGraphBuildsOnce(t *testing.T) {
 	}
 	if sym.NumEdges() != 2*directed.NumEdges() || cachedGraph(symSpec, true) != sym {
 		t.Fatalf("symmetrized graph has %d edges, directed %d, or was rebuilt", sym.NumEdges(), directed.NumEdges())
+	}
+	if n := forced() - gc0; n != 1 {
+		t.Fatalf("cache hits ran %d more collections, want none", n-1)
 	}
 }

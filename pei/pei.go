@@ -241,18 +241,18 @@ func RunWorkloadContext(ctx context.Context, cfg *Config, mode Mode, name string
 }
 
 // SnapshotStore is the content-addressed checkpoint store behind warm
-// starts: blobs keyed by (config digest, phase, cycle) with LRU
-// eviction. Point ReproduceOptions.SnapshotDir (or .SnapshotStore) at
-// one to resume sweeps from the deepest shared checkpoint.
+// starts: blobs keyed by (config digest, phase, cycle). Point
+// ReproduceOptions.SnapshotDir (or .SnapshotStore) at one to resume
+// sweeps from the deepest shared checkpoint.
 type SnapshotStore = snap.Store
 
-// SnapshotStoreStats are a store's hit/miss/eviction counters.
+// SnapshotStoreStats are a store's hit/miss/write counters.
 type SnapshotStoreStats = snap.StoreStats
 
 // OpenSnapshotStore opens (creating if needed) a snapshot store rooted
-// at dir with an LRU byte budget (<= 0: unlimited).
-func OpenSnapshotStore(dir string, budget int64) (*SnapshotStore, error) {
-	return snap.NewStore(dir, budget)
+// at dir.
+func OpenSnapshotStore(dir string) (*SnapshotStore, error) {
+	return snap.NewStore(dir)
 }
 
 // ReproduceOptions configures the experiment harness (including

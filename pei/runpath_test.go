@@ -62,7 +62,7 @@ func TestRunPathsAgree(t *testing.T) {
 func TestRunPathsAgreeWithSharedStore(t *testing.T) {
 	for _, name := range WorkloadNames {
 		t.Run(name, func(t *testing.T) {
-			store, err := OpenSnapshotStore(t.TempDir(), 0)
+			store, err := OpenSnapshotStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
