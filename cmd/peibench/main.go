@@ -54,9 +54,11 @@ func main() {
 
 	// Refuse out-of-range values instead of letting the library's
 	// defaults replace them behind a header that prints the bad value.
-	// A snapshot directory starting with "-" is virtually always a
-	// swallowed flag (`-snapshot-dir -out x` makes "-out" the directory
-	// value); refuse it instead of littering the tree with a dash-path.
+	// An unknown experiment is refused here too, before -out creates
+	// (and so empties) its file. A snapshot directory starting with "-"
+	// is virtually always a swallowed flag (`-snapshot-dir -out x` makes
+	// "-out" the directory value); refuse it instead of littering the
+	// tree with a dash-path.
 	var refusal string
 	switch {
 	case *scale < 1:
@@ -69,6 +71,10 @@ func main() {
 		refusal = fmt.Sprintf("-parallel %d: want >= 0 (0 = GOMAXPROCS)", *parallel)
 	case strings.HasPrefix(*snapDir, "-"):
 		refusal = fmt.Sprintf("-snapshot-dir %q looks like a flag, not a directory (missing value?)", *snapDir)
+	case !*list: // -list ignores -exp
+		if err := pei.CheckExperiment(*exp); err != nil {
+			refusal = err.Error()
+		}
 	}
 	if refusal != "" {
 		fmt.Fprintln(os.Stderr, "peibench:", refusal)

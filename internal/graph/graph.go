@@ -64,28 +64,40 @@ func FromEdgeList(n int, src, dst []int32) (*Graph, error) {
 // worker, and a worker's cursors start after every earlier part's, so
 // the output does not depend on the worker count.
 func csr(n int, src, dst []int32) *Graph {
+	b := newCSRBuild(n, src, dst, csrWorkers(len(src)))
+	parallel(b.w, b, csrBuild.countDst)
+	return b.finish()
+}
+
+// csrWorkers is how many workers build the CSR of m edges.
+func csrWorkers(m int) int { return min(runtime.GOMAXPROCS(0), max(1, m/csrGrain)) }
+
+// newCSRBuild allocates the state of a w-worker csr build.
+func newCSRBuild(n int, src, dst []int32, w int) csrBuild {
 	m := len(src)
-	w := min(runtime.GOMAXPROCS(0), max(1, m/csrGrain))
 	// One scratch block: the sources in destination order, then w+1 rows
 	// of n per-worker counters (m < 2^31, so int32 holds any position).
 	scratch := make([]int32, m+(w+1)*n)
-	b := csrBuild{
+	return csrBuild{
 		n: n, w: w, src: src, dst: dst,
 		byDst:   scratch[:m],
 		rows:    scratch[m:],
 		offsets: make([]int64, n+1),
 	}
-	// Pass 1 counts and scatters by destination on rows 1..w; the last
-	// row's cursors then end each destination's run: b.ends.
-	parallel(w, b, csrBuild.countDst)
+}
+
+// finish builds the graph once rows 1..w hold each part's destination
+// counts (countDst). Pass 1 scatters by destination on those rows; the
+// last row's cursors then end each destination's run: b.ends. Pass 2
+// walks the destination runs in order on rows 0..w-1, which leaves
+// b.ends alone, and scatters each source into dst's storage.
+func (b csrBuild) finish() *Graph {
 	b.cursors(1, nil)
-	parallel(w, b, csrBuild.scatterDst)
-	// Pass 2 walks the destination runs in order on rows 0..w-1, which
-	// leaves b.ends alone, and scatters each source into dst's storage.
-	parallel(w, b, csrBuild.countSrc)
+	parallel(b.w, b, csrBuild.scatterDst)
+	parallel(b.w, b, csrBuild.countSrc)
 	b.cursors(0, b.offsets)
-	parallel(w, b, csrBuild.scatterSrc)
-	return &Graph{Offsets: b.offsets, Edges: dst}
+	parallel(b.w, b, csrBuild.scatterSrc)
+	return &Graph{Offsets: b.offsets, Edges: b.dst}
 }
 
 // csrGrain is the fewest edges per csr worker: below it, starting a
@@ -111,10 +123,15 @@ func (b csrBuild) ends() []int32 { return b.row(b.w) }
 // part is worker i's share [lo, hi) of m items.
 func (b csrBuild) part(i, m int) (lo, hi int) { return i * m / b.w, (i + 1) * m / b.w }
 
+// countDst counts part i's destinations into row 1+i.
 func (b csrBuild) countDst(i int) {
-	cnt := b.row(1 + i)
 	lo, hi := b.part(i, len(b.dst))
-	for _, v := range b.dst[lo:hi] {
+	count(b.row(1+i), b.dst[lo:hi])
+}
+
+// count adds each vertex's occurrences in vs to cnt.
+func count(cnt, vs []int32) {
+	for _, v := range vs {
 		cnt[v]++
 	}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sync"
 )
 
@@ -50,6 +49,90 @@ func threshold(p float64) uint64 {
 // 0 < t <= 1<<63 and x < 1<<63: t-1-x then wraps past 1<<63 exactly
 // when x >= t.
 func atLeast(x, t uint64) uint64 { return (t - 1 - x) >> 63 }
+
+// quadrant is the three-threshold test: the quadrant of the Int63 x,
+// 0..3 for a..d.
+func quadrant(x uint64) uint64 {
+	return atLeast(x, rmatTA) + atLeast(x, rmatTAB) + atLeast(x, rmatTABC)
+}
+
+// A draw's bucket is the top 8 bits of its Int63, bits 55..62 of the
+// raw output.
+const rmatBucketShift = 55
+
+// rmatMixed marks a bucket whose draws do not all share one quadrant:
+// the three buckets that straddle a threshold, and the top bucket,
+// which holds every draw Float64 redraws.
+const rmatMixed = 4
+
+// rmatTable is each bucket's quadrant, or rmatMixed. quadrant is
+// monotone, so a bucket whose two ends share a quadrant is uniform.
+var rmatTable = func() (t [256]uint8) {
+	for b := range t {
+		lo := uint64(b) << rmatBucketShift
+		hi := lo + 1<<rmatBucketShift - 1
+		if q := quadrant(lo); q == quadrant(hi) && hi < rmatTOne {
+			t[b] = uint8(q)
+		} else {
+			t[b] = rmatMixed
+		}
+	}
+	return t
+}()
+
+// mixedDraw is the quadrant of the raw output y, from the three-threshold
+// test, and 1 if Float64 would redraw y (0 otherwise). classify calls it
+// for draws in mixed buckets only, about one in 64. It stays out of
+// line: inlined, it left classify's loop short of registers, and the
+// loop ran 20% slower.
+//
+//go:noinline
+func mixedDraw(y uint64) (q, redraw uint64) {
+	x := y & int63Mask
+	return quadrant(x), atLeast(x, rmatTOne)
+}
+
+// classify turns each edge's levels draws into its endpoints. Draw l of
+// an edge picks quadrant q = a, b, c or d (0..3) for bit l of (src, dst):
+// q's high bit is the src bit and its low bit the dst bit. The table
+// gives q for a draw in a uniform bucket; mixedDraw gives it for the
+// rest. The quadrants are shifted into z from the last draw down, two bits each, and then
+// split into the two endpoints, which wrap modulo n.
+//
+// classify reports whether any draw's Int63 is at least rmatTOne, which
+// Float64 would have redrawn: the endpoints from that edge on are wrong.
+func classify(src, dst []int32, draws []uint64, levels, n int) (redraw bool) {
+	var bad uint64
+	for e := range src {
+		ds := draws[e*levels : e*levels+levels]
+		var z uint64
+		for l := len(ds) - 1; l >= 0; l-- {
+			q := uint64(rmatTable[uint8(ds[l]>>rmatBucketShift)])
+			if q == rmatMixed {
+				var r uint64
+				q, r = mixedDraw(ds[l])
+				bad |= r
+			}
+			z = z<<2 | q
+		}
+		src[e] = int32(wrap(int(evenBits(z>>1)), n))
+		dst[e] = int32(wrap(int(evenBits(z)), n))
+	}
+	return bad != 0
+}
+
+// evenBits packs bits 0, 2, 4, ... of z into its low 32 bits.
+func evenBits(z uint64) uint64 {
+	z &= 0x5555555555555555
+	z = (z | z>>1) & 0x3333333333333333
+	z = (z | z>>2) & 0x0f0f0f0f0f0f0f0f
+	z = (z | z>>4) & 0x00ff00ff00ff00ff
+	z = (z | z>>8) & 0x0000ffff0000ffff
+	return (z | z>>16) & 0x00000000ffffffff
+}
+
+// wrap is v % n for 0 <= v < 2n, without a division or a branch.
+func wrap(v, n int) int { return v - n&((n-1-v)>>63) }
 
 // The lags of math/rand's additive lagged-Fibonacci source: its outputs
 // obey y[k] = y[k-lagLong] + y[k-lagShort] (mod 2^64).
@@ -107,9 +190,81 @@ func (r *lagFib) fill(p []uint64) {
 	}
 }
 
+// jump advances the stream by pos outputs without producing them. If
+// x^pos = sum c[j] x^j modulo the recurrence's characteristic polynomial
+// x^607 - x^334 - 1, every output is the same combination of the
+// outputs pos earlier: y[t+pos] = sum c[j] y[t+j]. The new state's word
+// i is that dot product over the current state and the lagLong-1
+// outputs after it. It costs O(lagLong² log pos), a few milliseconds at
+// pos = 2^26.
+func (r *lagFib) jump(pos int) {
+	if pos == 0 {
+		return
+	}
+	c := xPow(pos)
+	var y [2*lagLong - 1]uint64
+	copy(y[:], r[:])
+	next := *r
+	next.fill(y[lagLong:])
+	for i := range r {
+		var sum uint64
+		for j, yj := range y[i : i+lagLong] {
+			sum += c[j] * yj
+		}
+		r[i] = sum
+	}
+}
+
+// poly is a polynomial over Z/2^64 of degree below lagLong, low
+// coefficient first: a residue modulo x^607 - x^334 - 1.
+type poly [lagLong]uint64
+
+// xPow returns x^e modulo x^607 - x^334 - 1, by squaring from the top
+// bit of e down.
+func xPow(e int) poly {
+	var c poly
+	c[0] = 1
+	for b := bits.Len(uint(e)) - 1; b >= 0; b-- {
+		c.square()
+		if e>>b&1 == 1 {
+			c.timesX()
+		}
+	}
+	return c
+}
+
+// square sets c to c² modulo the characteristic polynomial. x^k for
+// k >= 607 folds to x^(k-607) + x^(k-273); folding from the top term
+// down, each fold lands on terms not yet folded.
+func (c *poly) square() {
+	var p [2*lagLong - 1]uint64
+	for i, ci := range c {
+		if ci == 0 {
+			continue
+		}
+		p[2*i] += ci * ci
+		d, row := 2*ci, p[2*i+1:i+lagLong]
+		for j, cj := range c[i+1:] {
+			row[j] += d * cj
+		}
+	}
+	for k := len(p) - 1; k >= lagLong; k-- {
+		p[k-lagLong] += p[k]
+		p[k-lagShort] += p[k]
+	}
+	copy(c[:], p[:lagLong])
+}
+
+// timesX sets c to c·x modulo the characteristic polynomial.
+func (c *poly) timesX() {
+	top := c[lagLong-1]
+	copy(c[1:], c[:lagLong-1])
+	c[0] = top
+	c[lagLong-lagShort] += top
+}
+
 // draw fills p with the next len(p) outputs of fill whose Int63 is below
-// rmatTOne, dropping the others exactly as Float64 redraws them. The
-// values stay as fill produced them; classify masks them to Int63.
+// rmatTOne, dropping the others exactly as Float64 redraws them.
 func draw(p []uint64, fill func([]uint64)) {
 	for len(p) > 0 {
 		fill(p)
@@ -127,107 +282,122 @@ func draw(p []uint64, fill func([]uint64)) {
 	}
 }
 
-// classify turns each edge's levels draws into its endpoints. Draw l of
-// an edge picks quadrant q = a, b, c or d (0..3) for bit l of (src, dst):
-// q's high bit is the src bit and its low bit the dst bit. The quadrants
-// are shifted into z from the last draw down, two bits each, and then
-// split into the two endpoints, which wrap modulo n.
-func classify(src, dst []int32, draws []uint64, levels, n int) {
-	for e := range src {
-		z := quadrants(draws[:levels])
-		draws = draws[levels:]
-		src[e] = int32(wrap(int(evenBits(z>>1)), n))
-		dst[e] = int32(wrap(int(evenBits(z)), n))
-	}
+// A drawStream is a raw draw stream that a share can start anywhere:
+// lagFib, or a test's stream with planted draws.
+type drawStream[S any] interface {
+	*S
+	fill(p []uint64)
+	jump(pos int)
 }
 
-// quadrants returns one edge's quadrants, ds[0]'s in the low two bits.
-func quadrants(ds []uint64) uint64 {
-	ta, tab, tabc := rmatTA, rmatTAB, rmatTABC
-	var z uint64
-	for l := len(ds) - 1; l >= 0; l-- {
-		x := ds[l] & int63Mask
-		z = z<<2 | atLeast(x, ta) + atLeast(x, tab) + atLeast(x, tabc)
-	}
-	return z
+// rmatBlockEdges is how many edges one fill covers: at 19 levels (the
+// Table 3 large graph at scale 16) a block's draws take 152 KiB, so they
+// are still cached when classify reads them back.
+const rmatBlockEdges = 1 << 10
+
+// rmatBuild is one RMAT call's state. Its edges are cut into the csr
+// workers' parts, the shares: share i generates edges b.part(i, m) from
+// the stream's state at its first draw, reached by jump, and counts
+// their destinations into csr row 1+i. Every share starts where it
+// would if no earlier draw were redrawn. That holds unless some share
+// meets a redraw, and then redo takes over from the first such share.
+type rmatBuild[S any, P drawStream[S]] struct {
+	csrBuild
+	levels int
+	origin S // the stream before output 0
+	shares []rmatShare[S]
+	blocks []uint64 // each share's draw block, block draws long
+	block  int
 }
 
-// evenBits packs bits 0, 2, 4, ... of z into its low 32 bits.
-func evenBits(z uint64) uint64 {
-	z &= 0x5555555555555555
-	z = (z | z>>1) & 0x3333333333333333
-	z = (z | z>>2) & 0x0f0f0f0f0f0f0f0f
-	z = (z | z>>4) & 0x00ff00ff00ff00ff
-	z = (z | z>>8) & 0x0000ffff0000ffff
-	return (z | z>>16) & 0x00000000ffffffff
+// rmatShare is one share's stream and whether it met a redraw.
+type rmatShare[S any] struct {
+	stream S
+	redraw bool
 }
 
-// wrap is v % n for 0 <= v < 2n, without a division or a branch.
-func wrap(v, n int) int { return v - n&((n-1-v)>>63) }
-
-// rmatChunkEdges is how many edges one chunk of draws covers: at 23
-// levels (the unscaled Table 3 large graph) a chunk's draws take 736 KiB.
-const rmatChunkEdges = 1 << 12
-
-// rmatChunk is one chunk's draws and the edge indices [lo, hi) they cover.
-type rmatChunk struct {
-	lo, hi int
-	draws  []uint64
-}
-
-// rmatEdges returns the endpoints of edges R-MAT edges on n vertices,
-// drawn from the raw stream fill. The stream is consumed in fixed chunks of
-// rmatChunkEdges edges, in order, on the calling goroutine; with more
-// than one worker the chunks are classified concurrently, each into its
-// own edge indices, so the result cannot depend on scheduling. With one
-// worker it starts no goroutine and allocates one chunk buffer.
-func rmatEdges(n, edges int, fill func([]uint64)) (src, dst []int32) {
+// rmat generates the R-MAT graph on n vertices from origin's draws, in
+// w shares.
+func rmat[S any, P drawStream[S]](n, edges int, origin S, w int) *Graph {
 	levels := bits.Len(uint(n - 1)) // least levels with 1<<levels >= n
-	src = make([]int32, edges)
-	dst = make([]int32, edges)
-	chunks := (edges + rmatChunkEdges - 1) / rmatChunkEdges
-	workers := min(runtime.GOMAXPROCS(0), chunks)
-	if workers <= 1 {
-		buf := make([]uint64, min(edges, rmatChunkEdges)*levels)
-		for lo := 0; lo < edges; lo += rmatChunkEdges {
-			hi := min(edges, lo+rmatChunkEdges)
-			b := buf[:(hi-lo)*levels]
-			draw(b, fill)
-			classify(src[lo:hi], dst[lo:hi], b, levels, n)
+	b := rmatBuild[S, P]{
+		csrBuild: newCSRBuild(n, make([]int32, edges), make([]int32, edges), w),
+		levels:   levels,
+		origin:   origin,
+		shares:   make([]rmatShare[S], w),
+		block:    min(rmatBlockEdges, (edges+w-1)/w) * levels,
+	}
+	b.blocks = make([]uint64, w*b.block)
+	if w == 1 {
+		b.share(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(w)
+		for i := range w {
+			go b.runShare(i, &wg)
 		}
-		return src, dst
+		wg.Wait()
 	}
-	// Two buffers per worker let the stream run a chunk ahead of each
-	// worker; neither channel ever holds more than all the buffers.
-	bufs := 2 * workers
-	jobs := make(chan rmatChunk, bufs)
-	free := make(chan []uint64, bufs)
-	for range bufs {
-		free <- make([]uint64, rmatChunkEdges*levels)
+	for i := range b.shares {
+		if b.shares[i].redraw {
+			b.redo(i)
+			break
+		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go classifyChunks(jobs, free, src, dst, levels, n, &wg)
-	}
-	for lo := 0; lo < edges; lo += rmatChunkEdges {
-		hi := min(edges, lo+rmatChunkEdges)
-		b := (<-free)[:(hi-lo)*levels]
-		draw(b, fill)
-		jobs <- rmatChunk{lo: lo, hi: hi, draws: b}
-	}
-	close(jobs)
-	wg.Wait()
-	return src, dst
+	return b.finish()
 }
 
-// classifyChunks is one rmatEdges worker: it classifies chunks until
-// jobs closes, handing each buffer back through free.
-func classifyChunks(jobs <-chan rmatChunk, free chan<- []uint64, src, dst []int32, levels, n int, wg *sync.WaitGroup) {
+// start sets share i's stream to the origin's state at the share's
+// first draw and returns the stream, the share's edges and its block.
+func (b rmatBuild[S, P]) start(i int) (s P, lo, hi int, buf []uint64) {
+	lo, hi = b.part(i, len(b.src))
+	s = &b.shares[i].stream
+	*s = b.origin
+	s.jump(lo * b.levels)
+	return s, lo, hi, b.blocks[i*b.block : (i+1)*b.block]
+}
+
+// share generates share i block by block and counts its destinations.
+// It stops at a block with a redraw and flags the share.
+func (b rmatBuild[S, P]) share(i int) {
+	s, lo, hi, buf := b.start(i)
+	cnt := b.row(1 + i)
+	for lo < hi {
+		e := min(hi, lo+rmatBlockEdges)
+		d := buf[:(e-lo)*b.levels]
+		s.fill(d)
+		if classify(b.src[lo:e], b.dst[lo:e], d, b.levels, b.n) {
+			b.shares[i].redraw = true
+			return
+		}
+		count(cnt, b.dst[lo:e])
+		lo = e
+	}
+}
+
+// runShare is one share's goroutine. Like csr's runPart, it gets its
+// arguments from the go statement, not through a closure.
+func (b rmatBuild[S, P]) runShare(i int, wg *sync.WaitGroup) {
 	defer wg.Done()
-	for c := range jobs {
-		classify(src[c.lo:c.hi], dst[c.lo:c.hi], c.draws, levels, n)
-		free <- c.draws[:cap(c.draws)]
+	b.share(i)
+}
+
+// redo regenerates every edge from share k's start on the sequential
+// path: draws in stream order, each one Float64 redraws dropped. No
+// earlier share met a redraw, so share k starts where it would. The
+// shares from k on are then counted afresh.
+func (b rmatBuild[S, P]) redo(k int) {
+	s, lo, _, buf := b.start(k)
+	for m := len(b.src); lo < m; {
+		e := min(m, lo+rmatBlockEdges)
+		d := buf[:(e-lo)*b.levels]
+		draw(d, s.fill)
+		classify(b.src[lo:e], b.dst[lo:e], d, b.levels, b.n)
+		lo = e
+	}
+	for i := k; i < b.w; i++ {
+		clear(b.row(1 + i))
+		b.countDst(i)
 	}
 }
 
@@ -243,7 +413,5 @@ func RMAT(n, edges int, seed int64) *Graph {
 	if n <= 0 || edges < 0 {
 		panic("graph: bad RMAT parameters")
 	}
-	stream := newLagFib(seed)
-	src, dst := rmatEdges(n, edges, stream.fill)
-	return csr(n, src, dst)
+	return rmat[lagFib](n, edges, newLagFib(seed), csrWorkers(edges))
 }

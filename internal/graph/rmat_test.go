@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -103,6 +104,38 @@ func TestRMATThresholds(t *testing.T) {
 	if rmatTOne != 1<<63-512 || float(rmatTOne) != 1 || float(1<<63-1) != 1 {
 		t.Errorf("redraw threshold %d: Float64 would not round it up to 1", rmatTOne)
 	}
+	// The table classifier agrees with the three-threshold test at every
+	// bucket edge, one below and one above, and on both sides of the
+	// redraw threshold, whether or not the bit Int63 drops is set.
+	xs := []uint64{rmatTOne - 1, rmatTOne, 1<<63 - 1}
+	for b := uint64(0); b <= 256; b++ {
+		edge := b << rmatBucketShift
+		xs = append(xs, edge-1, edge, edge+1)
+	}
+	for _, x := range xs {
+		if x >= 1<<63 {
+			continue
+		}
+		for _, y := range []uint64{x, x | 1<<63} {
+			// One level on two vertices: the endpoints are q's two bits.
+			var src, dst [1]int32
+			redraw := classify(src[:], dst[:], []uint64{y}, 1, 2)
+			q := uint64(src[0]<<1 | dst[0])
+			if q != quadrant(x) || redraw != (atLeast(x, rmatTOne) == 1) {
+				t.Errorf("draw %#x: table gives quadrant %d, redraw %v; thresholds give %d, %d",
+					y, q, redraw, quadrant(x), atLeast(x, rmatTOne))
+			}
+		}
+	}
+	mixed := 0
+	for _, q := range rmatTable {
+		if q == rmatMixed {
+			mixed++
+		}
+	}
+	if mixed != 4 || rmatTable[255] != rmatMixed {
+		t.Errorf("%d mixed buckets, want the three straddling a threshold and the top one", mixed)
+	}
 }
 
 // TestRMATAllocs guards the generator's allocations: a constant few per
@@ -128,9 +161,11 @@ func BenchmarkRMAT(b *testing.B) {
 }
 
 // TestRMATGoldenWorkers holds the golden digests at several worker
-// counts: chunks and CSR parts are fixed by the input, not the workers.
+// counts, three of them giving shares of uneven length: each share
+// starts from the stream's state at its first draw, so the graph does
+// not depend on how the edges are shared out.
 func TestRMATGoldenWorkers(t *testing.T) {
-	for _, procs := range []int{1, 2, 4} {
+	for _, procs := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			TestRMATGolden(t)
@@ -149,11 +184,11 @@ func TestLagFibMatchesSource(t *testing.T) {
 	for _, d := range Table3Graphs {
 		seeds = append(seeds, d.Seed, d.Seed+131)
 	}
-	blocks := []int{1, 272, 273, 274, 333, 606, 607, 608, 1000, 4096, 19 * rmatChunkEdges}
+	blocks := []int{1, 272, 273, 274, 333, 606, 607, 608, 1000, 4096, 19 * rmatBlockEdges}
 	for _, seed := range seeds {
 		ref := rand.NewSource(seed).(rand.Source64)
 		stream := newLagFib(seed)
-		buf := make([]uint64, 19*rmatChunkEdges)
+		buf := make([]uint64, 19*rmatBlockEdges)
 		for drawn, i := 0, 0; drawn < 1<<20; i++ {
 			b := buf[:blocks[i%len(blocks)]]
 			stream.fill(b)
@@ -168,7 +203,8 @@ func TestLagFibMatchesSource(t *testing.T) {
 }
 
 // plantedStream is a seed's stream with some draws replaced, so that
-// tests can put draws at or above rmatTOne where they choose.
+// tests can put draws at or above rmatTOne where they choose. It tracks
+// its absolute position across fill and jump.
 type plantedStream struct {
 	lagFib
 	next  int // index of the next draw
@@ -183,6 +219,11 @@ func (p *plantedStream) fill(b []uint64) {
 		}
 	}
 	p.next += len(b)
+}
+
+func (p *plantedStream) jump(pos int) {
+	p.lagFib.jump(pos)
+	p.next += pos
 }
 
 // rmatReference is the generator's per-draw loop: each level takes the
@@ -215,39 +256,92 @@ func rmatReference(n, edges int, fill func([]uint64)) (src, dst []int32) {
 	return src, dst
 }
 
-// TestRMATRedraws drives rmatEdges with draws the redraw rule rejects:
-// at and above rmatTOne, with and without the bit Int63 drops, alone and
-// in runs, at the start of the stream and across chunk boundaries.
+// TestRMATRedraws drives the share generator with draws the redraw rule
+// rejects: at and above rmatTOne, with and without the bit Int63 drops,
+// alone and in runs, inside each of four shares, on the last and first
+// draw of a share, and at the start of the stream. Each plan runs at 1
+// to 4 shares against the per-draw loop.
 func TestRMATRedraws(t *testing.T) {
-	const n, edges = 1000, 5*rmatChunkEdges + 77 // 10 levels
+	const n, levels, edges = 1000, 10, 12 * rmatBlockEdges // three blocks a share at 4 shares
 	top := uint64(1<<63 - 1)
-	plant := map[int]uint64{
-		0:                     rmatTOne,
-		1:                     top,
-		7:                     1<<63 | rmatTOne,
-		8:                     1<<63 | (rmatTOne - 1), // accepted: Int63 is below rmatTOne
-		10*rmatChunkEdges - 1: top,
-		10 * rmatChunkEdges:   top,
-		25*rmatChunkEdges + 3: rmatTOne + 100,
+	// shareStart is the first draw of share i of w.
+	shareStart := func(i, w int) int { return i * edges / w * levels }
+	run := func(at int) map[int]uint64 { // a run longer than an edge's draws
+		p := map[int]uint64{}
+		for i := 0; i < 40; i++ {
+			p[at+i] = top - uint64(i)
+		}
+		return p
 	}
-	for i := 0; i < 40; i++ { // a run longer than an edge's draws
-		plant[30*rmatChunkEdges+i] = top - uint64(i)
+	plans := map[string]map[int]uint64{
+		"none": nil,
+		"stream start": {
+			0: rmatTOne,
+			1: top,
+			7: 1<<63 | rmatTOne,
+			8: 1<<63 | (rmatTOne - 1), // accepted: Int63 is below rmatTOne
+		},
+		"accepted only": {5: 1<<63 | (rmatTOne - 1), shareStart(2, 4) + 3: rmatTOne - 1},
+		"share 1":       {shareStart(1, 4) + 2*rmatBlockEdges*levels + 5: rmatTOne + 100},
+		"share 2 run":   run(shareStart(2, 4) + 777),
+		"share 3":       {shareStart(3, 4) + 1: top, shareStart(3, 4) + 9000: rmatTOne},
+		"last edge":     {edges*levels - 1: top},
+		"boundaries": {
+			shareStart(1, 4) - 1: top, shareStart(1, 4): top,
+			shareStart(1, 3): rmatTOne, shareStart(2, 3) - 1: rmatTOne,
+		},
+		"half": {shareStart(1, 2): top},
+		"everywhere": {
+			3: top, shareStart(1, 4) + 50: top, shareStart(1, 2) - 1: top, shareStart(3, 4) + 2: top,
+		},
 	}
-	wantSrc, wantDst := rmatReference(n, edges, (&plantedStream{lagFib: newLagFib(9), plant: plant}).fill)
-	for _, procs := range []int{1, 2, 4} {
-		func() {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			src, dst := rmatEdges(n, edges, (&plantedStream{lagFib: newLagFib(9), plant: plant}).fill)
-			if !slices.Equal(src, wantSrc) || !slices.Equal(dst, wantDst) {
-				t.Errorf("GOMAXPROCS=%d: endpoints differ from the per-draw loop", procs)
+	for name, plant := range plans {
+		wantSrc, wantDst := rmatReference(n, edges, (&plantedStream{lagFib: newLagFib(9), plant: plant}).fill)
+		want := csrBySort(n, wantSrc, wantDst)
+		for w := 1; w <= 4; w++ {
+			g := rmat[plantedStream](n, edges, plantedStream{lagFib: newLagFib(9), plant: plant}, w)
+			if !slices.Equal(g.Offsets, want.Offsets) || !slices.Equal(g.Edges, want.Edges) {
+				t.Errorf("%s, %d shares: graph differs from the per-draw loop", name, w)
 			}
-		}()
+		}
 	}
 	// Without plants the reference is the generator itself.
 	src, dst := rmatReference(n, edges, (&plantedStream{lagFib: newLagFib(9)}).fill)
 	g := RMAT(n, edges, 9)
 	if want := csrBySort(n, src, dst); !slices.Equal(g.Offsets, want.Offsets) || !slices.Equal(g.Edges, want.Edges) {
 		t.Error("RMAT differs from the per-draw loop")
+	}
+}
+
+// TestLagFibJump checks jump(L) against the state fill reaches after L
+// outputs: on both sides of the two lags, at a large odd L, and at the
+// share starts of the graph the Table 2 machine builds, at 2 to 4 shares.
+func TestLagFibJump(t *testing.T) {
+	spec := fullMachineSpec()
+	levels := bits.Len(uint(spec.Vertices - 1))
+	jumps := []int{0, 1, 272, 273, 606, 607, 608, 1_000_003}
+	for w := 2; w <= 4; w++ {
+		for i := 1; i < w; i++ {
+			jumps = append(jumps, i*spec.Edges/w*levels)
+		}
+	}
+	slices.Sort(jumps)
+	buf := make([]uint64, 1<<16)
+	for _, seed := range []int64{0, 42, spec.Seed} {
+		origin := newLagFib(seed)
+		walked, at := origin, 0
+		for _, l := range jumps {
+			for at < l {
+				k := min(len(buf), l-at)
+				walked.fill(buf[:k])
+				at += k
+			}
+			jumped := origin
+			jumped.jump(l)
+			if jumped != walked {
+				t.Errorf("seed %d: jump(%d) differs from %d outputs of fill", seed, l, l)
+			}
+		}
 	}
 }
 

@@ -35,29 +35,14 @@ type bfs struct {
 func newBFS(p Params) *bfs { return &bfs{p: p} }
 
 // goldenBFS runs synchronous BFS, returning final levels and the round
-// count to fixpoint.
+// count to fixpoint: propagation with unit weights from src.
 func goldenBFS(g *graph.Graph, src int) ([]uint64, int) {
 	levels := make([]uint64, g.NumVertices())
 	for i := range levels {
 		levels[i] = infDist
 	}
 	levels[src] = 0
-	frontier := []int{src}
-	depth := 0
-	for len(frontier) > 0 {
-		var next []int
-		for _, v := range frontier {
-			for _, succ := range g.Successors(v) {
-				if levels[succ] == infDist {
-					levels[succ] = levels[v] + 1
-					next = append(next, int(succ))
-				}
-			}
-		}
-		frontier = next
-		depth++
-	}
-	return levels, depth
+	return levels, propagate(g, levels, []int32{int32(src)}, unitWeights)
 }
 
 func (w *bfs) Streams(m *machine.Machine) []cpu.Stream {

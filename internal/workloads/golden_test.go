@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"pimsim/internal/graph"
@@ -289,4 +291,103 @@ func TestGoldenDeterminism(t *testing.T) {
 			t.Fatal("golden BFS nondeterministic")
 		}
 	}
+}
+
+// levelBFS is the reference for goldenBFS: BFS one level at a time,
+// each level's frontier expanded into the next.
+func levelBFS(g *graph.Graph, src int) ([]uint64, int) {
+	levels := make([]uint64, g.NumVertices())
+	for i := range levels {
+		levels[i] = infDist
+	}
+	levels[src] = 0
+	frontier := []int{src}
+	depth := 0
+	for len(frontier) > 0 {
+		var next []int
+		for _, v := range frontier {
+			for _, succ := range g.Successors(v) {
+				if levels[succ] == infDist {
+					levels[succ] = levels[v] + 1
+					next = append(next, int(succ))
+				}
+			}
+		}
+		frontier = next
+		depth++
+	}
+	return levels, depth
+}
+
+// TestGoldensMatchReferences holds the propagation engine's values and
+// round counts for bfs, sp and wcc to their one-vertex-at-a-time
+// references, on the inputs of every size at seeds 0 to 3, serially and
+// on 2 and 4 workers. The medium and large graphs are above goldenGrain.
+func TestGoldensMatchReferences(t *testing.T) {
+	type golden struct {
+		name     string
+		run, ref func(g, sym *graph.Graph, src int) ([]uint64, int)
+	}
+	goldens := []golden{
+		{"bfs",
+			func(g, _ *graph.Graph, src int) ([]uint64, int) { return goldenBFS(g, src) },
+			func(g, _ *graph.Graph, src int) ([]uint64, int) { return levelBFS(g, src) }},
+		{"sp",
+			func(g, _ *graph.Graph, src int) ([]uint64, int) { return goldenSSSP(g, src) },
+			func(g, _ *graph.Graph, src int) ([]uint64, int) { return fullScanSSSP(g, src) }},
+		{"wcc",
+			func(_, sym *graph.Graph, _ int) ([]uint64, int) { return goldenWCC(sym) },
+			func(_, sym *graph.Graph, _ int) ([]uint64, int) { return fullSweepWCC(sym) }},
+	}
+	aboveGrain := 0
+	for _, size := range []Size{Small, Medium, Large} {
+		for seed := int64(0); seed < 4; seed++ {
+			g := graphInput(Params{Size: size, Scale: 256, Seed: seed}).Generate()
+			sym := g.Symmetrize()
+			if g.NumEdges() >= goldenGrain {
+				aboveGrain++
+			}
+			src := g.MaxDegreeVertex()
+			for _, gd := range goldens {
+				want, wantRounds := gd.ref(g, sym, src)
+				for _, procs := range []int{1, 2, 4} {
+					func() {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						got, rounds := gd.run(g, sym, src)
+						if rounds != wantRounds || !slices.Equal(got, want) {
+							t.Errorf("%s on %v/256 seed %d, GOMAXPROCS=%d: %d rounds (want %d), values equal: %v",
+								gd.name, size, seed, procs, rounds, wantRounds, slices.Equal(got, want))
+						}
+					}()
+				}
+			}
+		}
+	}
+	if aboveGrain == 0 {
+		t.Fatal("no graph above goldenGrain: the parallel path went untested")
+	}
+}
+
+// BenchmarkGoldens times the bfs, sp and wcc goldens on the graph the
+// Table 2 machine builds for the large input at scale 16 and seed 1
+// (graph.BenchmarkRMAT's graph); wcc runs on its symmetrized form.
+func BenchmarkGoldens(b *testing.B) {
+	g := graphInput(Params{Size: Large, Scale: 16, Seed: 1}).Generate()
+	src := g.MaxDegreeVertex()
+	b.Run("bfs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			goldenBFS(g, src)
+		}
+	})
+	b.Run("sp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			goldenSSSP(g, src)
+		}
+	})
+	sym := g.Symmetrize()
+	b.Run("wcc", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			goldenWCC(sym)
+		}
+	})
 }

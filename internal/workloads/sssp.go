@@ -36,48 +36,14 @@ func edgeWeight(v int, succ int32) uint64 {
 }
 
 // goldenSSSP runs synchronous Bellman-Ford, returning distances and the
-// number of rounds to fixpoint. Each round relaxes the edges of every
-// reached vertex from its distance at the start of the round; only the
-// vertices whose distance changed in the previous round can lower any
-// distance, so each round relaxes just those, with their distances then.
+// number of rounds to fixpoint: propagation with edgeWeight from src.
 func goldenSSSP(g *graph.Graph, src int) ([]uint64, int) {
-	type reached struct {
-		v    int
-		dist uint64
-	}
 	dist := make([]uint64, g.NumVertices())
 	for i := range dist {
 		dist[i] = infDist
 	}
 	dist[src] = 0
-	// changedIn[v] is the last round that lowered dist[v].
-	changedIn := make([]int, g.NumVertices())
-	frontier := []reached{{src, 0}}
-	var changed []int
-	rounds := 0
-	for {
-		rounds++
-		changed = changed[:0]
-		for _, r := range frontier {
-			for _, succ := range g.Successors(r.v) {
-				if nd := r.dist + edgeWeight(r.v, succ); nd < dist[succ] {
-					dist[succ] = nd
-					if changedIn[succ] != rounds {
-						changedIn[succ] = rounds
-						changed = append(changed, int(succ))
-					}
-				}
-			}
-		}
-		if len(changed) == 0 {
-			break
-		}
-		frontier = frontier[:0]
-		for _, v := range changed {
-			frontier = append(frontier, reached{v, dist[v]})
-		}
-	}
-	return dist, rounds
+	return dist, propagate(g, dist, []int32{int32(src)}, edgeWeights)
 }
 
 func (w *sssp) Streams(m *machine.Machine) []cpu.Stream {

@@ -26,52 +26,18 @@ type wcc struct {
 
 func newWCC(p Params) *wcc { return &wcc{p: p} }
 
-// goldenWCC runs synchronous label propagation to fixpoint. A round
-// lowers each vertex's label to the least label its predecessors held
-// at the start of the round. Only a vertex whose label the previous
-// round lowered can lower a successor: any other already pushed the
-// same label a round earlier. So each round propagates from those
-// vertices alone, and the labels and round count equal those of a full
-// sweep (TestGoldenWCCMatchesFullSweep).
+// goldenWCC runs synchronous label propagation to fixpoint: every
+// vertex starts labelled with its own id and propagates it unchanged,
+// so a component converges to its least id.
 func goldenWCC(g *graph.Graph) ([]uint64, int) {
-	type pushed struct {
-		v     int
-		label uint64
-	}
 	n := g.NumVertices()
 	label := make([]uint64, n)
-	frontier := make([]pushed, n)
+	front := make([]int32, n)
 	for v := range label {
 		label[v] = uint64(v)
-		frontier[v] = pushed{v, uint64(v)}
+		front[v] = int32(v)
 	}
-	// changedIn[v] is the last round that lowered label[v].
-	changedIn := make([]int, n)
-	var changed []int
-	rounds := 0
-	for {
-		rounds++
-		changed = changed[:0]
-		for _, p := range frontier {
-			for _, succ := range g.Successors(p.v) {
-				if p.label < label[succ] {
-					label[succ] = p.label
-					if changedIn[succ] != rounds {
-						changedIn[succ] = rounds
-						changed = append(changed, int(succ))
-					}
-				}
-			}
-		}
-		if len(changed) == 0 {
-			break
-		}
-		frontier = frontier[:0]
-		for _, v := range changed {
-			frontier = append(frontier, pushed{v, label[v]})
-		}
-	}
-	return label, rounds
+	return label, propagate(g, label, front, zeroWeights)
 }
 
 func (w *wcc) Streams(m *machine.Machine) []cpu.Stream {

@@ -373,6 +373,13 @@ func ReproduceWithReport(ctx context.Context, name string, opts ReproduceOptions
 	return r.SnapshotReport(), err
 }
 
+// CheckExperiment reports whether name is runnable: an experiment,
+// an alias of one, or "all". Its error lists the valid names.
+func CheckExperiment(name string) error {
+	_, err := lookupExperiment(name)
+	return err
+}
+
 // lookupExperiment resolves a runnable name (a registry name, an
 // alias, or "all") to the experiments it runs.
 func lookupExperiment(name string) ([]experiment, error) {

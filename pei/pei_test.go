@@ -201,6 +201,21 @@ func TestReproduceUnknownListsValidNames(t *testing.T) {
 	}
 }
 
+// CheckExperiment accepts exactly what Reproduce runs: every listed
+// name and every alias; peibench refuses anything else before it opens
+// -out.
+func TestCheckExperiment(t *testing.T) {
+	for _, name := range append(Experiments(), "sec76") {
+		if err := CheckExperiment(name); err != nil {
+			t.Errorf("CheckExperiment(%q) = %v", name, err)
+		}
+	}
+	err := CheckExperiment("nosuch")
+	if err == nil || !strings.Contains(err.Error(), "nosuch") || !strings.Contains(err.Error(), "fig6") {
+		t.Fatalf("CheckExperiment(\"nosuch\") = %v, want an error listing the valid names", err)
+	}
+}
+
 func TestReproduceAlias(t *testing.T) {
 	opts := DefaultReproduceOptions()
 	opts.Scale = 2048
