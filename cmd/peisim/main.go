@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,24 +38,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// Refuse out-of-range values instead of letting the library's
-	// defaults replace them behind a header that prints the bad value.
-	var refusal string
-	switch {
-	case *scale < 1:
-		refusal = fmt.Sprintf("-scale %d: want a divisor >= 1", *scale)
-	case *budget < 0:
-		refusal = fmt.Sprintf("-budget %d: want >= 0 (0 = run to completion)", *budget)
-	case *threads < 0:
-		refusal = fmt.Sprintf("-threads %d: want >= 0 (0 = all cores)", *threads)
-	case *verify && *budget > 0:
-		refusal = fmt.Sprintf("-verify -budget %d: a budget-truncated run cannot be verified (use -budget 0)", *budget)
-	}
-	if refusal != "" {
-		fmt.Fprintln(os.Stderr, "peisim:", refusal)
-		os.Exit(2)
-	}
-
 	cfg := pei.ScaledConfig()
 	if *full {
 		cfg = pei.BaselineConfig()
@@ -69,15 +52,36 @@ func main() {
 	if *balanced {
 		cfg.BalancedDispatch = true // the flag adds to a -config file, never resets it
 	}
+	mode, modeErr := pei.ParseMode(*modeStr)
+	size, sizeErr := pei.ParseSize(*sizeStr)
 
-	mode, err := pei.ParseMode(*modeStr)
-	if err != nil {
-		fatal(err)
+	// Refuse bad values instead of letting the library's defaults
+	// replace them behind a header that prints the bad value, or the run
+	// fail on them.
+	var refusal string
+	switch {
+	case *scale < 1:
+		refusal = fmt.Sprintf("-scale %d: want a divisor >= 1", *scale)
+	case *budget < 0:
+		refusal = fmt.Sprintf("-budget %d: want >= 0 (0 = run to completion)", *budget)
+	case *threads < 0:
+		refusal = fmt.Sprintf("-threads %d: want >= 0 (0 = all cores)", *threads)
+	case *threads > cfg.Cores:
+		refusal = fmt.Sprintf("-threads %d: the machine has %d cores", *threads, cfg.Cores)
+	case *verify && *budget > 0:
+		refusal = fmt.Sprintf("-verify -budget %d: a budget-truncated run cannot be verified (use -budget 0)", *budget)
+	case !slices.Contains(pei.WorkloadNames, *workload):
+		refusal = fmt.Sprintf("-workload %q: want one of %s", *workload, strings.Join(pei.WorkloadNames, "|"))
+	case modeErr != nil:
+		refusal = fmt.Sprintf("-mode %q: want host|pim|locality|ideal", *modeStr)
+	case sizeErr != nil:
+		refusal = fmt.Sprintf("-size %q: want small|medium|large", *sizeStr)
 	}
-	size, err := pei.ParseSize(*sizeStr)
-	if err != nil {
-		fatal(err)
+	if refusal != "" {
+		fmt.Fprintln(os.Stderr, "peisim:", refusal)
+		os.Exit(2)
 	}
+
 	nThreads := *threads
 	if nThreads == 0 {
 		nThreads = cfg.Cores

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -295,38 +296,37 @@ type drawStream[S any] interface {
 // are still cached when classify reads them back.
 const rmatBlockEdges = 1 << 10
 
-// rmatBuild is one RMAT call's state. Its edges are cut into the csr
-// workers' parts, the shares: share i generates edges b.part(i, m) from
-// the stream's state at its first draw, reached by jump, and counts
-// their destinations into csr row 1+i. Every share starts where it
+// rmatBuild is one RMAT call's state. Its edges are cut into the
+// builder's producers' parts, the shares: share i generates edges
+// b.part(i) from the stream's state at its first draw, reached by jump,
+// and appends them to the builder's lists. Every share starts where it
 // would if no earlier draw were redrawn. That holds unless some share
 // meets a redraw, and then redo takes over from the first such share.
 type rmatBuild[S any, P drawStream[S]] struct {
-	csrBuild
-	levels int
+	csrBuilder
 	origin S // the stream before output 0
 	shares []rmatShare[S]
 	blocks []uint64 // each share's draw block, block draws long
 	block  int
 }
 
-// rmatShare is one share's stream and whether it met a redraw.
+// rmatShare is one share's stream, whether it met a redraw, and the
+// endpoints of its current block.
 type rmatShare[S any] struct {
-	stream S
-	redraw bool
+	stream   S
+	redraw   bool
+	src, dst [rmatBlockEdges]int32
 }
 
 // rmat generates the R-MAT graph on n vertices from origin's draws, in
 // w shares.
 func rmat[S any, P drawStream[S]](n, edges int, origin S, w int) *Graph {
-	levels := bits.Len(uint(n - 1)) // least levels with 1<<levels >= n
 	b := rmatBuild[S, P]{
-		csrBuild: newCSRBuild(n, make([]int32, edges), make([]int32, edges), w),
-		levels:   levels,
-		origin:   origin,
-		shares:   make([]rmatShare[S], w),
-		block:    min(rmatBlockEdges, (edges+w-1)/w) * levels,
+		csrBuilder: newCSRBuilder(n, edges, 1, w, make([]int32, edges)),
+		origin:     origin,
+		shares:     make([]rmatShare[S], w),
 	}
+	b.block = min(rmatBlockEdges, (edges+w-1)/w) * int(b.levels)
 	b.blocks = make([]uint64, w*b.block)
 	if w == 1 {
 		b.share(0)
@@ -350,33 +350,35 @@ func rmat[S any, P drawStream[S]](n, edges int, origin S, w int) *Graph {
 // start sets share i's stream to the origin's state at the share's
 // first draw and returns the stream, the share's edges and its block.
 func (b rmatBuild[S, P]) start(i int) (s P, lo, hi int, buf []uint64) {
-	lo, hi = b.part(i, len(b.src))
+	lo, hi = b.part(i)
 	s = &b.shares[i].stream
 	*s = b.origin
-	s.jump(lo * b.levels)
+	s.jump(lo * int(b.levels))
 	return s, lo, hi, b.blocks[i*b.block : (i+1)*b.block]
 }
 
-// share generates share i block by block and counts its destinations.
-// It stops at a block with a redraw and flags the share.
+// share generates share i block by block and appends its edges. It stops
+// at a block with a redraw and flags the share.
 func (b rmatBuild[S, P]) share(i int) {
 	s, lo, hi, buf := b.start(i)
-	cnt := b.row(1 + i)
+	sh := &b.shares[i]
+	kw := b.writer(i)
 	for lo < hi {
 		e := min(hi, lo+rmatBlockEdges)
-		d := buf[:(e-lo)*b.levels]
+		d := buf[:(e-lo)*int(b.levels)]
 		s.fill(d)
-		if classify(b.src[lo:e], b.dst[lo:e], d, b.levels, b.n) {
-			b.shares[i].redraw = true
+		src, dst := sh.src[:e-lo], sh.dst[:e-lo]
+		if classify(src, dst, d, int(b.levels), b.n) {
+			sh.redraw = true
 			return
 		}
-		count(cnt, b.dst[lo:e])
+		kw.putAll(src, dst)
 		lo = e
 	}
 }
 
-// runShare is one share's goroutine. Like csr's runPart, it gets its
-// arguments from the go statement, not through a closure.
+// runShare is one share's goroutine. Like the builder's runPart, it gets
+// its arguments from the go statement, not through a closure.
 func (b rmatBuild[S, P]) runShare(i int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	b.share(i)
@@ -384,20 +386,23 @@ func (b rmatBuild[S, P]) runShare(i int, wg *sync.WaitGroup) {
 
 // redo regenerates every edge from share k's start on the sequential
 // path: draws in stream order, each one Float64 redraws dropped. No
-// earlier share met a redraw, so share k starts where it would. The
-// shares from k on are then counted afresh.
+// earlier share met a redraw, so share k starts where it would. Shares
+// k on drop their keys, and each edge goes to the share whose part holds
+// it.
 func (b rmatBuild[S, P]) redo(k int) {
 	s, lo, _, buf := b.start(k)
-	for m := len(b.src); lo < m; {
-		e := min(m, lo+rmatBlockEdges)
-		d := buf[:(e-lo)*b.levels]
-		draw(d, s.fill)
-		classify(b.src[lo:e], b.dst[lo:e], d, b.levels, b.n)
-		lo = e
-	}
+	sh := &b.shares[k]
 	for i := k; i < b.w; i++ {
-		clear(b.row(1 + i))
-		b.countDst(i)
+		kw := b.writer(i)
+		for _, hi := b.part(i); lo < hi; {
+			e := min(hi, lo+rmatBlockEdges)
+			d := buf[:(e-lo)*int(b.levels)]
+			draw(d, s.fill)
+			src, dst := sh.src[:e-lo], sh.dst[:e-lo]
+			classify(src, dst, d, int(b.levels), b.n)
+			kw.putAll(src, dst)
+			lo = e
+		}
 	}
 }
 
@@ -410,7 +415,7 @@ func (b rmatBuild[S, P]) redo(k int) {
 // rand.NewSource(seed), and the output is pinned bit for bit. It runs
 // on up to GOMAXPROCS goroutines.
 func RMAT(n, edges int, seed int64) *Graph {
-	if n <= 0 || edges < 0 {
+	if n <= 0 || n > math.MaxInt32+1 || edges < 0 || edges > math.MaxInt32 {
 		panic("graph: bad RMAT parameters")
 	}
 	return rmat[lagFib](n, edges, newLagFib(seed), csrWorkers(edges))

@@ -358,7 +358,7 @@ func csrBySort(n int, src, dst []int32) *Graph {
 		}
 		return cmp.Compare(a[1], b[1])
 	})
-	g := &Graph{Offsets: make([]int64, n+1), Edges: make([]int32, len(pairs))}
+	g := &Graph{Offsets: make([]int32, n+1), Edges: make([]int32, len(pairs))}
 	for i, p := range pairs {
 		g.Offsets[p[0]+1]++
 		g.Edges[i] = p[1]

@@ -59,7 +59,7 @@ func (w *atf) Streams(m *machine.Machine) []cpu.Stream {
 				if !w.teenFlag[v] {
 					return
 				}
-				off := w.gm.G.Offsets[v]
+				off := int64(w.gm.G.Offsets[v])
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
 					q.PushPEI(pim.OpInc64, w.counters.Addr(int(succ)), 0, 0)

@@ -77,7 +77,7 @@ func (w *bfs) Streams(m *machine.Machine) []cpu.Stream {
 				if w.level.Get(v) != uint64(round) {
 					return
 				}
-				off := w.gm.G.Offsets[v]
+				off := int64(w.gm.G.Offsets[v])
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
 					q.PushPEI(pim.OpMin64, w.level.Addr(int(succ)), uint64(round)+1, 0)

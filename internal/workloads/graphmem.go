@@ -73,9 +73,9 @@ type graphEntry struct {
 // first use; a symmetrized graph is derived from the cached directed one.
 //
 // A call that builds ends with one garbage collection, however many
-// graphs it built. A build allocates about three times the graph it
-// keeps (R-MAT's edge lists, the CSR scratch), and a collection that
-// fires mid-build would set the next heap goal from that transient;
+// graphs it built. A build allocates about twice the graph it keeps
+// (the builder's keys beside Edges), and a collection that fires
+// mid-build would set the next heap goal from that transient;
 // collecting once the scratch is dead sets it from what the run keeps
 // instead (see DESIGN.md, "Footprint").
 func cachedGraph(spec graph.DatasetSpec, symmetrize bool) *graph.Graph {

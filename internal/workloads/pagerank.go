@@ -114,7 +114,7 @@ func (w *pagerank) Streams(m *machine.Machine) []cpu.Stream {
 						return
 					}
 					delta := prDamping * w.rank.GetF(v) / float64(deg)
-					off := w.gm.G.Offsets[v]
+					off := int64(w.gm.G.Offsets[v])
 					for j, succ := range w.gm.G.Successors(v) {
 						q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
 						q.PushPEI(pim.OpFloatAdd, w.nextRank.Addr(int(succ)), math.Float64bits(delta), 0)

@@ -79,7 +79,7 @@ func (w *sssp) Streams(m *machine.Machine) []cpu.Stream {
 				if dv == infDist {
 					return
 				}
-				off := w.gm.G.Offsets[v]
+				off := int64(w.gm.G.Offsets[v])
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
 					q.PushPEI(pim.OpMin64, w.dist.Addr(int(succ)), dv+edgeWeight(v, succ), 0)

@@ -67,7 +67,7 @@ func (w *wcc) Streams(m *machine.Machine) []cpu.Stream {
 				v := lo + i
 				q.PushLoad(w.label.Addr(v))
 				lv := w.label.Get(v)
-				off := w.gm.G.Offsets[v]
+				off := int64(w.gm.G.Offsets[v])
 				for j, succ := range w.gm.G.Successors(v) {
 					q.PushLoad(w.gm.EdgeAddr(off + int64(j)))
 					q.PushPEI(pim.OpMin64, w.label.Addr(int(succ)), lv, 0)
